@@ -195,8 +195,8 @@ int main(int argc, char** argv) {
       return 0;
     }
     std::fprintf(stderr,
-                 "rlftnoc_report: %s\nrun a figure bench first to produce the "
-                 "campaign cache\n",
+                 "rlftnoc_report: %s\nrun bench_paper_figures first to produce "
+                 "the campaign cache\n",
                  e.what());
     return 2;
   }

@@ -19,7 +19,9 @@
 //   record_workload = <path>         (capture this run into a replayable
 //                                     rlftnoc-workload-v1 file; .wkb =
 //                                     binary; also --record-workload PATH)
-//   trace         = <path>           (overrides workload: replay a trace)
+//   trace         = <path>           (overrides workload: replay a
+//                                     `cycle src dst len` text trace; cycles
+//                                     count from the injection-window start)
 //   seed          = 1
 //   jobs          = 1                (campaign-mode parallelism; also --jobs N)
 //   sim_threads   = 1                (threads inside one run's Network::step;
@@ -66,7 +68,6 @@
 #include "sim/results_io.h"
 #include "sim/simulator.h"
 #include "traffic/parsec.h"
-#include "traffic/trace.h"
 #include "traffic/traffic.h"
 #include "workload/generators.h"
 #include "workload/replay.h"
@@ -121,9 +122,11 @@ int run_campaign_mode(const Config& cfg, const SimOptions& opt) {
 std::unique_ptr<TrafficGenerator> make_workload(const Config& cfg,
                                                 const SimOptions& opt) {
   const MeshTopology topo(opt.noc);
+  // A text trace is an open-loop workload: it replays through the same
+  // engine as workload files, its cycles relative to the injection window.
   if (cfg.contains("trace")) {
-    return std::make_unique<TraceTraffic>(
-        read_trace_file(cfg.get_string("trace")), opt.seed);
+    return std::make_unique<WorkloadReplayTraffic>(
+        read_trace_file(cfg.get_string("trace")), topo.num_nodes(), opt.seed);
   }
   const std::string w = cfg.get_string("workload", "uniform");
   // Dependency-gated replay: a workload file or a built-in graph generator.

@@ -1,8 +1,6 @@
 #include "bench_common.h"
 
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <sstream>
@@ -99,8 +97,8 @@ CampaignResults load_or_run_campaign(const BenchArgs& args) {
   if (args.full) base.use_paper_scale();
   std::fprintf(stderr,
                "[bench] running campaign: 8 benchmarks x %zu policies, "
-               "budget %llu%%, jobs=%u (this is the slow part; later figure "
-               "benches reuse '%s')\n",
+               "budget %llu%%, jobs=%u (this is the slow part; later runs "
+               "reuse '%s')\n",
                paper_policies().size(),
                static_cast<unsigned long long>(args.scale_pct), args.jobs,
                args.cache.c_str());
@@ -112,30 +110,6 @@ CampaignResults load_or_run_campaign(const BenchArgs& args) {
     write_results(out, res);
   }
   return res;
-}
-
-double normalized_geomean(const CampaignResults& campaign, const MetricFn& metric,
-                          std::size_t policy_column) {
-  double log_sum = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t b = 0; b < campaign.benchmarks.size(); ++b) {
-    const double base = metric(campaign.at(b, 0));
-    const double val = metric(campaign.at(b, policy_column));
-    if (base <= 0.0 || val <= 0.0) continue;
-    log_sum += std::log(val / base);
-    ++counted;
-  }
-  return counted ? std::exp(log_sum / static_cast<double>(counted)) : 0.0;
-}
-
-double metric_fault_retransmissions(const SimResult& r) {
-  return static_cast<double>(r.retx_flits_e2e + r.retx_flits_hop);
-}
-
-void print_paper_vs_measured(const char* what, double paper_value,
-                             double measured_value) {
-  std::printf("paper-vs-measured  %-34s paper=%6.2f  measured=%6.2f\n", what,
-              paper_value, measured_value);
 }
 
 }  // namespace rlftnoc::bench

@@ -1,9 +1,9 @@
 // Shared harness for the figure-reproduction benches.
 //
 // Figures 6-10 are different views of one campaign (8 PARSEC-like
-// benchmarks x 4 policies), so the first bench to run executes the campaign
-// and caches the raw results as `campaign_results.tsv` in the working
-// directory; the others reuse the cache. Flags:
+// benchmarks x 4 policies). bench_paper_figures runs it once and caches the
+// raw results as `campaign_results.tsv` in the working directory; later runs
+// with the same options reuse the cache. Flags:
 //   --fresh        ignore and overwrite the cache
 //   --scale=N      packet-budget percentage (default 100 = full budgets)
 //   --full         paper-scale pretrain/warm-up phases + 100% budgets
@@ -52,19 +52,5 @@ std::uint64_t campaign_options_hash(const BenchArgs& args);
 
 /// Loads the cached campaign or runs it (and caches).
 CampaignResults load_or_run_campaign(const BenchArgs& args);
-
-/// Fault-caused retransmission traffic (Fig. 6's metric): end-to-end plus
-/// NACK-triggered link-level re-sends. Mode-2 proactive duplicates are
-/// deliberate traffic and are charged to power/energy instead.
-double metric_fault_retransmissions(const SimResult& r);
-
-/// Geometric mean of metric(policy column) / metric(first column) over all
-/// benchmarks — the "average normalized bar" of a figure.
-double normalized_geomean(const CampaignResults& campaign, const MetricFn& metric,
-                          std::size_t policy_column);
-
-/// Prints a "paper reports vs this build measures" summary line.
-void print_paper_vs_measured(const char* what, double paper_value,
-                             double measured_value);
 
 }  // namespace rlftnoc::bench

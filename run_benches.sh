@@ -1,6 +1,6 @@
 #!/bin/sh
-# Runs every bench binary in dependency-friendly order (the campaign cache
-# is produced by the first figure bench and reused by the rest), then the
+# Runs every bench binary (bench_paper_figures prints Table II and Figs.
+# 6-10 from one cached campaign), then the
 # perf-tracking benches, which emit BENCH_microperf.json, BENCH_campaign.json,
 # BENCH_scaling.json, BENCH_router.json, BENCH_faults.json and
 # BENCH_workload.json.
@@ -9,13 +9,8 @@
 set -e
 cd "$(dirname "$0")"
 for b in \
-  build/bench/bench_table2_config \
+  build/bench/bench_paper_figures \
   build/bench/bench_overheads \
-  build/bench/bench_fig6_retransmission \
-  build/bench/bench_fig7_speedup \
-  build/bench/bench_fig8_latency \
-  build/bench/bench_fig9_energy_efficiency \
-  build/bench/bench_fig10_dynamic_power \
   build/bench/bench_ablation_modes \
   build/bench/bench_ablation_rl \
   build/bench/bench_latency_throughput \

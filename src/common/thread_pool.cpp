@@ -1,76 +1,8 @@
 #include "common/thread_pool.h"
 
-#include <stdexcept>
 #include <utility>
 
 namespace rlftnoc {
-
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stopping_ = true;
-  }
-  cv_work_.notify_all();
-  // std::jthread joins on destruction; workers exit once the queue drains.
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopping_) throw std::runtime_error("ThreadPool: submit after shutdown");
-    queue_.push_back(std::move(task));
-  }
-  cv_work_.notify_one();
-}
-
-void ThreadPool::wait_all() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_idle_.wait(lk, [this] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lk.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and nothing left to run
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
-// --------------------------------------------------------------------------
-// PhasePool
-// --------------------------------------------------------------------------
 
 namespace {
 // Spinning only ever helps when another core can make progress meanwhile.
@@ -79,9 +11,14 @@ constexpr int kSpinIterations = 2048;
 }  // namespace
 
 PhasePool::PhasePool(unsigned helpers) {
+  // Workers start from the epoch as of construction, not as of their own
+  // (possibly late) first instruction: a phase published before a worker
+  // got scheduled must still be seen as new, or a pool whose first run()
+  // is its only one — the campaign grid — would run short of helpers.
+  const std::uint32_t start = epoch_.load(std::memory_order_relaxed);
   workers_.reserve(helpers);
   for (unsigned i = 0; i < helpers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, start] { worker_loop(start); });
 }
 
 PhasePool::~PhasePool() {
@@ -95,7 +32,7 @@ void PhasePool::run_impl(std::size_t tasks, TaskFn fn, void* ctx) {
   if (tasks == 0) return;
   if (workers_.empty() || tasks == 1) {
     ++inline_runs_;
-    for (std::size_t i = 0; i < tasks; ++i) fn(ctx, i);
+    for (std::size_t i = 0; i < tasks; ++i) run_task(fn, ctx, i);
     rethrow_any_error();
     return;
   }
@@ -143,20 +80,23 @@ void PhasePool::rethrow_any_error() {
   if (err) std::rethrow_exception(err);
 }
 
+void PhasePool::run_task(TaskFn fn, void* ctx, std::size_t index) {
+  try {
+    fn(ctx, index);
+  } catch (...) {
+    std::lock_guard<std::mutex> lk(error_mu_);
+    if (!first_error_) first_error_ = std::current_exception();
+    has_error_.store(true, std::memory_order_release);
+  }
+}
+
 void PhasePool::drain_tasks() {
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_acq_rel);
     const std::size_t n = tasks_.load(std::memory_order_acquire);
     if (i >= n) return;
-    TaskFn fn = fn_.load(std::memory_order_acquire);
-    void* ctx = ctx_.load(std::memory_order_acquire);
-    try {
-      fn(ctx, i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(error_mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-      has_error_.store(true, std::memory_order_release);
-    }
+    run_task(fn_.load(std::memory_order_acquire),
+             ctx_.load(std::memory_order_acquire), i);
     // The finishing increment wakes the caller; intermediate ones stay
     // syscall-free.
     if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
@@ -165,13 +105,11 @@ void PhasePool::drain_tasks() {
   }
 }
 
-void PhasePool::worker_loop() {
-  std::uint32_t seen = epoch_.load(std::memory_order_acquire);
+void PhasePool::worker_loop(std::uint32_t seen) {
   for (;;) {
     // The stop check must sit between loading `seen` and waiting on it. A
-    // worker that loads the destructor's final epoch bump — possible even on
-    // its very first load, when the thread is scheduled late — would
-    // otherwise park on an epoch nobody will ever advance or notify again.
+    // worker that loads the destructor's final epoch bump would otherwise
+    // park on an epoch nobody will ever advance or notify again.
     // The acquire load that returned the final value synchronizes with the
     // destructor's release increment, so stop_ is guaranteed visible here;
     // and if the bump lands after this check instead, epoch_ no longer

@@ -1,21 +1,12 @@
-// Fixed-size thread pool for embarrassingly parallel simulation jobs.
-//
-// Design goals, in order:
-//   1. determinism support — the pool itself never reorders results; callers
-//      give each job its own output slot, so completion order is irrelevant,
-//   2. simplicity — one shared FIFO queue, no work stealing, no futures;
-//      `submit` + `wait_all` is the whole surface,
-//   3. failure visibility — the first exception thrown by any job is
-//      captured and rethrown from `wait_all` on the submitting thread.
+// Fork/join executor shared by the phase-parallel network stepper and the
+// campaign runner, plus the one rule that turns a requested thread count
+// into an actual one.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -24,58 +15,28 @@
 
 namespace rlftnoc {
 
-/// Pool of `std::jthread` workers draining one shared FIFO task queue.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers; 0 means one per hardware thread (at least 1).
-  explicit ThreadPool(unsigned threads = 0);
+/// Resolves a user-facing thread count: 0 means one per hardware thread,
+/// and the result is always at least 1.
+inline unsigned resolve_thread_count(unsigned requested) noexcept {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw != 0 ? hw : 1;
+}
 
-  /// Drains the queue (discarding tasks not yet started is NOT done — all
-  /// submitted tasks run), then joins the workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a job. Safe to call from any thread, including from inside a
-  /// running job. Throws std::runtime_error after the pool started shutdown.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted job has finished. If any job threw, the
-  /// first captured exception is rethrown here (subsequent jobs still ran
-  /// to completion; their exceptions beyond the first are dropped).
-  void wait_all();
-
-  /// Number of worker threads.
-  unsigned size() const noexcept { return static_cast<unsigned>(workers_.size()); }
-
- private:
-  void worker_loop();
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_work_;  ///< workers sleep here
-  std::condition_variable cv_idle_;  ///< wait_all sleeps here
-  std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  ///< tasks popped but not yet finished
-  std::exception_ptr first_error_;
-  bool stopping_ = false;
-  std::vector<std::jthread> workers_;  ///< last member: joins before the rest die
-};
-
-/// Low-latency fork/join executor for the phase-parallel network stepper.
+/// Low-latency fork/join executor.
 ///
-/// ThreadPool's mutex/condvar FIFO costs a few microseconds per dispatch —
-/// fine for multi-second campaign jobs, far too slow for three phase barriers
-/// every simulated cycle. PhasePool instead keeps persistent workers parked
-/// on a C++20 atomic wait and publishes each phase by bumping an epoch
-/// counter; tasks are claimed with a fetch_add dispenser and the caller
-/// participates, so a phase with T tasks over W+1 threads costs one
-/// release-store plus W futex wakes (none when a worker is still spinning).
+/// Persistent workers park on a C++20 atomic wait; each run() publishes a
+/// phase by bumping an epoch counter. Tasks are claimed in ascending index
+/// order with a fetch_add dispenser and the caller participates, so a phase
+/// with T tasks over W+1 threads costs one release-store plus W futex wakes
+/// (none when a worker is still spinning) — cheap enough for the network
+/// stepper's per-cycle phase barriers, and trivially adequate for the
+/// campaign runner's multi-second (benchmark, policy) jobs.
 ///
-/// Contract: run() may only be called from one thread at a time (the
-/// simulation loop); the callable must tolerate concurrent invocations for
-/// distinct indices. run() returns after every index in [0, tasks) has
-/// completed; the first exception thrown by any task is rethrown.
+/// Contract: run() may only be called from one thread at a time; the
+/// callable must tolerate concurrent invocations for distinct indices.
+/// run() returns after every index in [0, tasks) has completed; the first
+/// exception thrown by any task is rethrown, after the remaining tasks ran.
 class PhasePool {
  public:
   /// Spawns `helpers` worker threads (the caller is the +1th executor).
@@ -113,9 +74,12 @@ class PhasePool {
   using TaskFn = void (*)(void* ctx, std::size_t index);
 
   void run_impl(std::size_t tasks, TaskFn fn, void* ctx);
+  /// Runs one task, capturing (not propagating) anything it throws.
+  void run_task(TaskFn fn, void* ctx, std::size_t index);
   /// Claims and runs tasks until the dispenser is exhausted.
   void drain_tasks();
-  void worker_loop();
+  /// `seen` is the last epoch this worker has handled.
+  void worker_loop(std::uint32_t seen);
   /// Rethrows (and clears) the first captured task exception, if any.
   void rethrow_any_error();
 

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 namespace rlftnoc {
@@ -101,10 +100,7 @@ void Network::refresh_all_node_hot() noexcept {
 }
 
 void Network::set_sim_threads(unsigned threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
+  threads = resolve_thread_count(threads);
   sim_threads_ = threads;
   const auto n = routers_.size();
   const std::size_t shards = std::min<std::size_t>(threads, n ? n : 1);

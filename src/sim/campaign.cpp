@@ -66,7 +66,11 @@ CampaignResults run_campaign(const SimOptions& base,
   for (auto& row : out.results) row.resize(policies.size());
 
   std::mutex progress_mu;
-  auto run_one = [&](std::size_t b, std::size_t p) {
+  // Cell c is (benchmark c / P, policy c % P); the executor claims cells in
+  // ascending order, and each run writes only its own pre-sized slot.
+  auto run_one = [&](std::size_t cell) {
+    const std::size_t b = cell / policies.size();
+    const std::size_t p = cell % policies.size();
     const std::string& bench = benchmarks[b];
     SimOptions opt = base;
     opt.policy = policies[p];
@@ -116,16 +120,13 @@ CampaignResults run_campaign(const SimOptions& base,
     out.results[b][p] = std::move(res);
   };
 
-  if (base.jobs == 1) {
-    for (std::size_t b = 0; b < benchmarks.size(); ++b)
-      for (std::size_t p = 0; p < policies.size(); ++p) run_one(b, p);
-  } else {
-    ThreadPool pool(base.jobs);
-    for (std::size_t b = 0; b < benchmarks.size(); ++b)
-      for (std::size_t p = 0; p < policies.size(); ++p)
-        pool.submit([&run_one, b, p] { run_one(b, p); });
-    pool.wait_all();
-  }
+  // The caller is one of the `jobs` executors; more than one per cell
+  // would only idle.
+  const std::size_t cells = benchmarks.size() * policies.size();
+  const std::size_t executors =
+      std::min<std::size_t>(resolve_thread_count(base.jobs), cells);
+  PhasePool pool(static_cast<unsigned>(executors > 0 ? executors - 1 : 0));
+  pool.run(cells, run_one);
   return out;
 }
 

@@ -35,9 +35,11 @@ std::uint64_t campaign_run_seed(std::uint64_t base_seed,
                                 const std::string& benchmark, PolicyKind pol);
 
 /// Runs every (benchmark, policy) pair, `base.jobs` configurations at a
-/// time (1 = serial, 0 = one job per hardware thread). Each job derives its
-/// seed via campaign_run_seed() and writes into its own results slot, so
-/// output is independent of thread count. `packet_budget_scale_pct` scales
+/// time (1 = serial, 0 = one job per hardware thread; never more than the
+/// grid size). Each job derives its seed via campaign_run_seed() and writes
+/// into its own results slot, so output is independent of thread count. If
+/// a run throws, the remaining runs still complete and the first exception
+/// is rethrown. `packet_budget_scale_pct` scales
 /// the packet budget (clamped to at least one packet) and the pretrain /
 /// warm-up phase lengths together. Progress lines go to stderr, one
 /// complete line per finished run.

@@ -1,6 +1,6 @@
-// Campaign-result serialization: a flat TSV so the five figure benches can
-// share one campaign run instead of re-simulating 32 (benchmark x policy)
-// cells each. Human-readable on purpose — the file doubles as the raw-data
+// Campaign-result serialization: a flat TSV so repeated figure runs can
+// reuse one campaign instead of re-simulating 32 (benchmark x policy)
+// cells. Human-readable on purpose — the file doubles as the raw-data
 // artifact of an experiment run.
 #pragma once
 

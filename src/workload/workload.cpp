@@ -505,6 +505,54 @@ Workload read_workload_file(const std::string& path) {
   return read_workload(in);
 }
 
+Workload read_trace(std::istream& in) {
+  Workload wl;
+  wl.name = "trace";
+  std::string line;
+  std::size_t line_no = 0;
+  Cycle prev = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    if (line.find_first_not_of(" \t\r") == std::string::npos)
+      continue;  // blank / comment-only line
+    std::istringstream ls(line);
+    const auto fail = [&line_no](const std::string& msg) {
+      return WorkloadError("trace line " + std::to_string(line_no) + ": " +
+                           msg);
+    };
+    // A line with content must parse as exactly 'cycle src dst len'; a field
+    // that fails is re-extracted as a string so the error quotes it.
+    const auto expected = [&](const char* field) {
+      ls.clear();
+      std::string token;
+      if (!(ls >> token)) token = "<end of line>";
+      return fail(std::string("expected ") + field + ", got '" + token + "'");
+    };
+    WorkloadTransfer t;
+    t.id = wl.transfers.size() + 1;
+    if (!(ls >> t.earliest_cycle)) throw expected("cycle");
+    if (!(ls >> t.src)) throw expected("src");
+    if (!(ls >> t.dst)) throw expected("dst");
+    if (!(ls >> t.len)) throw expected("len");
+    std::string trailing;
+    if (ls >> trailing)
+      throw fail("trailing token '" + trailing + "' after 'cycle src dst len'");
+    if (t.earliest_cycle < prev) throw fail("cycles not sorted");
+    if (t.len < 1) throw fail("non-positive packet length");
+    prev = t.earliest_cycle;
+    wl.transfers.push_back(std::move(t));
+  }
+  return wl;
+}
+
+Workload read_trace_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw WorkloadError("cannot open trace file: " + path);
+  return read_trace(in);
+}
+
 void write_workload(std::ostream& out, const Workload& wl,
                     WorkloadFormat format) {
   const std::string bytes = format == WorkloadFormat::kBinary

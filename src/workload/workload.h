@@ -6,8 +6,8 @@
 // list of transfer ids it depends on. The replay engine (workload/replay.h)
 // holds a transfer until every dependency's end-to-end completion has been
 // observed through the network's packet-resolution feed (noc/completion.h),
-// turning the open-loop trace formats of src/traffic into closed-loop,
-// tt-npe-style workloads.
+// which makes closed-loop, tt-npe-style workloads possible; a workload with
+// no deps replays open-loop.
 //
 // On-disk encodings:
 //  * JSON (canonical): `{"schema": "rlftnoc-workload-v1", "name": ...,
@@ -19,6 +19,10 @@
 //    little-endian fixed-width fields; ~4-8x smaller for recorder output of
 //    long runs. read_workload sniffs the magic, so loaders never need to be
 //    told which encoding a file uses.
+//
+// Import-only text trace: one packet per line, `cycle src dst len`, sorted
+// by cycle, with '#' comments — the shape of gem5-captured PARSEC traces the
+// paper replays. read_trace turns it into a dependency-free workload.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +87,15 @@ void validate_workload(const Workload& wl, int num_nodes);
 /// graph-level checks.
 Workload read_workload(std::istream& in);
 Workload read_workload_file(const std::string& path);
+
+/// Imports a `cycle src dst len` text trace as a dependency-free workload
+/// named "trace": transfer ids are 1..N in file order and each record's
+/// cycle becomes its earliest_cycle (so trace cycles count from the start of
+/// the injection window). Throws WorkloadError naming the 1-based line and
+/// quoting the offending token on malformed lines, unsorted cycles or a
+/// non-positive length. Node ranges are left to validate_workload.
+Workload read_trace(std::istream& in);
+Workload read_trace_file(const std::string& path);
 
 enum class WorkloadFormat {
   kJson,

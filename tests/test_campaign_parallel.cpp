@@ -5,6 +5,8 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
 #include "sim/campaign.h"
@@ -78,31 +80,47 @@ TEST(CampaignParallel, FourJobsBitIdenticalToSerial) {
   serial.jobs = 1;
   const CampaignResults a =
       run_campaign(serial, kBenchmarks, kPolicies, kScalePct);
-
-  SimOptions parallel = tiny_base();
-  parallel.jobs = 4;
-  const CampaignResults b =
-      run_campaign(parallel, kBenchmarks, kPolicies, kScalePct);
-
   ASSERT_EQ(a.results.size(), 2u);
-  ASSERT_EQ(b.results.size(), 2u);
-  for (std::size_t bench = 0; bench < kBenchmarks.size(); ++bench) {
-    ASSERT_EQ(a.results[bench].size(), kPolicies.size());
-    ASSERT_EQ(b.results[bench].size(), kPolicies.size());
-    for (std::size_t p = 0; p < kPolicies.size(); ++p) {
-      SCOPED_TRACE(kBenchmarks[bench] + "/" + policy_name(kPolicies[p]));
-      expect_identical(a.at(bench, p), b.at(bench, p));
-      // Sanity: the runs actually simulated something.
-      EXPECT_GT(a.at(bench, p).packets_delivered, 0u);
-    }
-  }
-
-  // The acceptance-criterion form: the serialized TSVs are byte-identical.
   std::ostringstream tsv_a;
-  std::ostringstream tsv_b;
   write_results(tsv_a, a);
-  write_results(tsv_b, b);
-  EXPECT_EQ(tsv_a.str(), tsv_b.str());
+
+  // 0 = one job per hardware thread; 3 splits the 4-cell grid unevenly
+  // (the caller plus two helpers); 4 gives every cell its own executor.
+  for (const unsigned jobs : {0u, 3u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    SimOptions parallel = tiny_base();
+    parallel.jobs = jobs;
+    const CampaignResults b =
+        run_campaign(parallel, kBenchmarks, kPolicies, kScalePct);
+
+    ASSERT_EQ(b.results.size(), 2u);
+    for (std::size_t bench = 0; bench < kBenchmarks.size(); ++bench) {
+      ASSERT_EQ(a.results[bench].size(), kPolicies.size());
+      ASSERT_EQ(b.results[bench].size(), kPolicies.size());
+      for (std::size_t p = 0; p < kPolicies.size(); ++p) {
+        SCOPED_TRACE(kBenchmarks[bench] + "/" + policy_name(kPolicies[p]));
+        expect_identical(a.at(bench, p), b.at(bench, p));
+        // Sanity: the runs actually simulated something.
+        EXPECT_GT(a.at(bench, p).packets_delivered, 0u);
+      }
+    }
+
+    // The acceptance-criterion form: the serialized TSVs are byte-identical.
+    std::ostringstream tsv_b;
+    write_results(tsv_b, b);
+    EXPECT_EQ(tsv_a.str(), tsv_b.str());
+  }
+}
+
+TEST(CampaignParallel, UnknownBenchmarkRethrowsInvalidArgument) {
+  // One cell names no PARSEC profile: its run throws, the other cells still
+  // run on the pool, and run_campaign rethrows the failure to the caller.
+  SimOptions base = tiny_base();
+  base.jobs = 4;
+  EXPECT_THROW(run_campaign(base, {"swaptions", "no-such-benchmark"},
+                            {PolicyKind::kStaticCrc, PolicyKind::kStaticArqEcc},
+                            kScalePct),
+               std::invalid_argument);
 }
 
 TEST(CampaignParallel, TinyBudgetStillInjectsAtLeastOnePacket) {

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -13,105 +12,14 @@
 namespace rlftnoc {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&ran] { ++ran; });
-  pool.wait_all();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, SlotOutputsAreOrderIndependent) {
-  // Each job writes into its own slot; the result must not depend on which
-  // worker ran which job or in what order they finished.
-  constexpr int kJobs = 64;
-  std::vector<int> slots(kJobs, -1);
-  ThreadPool pool(4);
-  for (int i = 0; i < kJobs; ++i) {
-    pool.submit([&slots, i] {
-      // Stagger completion times so finish order != submit order.
-      std::this_thread::sleep_for(std::chrono::microseconds((kJobs - i) * 10));
-      slots[static_cast<std::size_t>(i)] = i * i;
-    });
+TEST(ResolveThreadCount, ZeroMeansHardwareThreadsAndNeverLessThanOne) {
+  EXPECT_GE(resolve_thread_count(0), 1u);
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw != 0) {
+    EXPECT_EQ(resolve_thread_count(0), hw);
   }
-  pool.wait_all();
-  for (int i = 0; i < kJobs; ++i) EXPECT_EQ(slots[static_cast<std::size_t>(i)], i * i);
-}
-
-TEST(ThreadPool, WaitAllRethrowsFirstException) {
-  ThreadPool pool(2);
-  std::atomic<int> survivors{0};
-  pool.submit([] { throw std::runtime_error("job failed"); });
-  for (int i = 0; i < 10; ++i) pool.submit([&survivors] { ++survivors; });
-  EXPECT_THROW(pool.wait_all(), std::runtime_error);
-  // The failure did not cancel the remaining jobs.
-  EXPECT_EQ(survivors.load(), 10);
-  // The error is consumed: a second wait over new work succeeds.
-  pool.submit([&survivors] { ++survivors; });
-  EXPECT_NO_THROW(pool.wait_all());
-  EXPECT_EQ(survivors.load(), 11);
-}
-
-TEST(ThreadPool, WaitAllWithNoWorkReturnsImmediately) {
-  ThreadPool pool(2);
-  EXPECT_NO_THROW(pool.wait_all());
-}
-
-TEST(ThreadPool, SubmitFromInsideAJob) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.submit([&pool, &ran] {
-    ++ran;
-    pool.submit([&ran] { ++ran; });
-  });
-  pool.wait_all();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, EightWorkerContentionStress) {
-  // Oversubscribed relative to most CI runners: 8 workers hammering one
-  // queue plus non-slot shared state (the atomic) and slot-style private
-  // state, with exceptions interleaved. Primarily a TSan target — the
-  // sanitizer presets run this with full race detection.
-  constexpr int kJobs = 400;
-  ThreadPool pool(8);
-  EXPECT_EQ(pool.size(), 8u);
-  std::vector<std::uint64_t> slots(kJobs, 0);
-  std::atomic<int> ran{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < kJobs; ++i) {
-      pool.submit([&slots, &ran, i] {
-        slots[static_cast<std::size_t>(i)] += static_cast<std::uint64_t>(i) + 1;
-        ++ran;
-      });
-    }
-    if (round == 1) {
-      pool.submit([] { throw std::runtime_error("round-1 failure"); });
-      EXPECT_THROW(pool.wait_all(), std::runtime_error);
-    } else {
-      EXPECT_NO_THROW(pool.wait_all());
-    }
-  }
-  EXPECT_EQ(ran.load(), 3 * kJobs);
-  for (int i = 0; i < kJobs; ++i)
-    EXPECT_EQ(slots[static_cast<std::size_t>(i)],
-              3u * (static_cast<std::uint64_t>(i) + 1));
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) pool.submit([&ran] { ++ran; });
-    // No wait_all: destruction must still run everything already submitted.
-  }
-  EXPECT_EQ(ran.load(), 20);
+  EXPECT_EQ(resolve_thread_count(1), 1u);
+  EXPECT_EQ(resolve_thread_count(7), 7u);
 }
 
 TEST(PhasePool, RunsEveryIndexExactlyOnce) {
@@ -121,6 +29,26 @@ TEST(PhasePool, RunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(kTasks);
   pool.run(kTasks, [&hits](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(PhasePool, FirstRunUsesEveryHelper) {
+  // A run() issued right after construction, before the helpers have been
+  // scheduled, must still reach all of them: the campaign runner's pool
+  // lives for exactly one run(). Each task waits until all four executors
+  // hold a task at once, so a helper that missed the phase shows up as a
+  // timeout instead of a hang.
+  constexpr int kExecutors = 4;
+  PhasePool pool(kExecutors - 1);
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  pool.run(kExecutors, [&](std::size_t) {
+    ++arrived;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < kExecutors && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    if (arrived.load() == kExecutors) ++met;
+  });
+  EXPECT_EQ(met.load(), kExecutors);
 }
 
 TEST(PhasePool, ZeroHelpersRunsInline) {
@@ -148,18 +76,23 @@ TEST(PhasePool, ReusableAcrossManyPhases) {
 }
 
 TEST(PhasePool, RethrowsFirstTaskException) {
-  PhasePool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(pool.run(16,
-                        [&ran](std::size_t i) {
-                          ++ran;
-                          if (i == 5) throw std::runtime_error("task 5 failed");
-                        }),
-               std::runtime_error);
-  // The error is consumed: the pool is reusable afterwards.
-  ran = 0;
-  EXPECT_NO_THROW(pool.run(16, [&ran](std::size_t) { ++ran; }));
-  EXPECT_EQ(ran.load(), 16);
+  for (const unsigned helpers : {0u, 2u}) {
+    SCOPED_TRACE(helpers);
+    PhasePool pool(helpers);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.run(16,
+                          [&ran](std::size_t i) {
+                            ++ran;
+                            if (i == 5) throw std::runtime_error("task 5 failed");
+                          }),
+                 std::runtime_error);
+    // The failure did not cancel the remaining tasks.
+    EXPECT_EQ(ran.load(), 16);
+    // The error is consumed: the pool is reusable afterwards.
+    ran = 0;
+    EXPECT_NO_THROW(pool.run(16, [&ran](std::size_t) { ++ran; }));
+    EXPECT_EQ(ran.load(), 16);
+  }
 }
 
 TEST(PhasePool, ZeroTasksIsANoOp) {

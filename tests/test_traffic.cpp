@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "coding/crc.h"
 #include "noc/ni.h"
 #include "traffic/parsec.h"
-#include "traffic/trace.h"
 #include "traffic/traffic.h"
 
 namespace rlftnoc {
@@ -195,112 +193,6 @@ TEST(Parsec, MixedPacketLengths) {
   }
   EXPECT_NEAR(static_cast<double>(shorts) / static_cast<double>(out.size()),
               prof.short_packet_fraction, 0.05);
-}
-
-TEST(Trace, RoundTripThroughText) {
-  std::vector<TraceRecord> recs = {
-      {0, 1, 2, 4}, {5, 3, 4, 1}, {5, 0, 7, 4}, {12, 6, 1, 2}};
-  std::ostringstream os;
-  write_trace(os, recs);
-  std::istringstream is(os.str());
-  const auto back = read_trace(is);
-  ASSERT_EQ(back.size(), recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    EXPECT_EQ(back[i].cycle, recs[i].cycle);
-    EXPECT_EQ(back[i].src, recs[i].src);
-    EXPECT_EQ(back[i].dst, recs[i].dst);
-    EXPECT_EQ(back[i].len, recs[i].len);
-  }
-}
-
-TEST(Trace, RejectsMalformedInput) {
-  std::istringstream unsorted("5 0 1 4\n2 0 1 4\n");
-  EXPECT_THROW(read_trace(unsorted), std::runtime_error);
-  std::istringstream short_line("5 0\n");
-  EXPECT_THROW(read_trace(short_line), std::runtime_error);
-  std::istringstream bad_len("5 0 1 0\n");
-  EXPECT_THROW(read_trace(bad_len), std::runtime_error);
-}
-
-TEST(Trace, ErrorsNameLineAndOffendingToken) {
-  // A garbage first token used to be silently skipped as if the line were a
-  // comment; it must now raise an error quoting line number and token.
-  std::istringstream garbage("1 0 1 4\ncycel 0 5 1\n");
-  try {
-    read_trace(garbage);
-    FAIL() << "expected read_trace to throw";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'cycel'"), std::string::npos) << msg;
-  }
-  // Missing fields report which field was expected.
-  std::istringstream short_line("7 3\n");
-  try {
-    read_trace(short_line);
-    FAIL() << "expected read_trace to throw";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("dst"), std::string::npos) << msg;
-  }
-  // Extra fields are an error too, naming the trailing token.
-  std::istringstream trailing("7 3 4 1 bogus\n");
-  try {
-    read_trace(trailing);
-    FAIL() << "expected read_trace to throw";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("'bogus'"), std::string::npos) << msg;
-  }
-}
-
-TEST(Trace, CaptureOfExhaustedGeneratorThrows) {
-  SyntheticTraffic::Options o;
-  o.injection_rate = 1.0;
-  o.total_packets = 1;
-  SyntheticTraffic gen(kTopo, o, 9);
-  std::vector<Packet> sink;
-  for (Cycle t = 0; t < 64 && !gen.exhausted(); ++t) gen.tick(t, sink);
-  ASSERT_TRUE(gen.exhausted());
-  EXPECT_THROW(capture_trace(gen, 100), std::invalid_argument);
-}
-
-TEST(Trace, SkipsCommentsAndBlanks) {
-  std::istringstream in("# header\n\n1 0 1 4 # inline\n");
-  const auto recs = read_trace(in);
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].cycle, 1u);
-}
-
-TEST(Trace, CaptureAndReplayMatchesGenerator) {
-  SyntheticTraffic::Options o;
-  o.injection_rate = 0.1;
-  o.total_packets = 300;
-  SyntheticTraffic gen(kTopo, o, 9);
-  const auto recs = capture_trace(gen, 5000);
-  EXPECT_EQ(recs.size(), 300u);
-
-  TraceTraffic replay(recs, 10);
-  std::vector<Packet> out;
-  for (Cycle t = 0; t < 5001; ++t) replay.tick(t, out);
-  EXPECT_TRUE(replay.exhausted());
-  ASSERT_EQ(out.size(), recs.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].src, recs[i].src);
-    EXPECT_EQ(out[i].dst, recs[i].dst);
-    EXPECT_EQ(out[i].flits.size(), static_cast<std::size_t>(recs[i].len));
-  }
-}
-
-TEST(Trace, LateTickDeliversBacklog) {
-  std::vector<TraceRecord> recs = {{0, 0, 1, 1}, {10, 1, 2, 1}, {20, 2, 3, 1}};
-  TraceTraffic replay(recs, 1);
-  std::vector<Packet> out;
-  replay.tick(15, out);  // catches up records at cycles 0 and 10
-  EXPECT_EQ(out.size(), 2u);
-  replay.tick(25, out);
-  EXPECT_EQ(out.size(), 3u);
 }
 
 TEST(MakePacket, FlitStructure) {

@@ -331,6 +331,106 @@ TEST(WorkloadReplay, ConstructorValidates) {
 }
 
 // ---------------------------------------------------------------------------
+// Text-trace import (`cycle src dst len`)
+// ---------------------------------------------------------------------------
+
+Workload trace_from(const std::string& text) {
+  std::istringstream in(text);
+  return read_trace(in);
+}
+
+TEST(Trace, RoundTripThroughText) {
+  // Import numbers transfers 1..N in file order, with no deps.
+  Workload want;
+  want.name = "trace";
+  want.transfers = {transfer(1, 1, 2, 4, 0), transfer(2, 3, 4, 1, 5),
+                    transfer(3, 0, 7, 4, 5), transfer(4, 6, 1, 2, 12)};
+  std::ostringstream text;
+  for (const WorkloadTransfer& t : want.transfers)
+    text << t.earliest_cycle << ' ' << t.src << ' ' << t.dst << ' ' << t.len << '\n';
+  EXPECT_EQ(trace_from(text.str()), want);
+}
+
+TEST(Trace, RejectsMalformedInput) {
+  EXPECT_THROW(trace_from("5 0 1 4\n2 0 1 4\n"), WorkloadError);  // unsorted
+  EXPECT_THROW(trace_from("5 0\n"), WorkloadError);
+  EXPECT_THROW(trace_from("5 0 1 0\n"), WorkloadError);  // zero length
+}
+
+TEST(Trace, ErrorsNameLineAndOffendingToken) {
+  // A garbage first token must not be skipped as if the line were a comment.
+  std::string msg = expect_workload_error([] { trace_from("1 0 1 4\ncycel 0 5 1\n"); });
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'cycel'"), std::string::npos) << msg;
+  // Missing fields report which field was expected.
+  msg = expect_workload_error([] { trace_from("7 3\n"); });
+  EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("dst"), std::string::npos) << msg;
+  // Extra fields are an error too, naming the trailing token.
+  msg = expect_workload_error([] { trace_from("7 3 4 1 bogus\n"); });
+  EXPECT_NE(msg.find("'bogus'"), std::string::npos) << msg;
+}
+
+TEST(Trace, SkipsCommentsAndBlanks) {
+  const Workload wl = trace_from("# header\n\n1 0 1 4 # inline\n");
+  ASSERT_EQ(wl.transfers.size(), 1u);
+  EXPECT_EQ(wl.transfers[0].earliest_cycle, 1u);
+}
+
+TEST(Trace, OutOfRangeNodeIsRejectedByValidation) {
+  const Workload wl = trace_from("0 999 1 4\n");
+  const std::string msg = expect_workload_error([&wl] { validate_workload(wl, 16); });
+  EXPECT_NE(msg.find("src 999"), std::string::npos) << msg;
+  EXPECT_THROW(WorkloadReplayTraffic(wl, 16, 1), WorkloadError);
+  // Self-transfers are not packets the network can carry either.
+  EXPECT_THROW(validate_workload(trace_from("0 3 3 1\n"), 16), WorkloadError);
+}
+
+TEST(Trace, CaptureAndReplayMatchesGenerator) {
+  // Capture a generator's output as trace text, import it, and replay it.
+  const MeshTopology topo{NocConfig{}};
+  SyntheticTraffic::Options o;
+  o.injection_rate = 0.1;
+  o.total_packets = 300;
+  SyntheticTraffic gen(topo, o, 9);
+  std::vector<Packet> generated;
+  std::ostringstream text;
+  for (Cycle t = 0; t < 5000 && !gen.exhausted(); ++t) {
+    const std::size_t before = generated.size();
+    gen.tick(t, generated);
+    for (std::size_t i = before; i < generated.size(); ++i) {
+      const Packet& p = generated[i];
+      text << t << ' ' << p.src << ' ' << p.dst << ' ' << p.flits.size() << '\n';
+    }
+  }
+  ASSERT_EQ(generated.size(), 300u);
+
+  WorkloadReplayTraffic replay(trace_from(text.str()), topo.num_nodes(), 10);
+  std::vector<Packet> out;
+  for (Cycle t = 0; t < 5001; ++t) replay.tick(t, out);
+  EXPECT_TRUE(replay.exhausted());
+  ASSERT_EQ(out.size(), generated.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].id, i + 1);
+    EXPECT_EQ(out[i].src, generated[i].src);
+    EXPECT_EQ(out[i].dst, generated[i].dst);
+    EXPECT_EQ(out[i].flits.size(), generated[i].flits.size());
+    EXPECT_EQ(out[i].inject_cycle, generated[i].inject_cycle);
+  }
+}
+
+TEST(Trace, LateTickDeliversBacklog) {
+  WorkloadReplayTraffic replay(trace_from("0 0 1 1\n10 1 2 1\n20 2 3 1\n"), 4, 1);
+  std::vector<Packet> out;
+  replay.tick(0, out);  // opens the injection window
+  EXPECT_EQ(out.size(), 1u);
+  replay.tick(15, out);  // catches up the record at cycle 10
+  EXPECT_EQ(out.size(), 2u);
+  replay.tick(25, out);
+  EXPECT_EQ(out.size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
 // Simulator integration: record -> replay, determinism
 // ---------------------------------------------------------------------------
 
@@ -445,6 +545,36 @@ TEST(WorkloadRecord, RecorderOutputBytesAreDeterministic) {
   const std::string a = slurp(dir / "wl_det_a.json");
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, slurp(dir / "wl_det_b.json"));
+}
+
+TEST(Trace, CyclesCountFromInjectionWindowAfterPretraining) {
+  // A learning policy pre-trains for thousands of cycles before the trace's
+  // injection window opens. Trace cycles are relative to that window, so the
+  // trace is replayed at its own pace rather than dumped in one burst.
+  std::ostringstream text;
+  Cycle last = 0;
+  for (int i = 0; i < 200; ++i) {
+    last = static_cast<Cycle>(i) * 5;
+    text << last << ' ' << i % 16 << ' ' << (i * 7 + 3) % 16 << " 4\n";
+  }
+  const Workload wl = trace_from(text.str());
+  ASSERT_NO_THROW(validate_workload(wl, 16));
+  for (const PolicyKind policy : {PolicyKind::kRl, PolicyKind::kDecisionTree}) {
+    SCOPED_TRACE(policy_name(policy));
+    SimOptions opt;
+    opt.seed = 3;
+    opt.policy = policy;
+    opt.noc.mesh_width = 4;
+    opt.noc.mesh_height = 4;
+    opt.pretrain_cycles = 4000;
+    opt.warmup_cycles = 0;
+    Simulator sim(opt);
+    WorkloadReplayTraffic replay(wl, 16, opt.seed);
+    const SimResult r = sim.run(replay);
+    ASSERT_TRUE(r.drained);
+    EXPECT_EQ(r.packets_injected, wl.transfers.size());
+    EXPECT_GE(r.execution_cycles, last);
+  }
 }
 
 TEST(WorkloadReplay, BitIdenticalAcrossSimThreads) {
