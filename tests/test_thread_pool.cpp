@@ -95,9 +95,54 @@ TEST(PhasePool, RethrowsFirstTaskException) {
   }
 }
 
+TEST(PhasePool, RunsEveryTaskWhenHelpersOutnumberTasks) {
+  // More executors than tasks: the idle helpers must neither run a task
+  // twice nor keep run() from returning. Repeated so that helpers left over
+  // from one small phase meet the next one.
+  PhasePool pool(4);
+  for (std::size_t tasks = 2; tasks <= 5; ++tasks) {
+    SCOPED_TRACE(tasks);
+    std::vector<std::atomic<int>> hits(tasks);
+    for (int rep = 0; rep < 50; ++rep)
+      pool.run(tasks, [&hits](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < tasks; ++i) EXPECT_EQ(hits[i].load(), 50);
+  }
+}
+
+TEST(PhasePool, SlotOutputsAreOrderIndependent) {
+  // Each task writes into its own slot; the result must not depend on which
+  // executor ran which task or in what order they finished.
+  constexpr std::size_t kTasks = 64;
+  std::vector<std::size_t> slots(kTasks, 0);
+  PhasePool pool(4);
+  pool.run(kTasks, [&slots](std::size_t i) {
+    // Stagger completion times so finish order != claim order.
+    std::this_thread::sleep_for(std::chrono::microseconds((kTasks - i) * 10));
+    slots[i] = i * i + 1;
+  });
+  for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(slots[i], i * i + 1);
+}
+
 TEST(PhasePool, ZeroTasksIsANoOp) {
   PhasePool pool(2);
   EXPECT_NO_THROW(pool.run(0, [](std::size_t) { FAIL() << "ran a task"; }));
+}
+
+TEST(PhasePool, EmptyAndSingleTaskRunsPublishNoPhase) {
+  // Only a run() with work for more than one executor wakes the helpers.
+  PhasePool pool(2);
+  pool.run(0, [](std::size_t) {});
+  EXPECT_EQ(pool.dispatches(), 0u);
+  int ran = 0;
+  pool.run(1, [&ran](std::size_t) { ++ran; });
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(pool.dispatches(), 0u);
+  EXPECT_EQ(pool.inline_runs(), 1u);
+  std::atomic<int> many{0};
+  pool.run(6, [&many](std::size_t) { ++many; });
+  EXPECT_EQ(many.load(), 6);
+  EXPECT_EQ(pool.dispatches(), 1u);
+  EXPECT_EQ(pool.inline_runs(), 1u);
 }
 
 TEST(PhasePool, ContentionStress) {
@@ -114,6 +159,32 @@ TEST(PhasePool, ContentionStress) {
   }
   for (const std::uint64_t v : slots) EXPECT_EQ(v, 200u);
   EXPECT_EQ(sum.load(), 200u * (127u * 128u / 2));
+}
+
+TEST(PhasePool, EightHelperStressWithInterleavedFailure) {
+  // TSan target: 8 helpers over shared (the atomic) and slot-private state,
+  // with one failing phase in the middle. The failure must not cancel the
+  // rest of its phase nor leak into the phases after it.
+  constexpr std::size_t kTasks = 400;
+  PhasePool pool(8);
+  EXPECT_EQ(pool.helpers(), 8u);
+  std::vector<std::uint64_t> slots(kTasks, 0);
+  std::atomic<std::size_t> ran{0};
+  for (int round = 0; round < 3; ++round) {
+    auto task = [&slots, &ran, round](std::size_t i) {
+      slots[i] += static_cast<std::uint64_t>(i) + 1;
+      ++ran;
+      if (round == 1 && i == kTasks / 2) throw std::runtime_error("round-1 failure");
+    };
+    if (round == 1) {
+      EXPECT_THROW(pool.run(kTasks, task), std::runtime_error);
+    } else {
+      EXPECT_NO_THROW(pool.run(kTasks, task));
+    }
+  }
+  EXPECT_EQ(ran.load(), 3 * kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i)
+    EXPECT_EQ(slots[i], 3u * (static_cast<std::uint64_t>(i) + 1));
 }
 
 }  // namespace
