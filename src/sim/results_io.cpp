@@ -10,14 +10,41 @@
 namespace rlftnoc {
 namespace {
 
-constexpr const char* kHeader =
-    "benchmark\tpolicy\texec_cycles\ttotal_cycles\tdrained\tavg_latency\t"
-    "packets_injected\t"
+/// Columns written by write_row, in order; the TSV header prefixes them
+/// with the (benchmark, policy) key.
+constexpr const char* kRowColumns =
+    "exec_cycles\ttotal_cycles\tdrained\tavg_latency\tp50_latency\t"
+    "p95_latency\tp99_latency\tpackets_injected\t"
     "packets_delivered\tflits_delivered\tenqueue_drops\tunreachable_drops\t"
     "retx_total\tretx_e2e\t"
     "retx_hop\tdup_flits\tcrc_failures\tdyn_pj\tleak_pj\ttotal_pj\tefficiency\t"
     "dyn_power_w\ttotal_power_w\tavg_temp\tmax_temp\tmode0\tmode1\tmode2\t"
     "mode3\trl_entries\tdt_accuracy";
+
+const std::string kHeader = std::string("benchmark\tpolicy\t") + kRowColumns;
+
+/// The one row printer: every SimResult scalar, tab-separated, in
+/// kRowColumns order. Shortest round-trippable decimal form, so
+/// read_results(write_results(x)) reproduces every double bit-for-bit and a
+/// cached campaign cannot drift from a fresh one.
+void write_row(std::ostream& out, const SimResult& r) {
+  out.precision(std::numeric_limits<double>::max_digits10);
+  out << r.execution_cycles << '\t' << r.total_cycles << '\t'
+      << (r.drained ? 1 : 0) << '\t' << r.avg_packet_latency << '\t'
+      << r.p50_latency << '\t' << r.p95_latency << '\t' << r.p99_latency
+      << '\t' << r.packets_injected << '\t' << r.packets_delivered << '\t'
+      << r.flits_delivered << '\t' << r.enqueue_drops << '\t'
+      << r.unreachable_drops << '\t' << r.retransmitted_flits << '\t'
+      << r.retx_flits_e2e << '\t' << r.retx_flits_hop << '\t' << r.dup_flits
+      << '\t' << r.crc_packet_failures << '\t' << r.dynamic_energy_pj << '\t'
+      << r.leakage_energy_pj << '\t' << r.total_energy_pj << '\t'
+      << r.energy_efficiency << '\t' << r.avg_dynamic_power_w << '\t'
+      << r.avg_total_power_w << '\t' << r.avg_temperature_c << '\t'
+      << r.max_temperature_c << '\t' << r.mode_fraction[0] << '\t'
+      << r.mode_fraction[1] << '\t' << r.mode_fraction[2] << '\t'
+      << r.mode_fraction[3] << '\t' << r.rl_table_entries << '\t'
+      << r.dt_training_accuracy;
+}
 
 PolicyKind policy_from_name(const std::string& name) {
   for (const PolicyKind k :
@@ -40,31 +67,26 @@ std::size_t first_seen_index(const std::vector<std::string>& names,
 
 }  // namespace
 
+void PrintTo(const SimResult& r, std::ostream* os) {
+  std::ostringstream row;
+  write_row(row, r);
+  std::istringstream names(kRowColumns);
+  std::istringstream values(row.str());
+  *os << r.workload << '/' << r.policy;
+  std::string name;
+  std::string value;
+  while (std::getline(names, name, '\t') && std::getline(values, value, '\t'))
+    *os << ' ' << name << '=' << value;
+}
+
 void write_results(std::ostream& out, const CampaignResults& results) {
-  // Shortest round-trippable decimal form: read_results(write_results(x))
-  // must reproduce every double bit-for-bit, or cached campaigns would
-  // drift from fresh ones.
-  out.precision(std::numeric_limits<double>::max_digits10);
   out << kHeader << '\n';
   for (std::size_t b = 0; b < results.benchmarks.size(); ++b) {
     for (std::size_t p = 0; p < results.policies.size(); ++p) {
-      const SimResult& r = results.at(b, p);
       out << results.benchmarks[b] << '\t' << policy_name(results.policies[p])
-          << '\t' << r.execution_cycles << '\t' << r.total_cycles << '\t'
-          << (r.drained ? 1 : 0) << '\t'
-          << r.avg_packet_latency << '\t' << r.packets_injected << '\t'
-          << r.packets_delivered << '\t' << r.flits_delivered << '\t'
-          << r.enqueue_drops << '\t' << r.unreachable_drops << '\t'
-          << r.retransmitted_flits << '\t' << r.retx_flits_e2e << '\t'
-          << r.retx_flits_hop << '\t' << r.dup_flits << '\t'
-          << r.crc_packet_failures << '\t' << r.dynamic_energy_pj << '\t'
-          << r.leakage_energy_pj << '\t' << r.total_energy_pj << '\t'
-          << r.energy_efficiency << '\t' << r.avg_dynamic_power_w << '\t'
-          << r.avg_total_power_w << '\t' << r.avg_temperature_c << '\t'
-          << r.max_temperature_c << '\t' << r.mode_fraction[0] << '\t'
-          << r.mode_fraction[1] << '\t' << r.mode_fraction[2] << '\t'
-          << r.mode_fraction[3] << '\t' << r.rl_table_entries << '\t'
-          << r.dt_training_accuracy << '\n';
+          << '\t';
+      write_row(out, results.at(b, p));
+      out << '\n';
     }
   }
 }
@@ -100,8 +122,8 @@ CampaignResults read_results(std::istream& in) {
     r.workload = bench;
     r.policy = policy;
     if (!(ls >> r.execution_cycles >> r.total_cycles >> drained >>
-          r.avg_packet_latency >>
-          r.packets_injected >> r.packets_delivered >> r.flits_delivered >>
+          r.avg_packet_latency >> r.p50_latency >> r.p95_latency >>
+          r.p99_latency >> r.packets_injected >> r.packets_delivered >> r.flits_delivered >>
           r.enqueue_drops >> r.unreachable_drops >>
           r.retransmitted_flits >> r.retx_flits_e2e >> r.retx_flits_hop >>
           r.dup_flits >> r.crc_packet_failures >> r.dynamic_energy_pj >>

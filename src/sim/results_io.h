@@ -11,7 +11,8 @@
 
 namespace rlftnoc {
 
-/// Writes one row per (benchmark, policy) cell with all SimResult scalars.
+/// Writes one row per (benchmark, policy) cell with every SimResult scalar
+/// (the same row printer PrintTo labels).
 void write_results(std::ostream& out, const CampaignResults& results);
 void write_results_file(const std::string& path, const CampaignResults& results);
 

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -172,7 +173,16 @@ struct SimResult {
   std::array<double, kNumOpModes> mode_fraction{};  ///< time share per mode
   std::size_t rl_table_entries = 0;   ///< RL only
   double dt_training_accuracy = 0.0;  ///< DT only
+
+  /// The bit-identity contract: two runs agree when every field compares
+  /// equal. Benches and tests check --sim-threads / --jobs determinism with
+  /// this and nothing else, so a new field is covered the moment it exists.
+  bool operator==(const SimResult&) const = default;
 };
+
+/// Readable `name=value` rendering of every field (the results-TSV row
+/// printer, labelled); gtest picks it up for failing EXPECT_EQ(a, b).
+void PrintTo(const SimResult& r, std::ostream* os);
 
 /// Owns one complete simulation instance.
 ///
