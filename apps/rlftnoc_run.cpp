@@ -6,11 +6,14 @@
 //               [--workload W] [--record-workload PATH]
 //               [--kill-link NODE:P[@CYCLE]] [--kill-router NODE[@CYCLE]]
 //               [key=value ...]
-//   rlftnoc_run --dump-defaults
+//   rlftnoc_run --dump-defaults      (print the defaults as a config file)
 //
-// Config keys (all optional; defaults reproduce the paper's setup):
+// Config keys (all optional; defaults reproduce the paper's setup; a key
+// that nothing reads -- a typo, or one that does not apply to this workload
+// or mode -- is rejected with exit 2 before anything is simulated):
 //   policy        = crc | arq | dt | rl | oracle
-//   workload      = <parsec name> | uniform | transpose | hotspot | ... |
+//   workload      = uniform (default) | transpose | hotspot | ... |
+//                   <parsec name> |
 //                   dnn | rpc | nackstorm  (dependency-graph generators,
 //                                           tuned with wl.* keys) |
 //                   <path>.json | <path>.wkb  (rlftnoc-workload-v1 file,
@@ -40,15 +43,20 @@
 //                                     Needs xy|yx|adaptive routing)
 //   injection_rate= 0.06             (synthetic workloads)
 //   packets       = 50000            (synthetic workloads)
-//   budget_pct    = 100              (PARSEC workloads)
+//   budget_pct    = 100              (PARSEC workloads; at least 1 packet)
 //   error_scale   = 1.0
-//   pretrain_cycles / warmup_cycles / step_cycles
+//   pretrain_cycles / warmup_cycles / ctrl.step_cycles
 //   rl_save       = <path>           (persist learned Q-tables after the run)
 //   rl_load       = <path>           (start from previously saved Q-tables)
 //   noc.mesh_width / noc.mesh_height / noc.vcs_per_port / ... (see NocConfig)
 //
+// Single runs and campaign cells resolve `workload` alike
+// (make_workload_traffic in sim/campaign.h).
+//
 // Campaign mode (runs a benchmark x policy grid instead of one simulation):
-//   campaign      = all | <bench1,bench2,...>
+//   campaign      = all | <bench1,bench2,...>  (any workload selectors;
+//                                               wl.* / injection_rate /
+//                                               packets do not apply)
 //   policies      = crc,arq,dt,rl     (default: the paper's four)
 //   results_out   = <path>            (write the raw results TSV)
 // `jobs` (or --jobs N) sets how many (benchmark, policy) runs execute
@@ -68,14 +76,38 @@
 #include "sim/results_io.h"
 #include "sim/simulator.h"
 #include "traffic/parsec.h"
-#include "traffic/traffic.h"
-#include "workload/generators.h"
 #include "workload/replay.h"
 #include "workload/workload.h"
 
 using namespace rlftnoc;
 
 namespace {
+
+/// A CLI flag that sets a config key: `--flag V` or `--flag=V`, or the
+/// bare `--flag` for one with a `fixed` value. A `list_prefix` flag appends
+/// "<prefix>V" to the key's comma-separated list instead of replacing it.
+struct CliFlag {
+  const char* name;
+  const char* key;
+  const char* needs;  ///< what a missing value is called in the error
+  const char* fixed = nullptr;
+  const char* list_prefix = nullptr;
+};
+
+const CliFlag kCliFlags[] = {
+    {"--jobs", "jobs", "a value"},
+    {"--sim-threads", "sim_threads", "a value"},
+    {"--audit", "audit", "", "true"},
+    {"--workload", "workload", "a value"},
+    {"--record-workload", "record_workload", "a path"},
+    // --kill-link NODE:P[@CYCLE] / --kill-router NODE[@CYCLE] append to the
+    // `hard_faults` key (same syntax, prefixed with the fault kind).
+    {"--kill-link", "hard_faults", "NODE:P[@CYCLE]", nullptr, "link:"},
+    {"--kill-router", "hard_faults", "NODE[@CYCLE]", nullptr, "router:"},
+    {"--trace", "telemetry", "", "true"},
+    {"--trace-dir", "telemetry.dir", "a value"},
+    {"--metrics-interval", "metrics_interval", "a value"},
+};
 
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -87,7 +119,20 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-int run_campaign_mode(const Config& cfg, const SimOptions& opt) {
+/// A key nothing read is a typo or does not apply to this run; either way,
+/// ignoring it would silently simulate something else.
+void reject_unread_keys(const Config& cfg) {
+  std::string names;
+  for (const std::string& k : cfg.unread_keys())
+    names += (names.empty() ? "'" : ", '") + k + "'";
+  if (!names.empty()) {
+    throw ConfigError("unknown config key " + names +
+                      " (misspelled, or not used by this workload or mode)");
+  }
+}
+
+int run_campaign_mode(const Config& cfg, const SimOptions& opt,
+                      std::uint64_t budget_pct) {
   std::vector<std::string> benchmarks;
   const std::string spec = cfg.get_string("campaign");
   if (spec == "all") {
@@ -102,13 +147,12 @@ int run_campaign_mode(const Config& cfg, const SimOptions& opt) {
     policies.push_back(policy_from_string(p));
   if (policies.empty()) throw ConfigError("policies: empty policy list");
 
-  const auto budget =
-      static_cast<std::uint64_t>(cfg.get_int("budget_pct", 100));
-  const CampaignResults res = run_campaign(opt, benchmarks, policies, budget);
+  const std::string results_out = cfg.get_string("results_out", "");
+  reject_unread_keys(cfg);
+  const CampaignResults res = run_campaign(opt, benchmarks, policies, budget_pct);
   if (opt.audit)
     std::printf("invariant audit: every run completed with zero violations\n");
-  if (cfg.contains("results_out"))
-    write_results_file(cfg.get_string("results_out"), res);
+  if (!results_out.empty()) write_results_file(results_out, res);
 
   print_normalized_table(std::cout, res, "execution time (lower = faster)",
                          metric_exec_speedup_inverse, false);
@@ -117,57 +161,6 @@ int run_campaign_mode(const Config& cfg, const SimOptions& opt) {
   print_normalized_table(std::cout, res, "energy efficiency",
                          metric_energy_efficiency, true);
   return 0;
-}
-
-std::unique_ptr<TrafficGenerator> make_workload(const Config& cfg,
-                                                const SimOptions& opt) {
-  const MeshTopology topo(opt.noc);
-  // A text trace is an open-loop workload: it replays through the same
-  // engine as workload files, its cycles relative to the injection window.
-  if (cfg.contains("trace")) {
-    return std::make_unique<WorkloadReplayTraffic>(
-        read_trace_file(cfg.get_string("trace")), topo.num_nodes(), opt.seed);
-  }
-  const std::string w = cfg.get_string("workload", "uniform");
-  // Dependency-gated replay: a workload file or a built-in graph generator.
-  if (looks_like_workload_path(w)) {
-    return std::make_unique<WorkloadReplayTraffic>(read_workload_file(w),
-                                                   topo.num_nodes(), opt.seed);
-  }
-  if (is_builtin_workload(w)) {
-    return std::make_unique<WorkloadReplayTraffic>(
-        make_builtin_workload(w, topo, cfg, opt.seed), topo.num_nodes(),
-        opt.seed);
-  }
-  for (const ParsecProfile& p : parsec_suite()) {
-    if (p.name == w) {
-      ParsecProfile prof = p;
-      prof.total_packets =
-          prof.total_packets *
-          static_cast<std::uint64_t>(cfg.get_int("budget_pct", 100)) / 100;
-      return std::make_unique<ParsecTraffic>(topo, prof, opt.seed);
-    }
-  }
-  SyntheticTraffic::Options o;
-  o.injection_rate = cfg.get_double("injection_rate", 0.06);
-  o.total_packets = static_cast<std::uint64_t>(cfg.get_int("packets", 50000));
-  bool found = false;
-  for (const TrafficPattern pat :
-       {TrafficPattern::kUniform, TrafficPattern::kTranspose,
-        TrafficPattern::kBitComplement, TrafficPattern::kTornado,
-        TrafficPattern::kNeighbor, TrafficPattern::kBitReverse,
-        TrafficPattern::kShuffle, TrafficPattern::kHotspot}) {
-    if (w == traffic_pattern_name(pat)) {
-      o.pattern = pat;
-      found = true;
-      break;
-    }
-  }
-  if (!found)
-    throw ConfigError("unknown workload '" + w +
-                      "' (a PARSEC profile, synthetic pattern, built-in "
-                      "generator dnn|rpc|nackstorm, or workload file path)");
-  return std::make_unique<SyntheticTraffic>(topo, o, opt.seed);
 }
 
 void print_result(const SimResult& r) {
@@ -209,10 +202,7 @@ int main(int argc, char** argv) {
     Config cfg;
     int first_override = 1;
     if (argc > 1 && std::string(argv[1]) == "--dump-defaults") {
-      std::printf(
-          "policy = rl\nworkload = canneal\nseed = 1\nbudget_pct = 100\n"
-          "error_scale = 1.0\n# pretrain_cycles = 500000\n# warmup_cycles = 50000\n"
-          "# noc.mesh_width = 8\n# noc.vcs_per_port = 4\n");
+      std::fputs(default_options_text().c_str(), stdout);
       return 0;
     }
     if (argc > 1 && std::string(argv[1]).find('=') == std::string::npos &&
@@ -221,123 +211,81 @@ int main(int argc, char** argv) {
       first_override = 2;
     }
     for (int i = first_override; i < argc; ++i) {
-      const std::string kv = argv[i];
-      if (kv == "--jobs") {
-        if (i + 1 >= argc) throw ConfigError("--jobs needs a value");
-        cfg.set("jobs", argv[++i]);
-        continue;
+      const std::string arg = argv[i];
+      const CliFlag* flag = nullptr;
+      std::string value;
+      for (const CliFlag& f : kCliFlags) {
+        const std::string name = f.name;
+        if (arg == name) {
+          flag = &f;
+          if (f.fixed != nullptr) {
+            value = f.fixed;
+          } else if (i + 1 < argc) {
+            value = argv[++i];
+          } else {
+            throw ConfigError(name + " needs " + f.needs);
+          }
+          break;
+        }
+        if (f.fixed == nullptr && arg.rfind(name + "=", 0) == 0) {
+          flag = &f;
+          value = arg.substr(name.size() + 1);
+          break;
+        }
       }
-      if (kv.rfind("--jobs=", 0) == 0) {
-        cfg.set("jobs", kv.substr(7));
-        continue;
+      if (flag == nullptr) {
+        const auto eq = arg.find('=');
+        if (eq == std::string::npos)
+          throw ConfigError("override must be key=value: " + arg);
+        cfg.set(arg.substr(0, eq), arg.substr(eq + 1));
+      } else if (flag->list_prefix != nullptr) {
+        const std::string prev = cfg.get_string(flag->key, "");
+        value = flag->list_prefix + value;
+        cfg.set(flag->key, prev.empty() ? value : prev + "," + value);
+      } else {
+        cfg.set(flag->key, value);
       }
-      if (kv == "--sim-threads") {
-        if (i + 1 >= argc) throw ConfigError("--sim-threads needs a value");
-        cfg.set("sim_threads", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--sim-threads=", 0) == 0) {
-        cfg.set("sim_threads", kv.substr(14));
-        continue;
-      }
-      if (kv == "--audit") {
-        cfg.set("audit", "true");
-        continue;
-      }
-      if (kv == "--workload") {
-        if (i + 1 >= argc) throw ConfigError("--workload needs a value");
-        cfg.set("workload", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--workload=", 0) == 0) {
-        cfg.set("workload", kv.substr(11));
-        continue;
-      }
-      if (kv == "--record-workload") {
-        if (i + 1 >= argc) throw ConfigError("--record-workload needs a path");
-        cfg.set("record_workload", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--record-workload=", 0) == 0) {
-        cfg.set("record_workload", kv.substr(18));
-        continue;
-      }
-      // --kill-link NODE:P[@CYCLE] / --kill-router NODE[@CYCLE] append to the
-      // `hard_faults` config key (same syntax, prefixed with the fault kind).
-      const auto append_fault = [&cfg](const std::string& item) {
-        const std::string prev = cfg.get_string("hard_faults", "");
-        cfg.set("hard_faults", prev.empty() ? item : prev + "," + item);
-      };
-      if (kv == "--kill-link") {
-        if (i + 1 >= argc) throw ConfigError("--kill-link needs NODE:P[@CYCLE]");
-        append_fault(std::string("link:") + argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--kill-link=", 0) == 0) {
-        append_fault("link:" + kv.substr(12));
-        continue;
-      }
-      if (kv == "--kill-router") {
-        if (i + 1 >= argc) throw ConfigError("--kill-router needs NODE[@CYCLE]");
-        append_fault(std::string("router:") + argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--kill-router=", 0) == 0) {
-        append_fault("router:" + kv.substr(14));
-        continue;
-      }
-      if (kv == "--trace") {
-        cfg.set("telemetry", "true");
-        continue;
-      }
-      if (kv == "--trace-dir") {
-        if (i + 1 >= argc) throw ConfigError("--trace-dir needs a value");
-        cfg.set("telemetry.dir", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--trace-dir=", 0) == 0) {
-        cfg.set("telemetry.dir", kv.substr(12));
-        continue;
-      }
-      if (kv == "--metrics-interval") {
-        if (i + 1 >= argc) throw ConfigError("--metrics-interval needs a value");
-        cfg.set("metrics_interval", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--metrics-interval=", 0) == 0) {
-        cfg.set("metrics_interval", kv.substr(19));
-        continue;
-      }
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) throw ConfigError("override must be key=value: " + kv);
-      cfg.set(kv.substr(0, eq), kv.substr(eq + 1));
     }
 
     SimOptions opt = sim_options_from_config(cfg);
-    if (!cfg.contains("policy")) opt.policy = PolicyKind::kRl;
+    const auto budget_pct = static_cast<std::uint64_t>(cfg.get_int(
+        "budget_pct", static_cast<std::int64_t>(kDefaultBudgetPct)));
+    if (cfg.contains("campaign")) return run_campaign_mode(cfg, opt, budget_pct);
 
-    if (cfg.contains("campaign")) return run_campaign_mode(cfg, opt);
-
+    const std::string rl_load = cfg.get_string("rl_load", "");
+    const std::string rl_save = cfg.get_string("rl_save", "");
     // A pre-trained policy skips the synthetic pre-training phase.
-    if (cfg.contains("rl_load")) opt.pretrain_cycles = 0;
+    if (!rl_load.empty()) opt.pretrain_cycles = 0;
 
-    auto workload = make_workload(cfg, opt);
+    const MeshTopology topo(opt.noc);
+    std::unique_ptr<TrafficGenerator> workload;
+    if (cfg.contains("trace")) {
+      // A text trace overrides the selector: an open-loop workload replayed
+      // through the same engine as workload files, its cycles relative to
+      // the injection window.
+      workload = std::make_unique<WorkloadReplayTraffic>(
+          read_trace_file(cfg.get_string("trace")), topo.num_nodes(), opt.seed);
+    } else {
+      workload =
+          make_workload_traffic(opt.workload, topo, cfg, opt.seed, budget_pct);
+    }
+    reject_unread_keys(cfg);
+
     Simulator sim(opt);
-    if (cfg.contains("rl_load")) {
+    if (!rl_load.empty()) {
       auto* rl = dynamic_cast<RlPolicy*>(&sim.policy());
       if (rl == nullptr) throw ConfigError("rl_load requires policy = rl");
-      rl->load_tables(cfg.get_string("rl_load"));
+      rl->load_tables(rl_load);
     }
     const SimResult r = sim.run(*workload);
     if (const NetworkAuditor* auditor = sim.auditor()) {
       std::printf("invariant audit: %llu clean sweeps, zero violations\n",
                   static_cast<unsigned long long>(auditor->clean_passes()));
     }
-    if (cfg.contains("rl_save")) {
+    if (!rl_save.empty()) {
       if (auto* rl = dynamic_cast<RlPolicy*>(&sim.policy())) {
-        rl->save_tables(cfg.get_string("rl_save"));
-        std::fprintf(stderr, "saved Q-tables to %s\n",
-                     cfg.get_string("rl_save").c_str());
+        rl->save_tables(rl_save);
+        std::fprintf(stderr, "saved Q-tables to %s\n", rl_save.c_str());
       }
     }
     print_result(r);

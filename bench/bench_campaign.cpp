@@ -9,9 +9,7 @@
 //
 // The configuration is pinned (not taken from bench_common flags) so every
 // emitted JSON measures the same workload; --out=PATH is the only knob.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -27,17 +25,8 @@ constexpr std::uint64_t kBudgetPct = 3;
 
 int main(int argc, char** argv) {
   using namespace rlftnoc;
-  std::string out_path = "BENCH_campaign.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--out=", 0) == 0) {
-      out_path = a.substr(6);
-    } else {
-      std::fprintf(stderr, "unknown flag '%s' (supported: --out=PATH)\n",
-                   a.c_str());
-      return 2;
-    }
-  }
+  const std::string out_path =
+      bench::out_path_arg(argc, argv, "BENCH_campaign.json");
 
   SimOptions base;
   base.seed = kSeed;
@@ -52,13 +41,9 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(kBudgetPct),
                static_cast<unsigned long long>(kSeed));
 
-  const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  const CampaignResults res =
-      run_campaign(base, benchmarks, policies, kBudgetPct);
-  const auto t1 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-
-  const double wall_seconds =
-      std::chrono::duration<double>(t1 - t0).count();
+  CampaignResults res;
+  const double wall_seconds = bench::time_seconds(
+      [&] { res = run_campaign(base, benchmarks, policies, kBudgetPct); });
   std::uint64_t simulated_cycles = 0;
   for (const auto& row : res.results) {
     for (const SimResult& r : row) simulated_cycles += r.total_cycles;

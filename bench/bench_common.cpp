@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -8,6 +9,27 @@
 #include "common/rng.h"
 
 namespace rlftnoc::bench {
+
+double time_seconds(const std::function<void()>& fn) {
+  using Clock = std::chrono::steady_clock;  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
+  const Clock::time_point t0 = Clock::now();
+  fn();
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+std::string out_path_arg(int argc, char** argv, const std::string& def) {
+  std::string out = def;
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.rfind("--out=", 0) != 0) {
+      std::fprintf(stderr, "unknown flag '%s' (supported: --out=PATH)\n",
+                   a.c_str());
+      std::exit(2);
+    }
+    out = a.substr(6);
+  }
+  return out;
+}
 
 BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;

@@ -1,4 +1,9 @@
-// Shared harness for the figure-reproduction benches.
+// Shared harness for the benches.
+//
+// Every bench reads the wall clock through time_seconds(), the one
+// wall-clock lint exemption under bench/, and the pinned benches (bench_campaign,
+// bench_scaling, bench_router, bench_faults, bench_workload) take their
+// only knob, --out=PATH, through out_path_arg().
 //
 // Figures 6-10 are different views of one campaign (8 PARSEC-like
 // benchmarks x 4 policies). bench_paper_figures runs it once and caches the
@@ -15,6 +20,7 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +28,15 @@
 #include "sim/results_io.h"
 
 namespace rlftnoc::bench {
+
+/// Wall-clock seconds `fn` takes to run. Timing is what a bench reports;
+/// it never feeds a simulation input.
+double time_seconds(const std::function<void()>& fn);
+
+/// The `--out=PATH` argument of a pinned bench (`def` when absent). Any
+/// other argument prints "unknown flag '<arg>' (supported: --out=PATH)"
+/// and exits 2.
+std::string out_path_arg(int argc, char** argv, const std::string& def);
 
 struct BenchArgs {
   bool fresh = false;

@@ -13,13 +13,12 @@
 //
 // The configuration is pinned; --out=PATH is the only knob.
 // tools/bench_summary.py prints the sweep table from the JSON.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "sim/simulator.h"
 #include "traffic/traffic.h"
@@ -88,38 +87,16 @@ SimResult run_cell(const std::vector<HardFault>& faults, unsigned sim_threads,
   to.injection_rate = 0.05;
   to.total_packets = kPackets;
   SyntheticTraffic gen(MeshTopology(opt.noc), to, opt.seed);
-  const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  const SimResult r = sim.run(gen);
-  const auto t1 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  SimResult r;
+  wall_seconds = bench::time_seconds([&] { r = sim.run(gen); });
   return r;
-}
-
-bool results_match(const SimResult& a, const SimResult& b) {
-  return a.total_cycles == b.total_cycles &&
-         a.packets_injected == b.packets_injected &&
-         a.packets_delivered == b.packets_delivered &&
-         a.flits_delivered == b.flits_delivered &&
-         a.unreachable_drops == b.unreachable_drops &&
-         a.retransmitted_flits == b.retransmitted_flits &&
-         std::memcmp(&a.avg_packet_latency, &b.avg_packet_latency,
-                     sizeof(double)) == 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_faults.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--out=", 0) == 0) {
-      out_path = a.substr(6);
-    } else {
-      std::fprintf(stderr, "unknown flag '%s' (supported: --out=PATH)\n",
-                   a.c_str());
-      return 2;
-    }
-  }
+  const std::string out_path =
+      bench::out_path_arg(argc, argv, "BENCH_faults.json");
 
   const int total_links = 2 * kWidth * kWidth;
   std::fprintf(stderr,
@@ -141,7 +118,7 @@ int main(int argc, char** argv) {
     if (!faults.empty()) {
       double mt_wall = 0.0;
       const SimResult mt = run_cell(faults, 4, mt_wall);
-      if (!results_match(c.r, mt)) {
+      if (mt != c.r) {
         identical = false;
         std::fprintf(stderr,
                      "[bench_faults] DIVERGENCE: %d dead links, "
@@ -149,10 +126,6 @@ int main(int argc, char** argv) {
                      c.links_killed);
       }
     }
-    const double delivered_frac =
-        base_delivered > 0.0
-            ? static_cast<double>(c.r.packets_delivered) / base_delivered
-            : 0.0;
     std::printf(
         "faults %5.1f%%  (%2d links)  delivered %5llu/%5llu  "
         "unreachable %4llu  latency %7.2f  cycles %8llu  %s\n",
@@ -163,7 +136,6 @@ int main(int argc, char** argv) {
         c.r.avg_packet_latency,
         static_cast<unsigned long long>(c.r.total_cycles),
         c.r.drained ? "drained" : "NOT DRAINED");
-    (void)delivered_frac;
     cells.push_back(c);
   }
 

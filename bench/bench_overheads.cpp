@@ -9,9 +9,9 @@
 //    4.8% / 4.5% vs CRC / ARQ+ECC / DT routers.
 //  * energy: the RL control energy amortized per transmitted flit against
 //    the paper's 0.16 pJ = 1.2% of a 13.3 pJ baseline flit.
-#include <chrono>
 #include <cstdio>
 
+#include "bench_common.h"
 #include "ftnoc/rl_policy.h"
 #include "power/orion_lite.h"
 #include "sim/simulator.h"
@@ -49,14 +49,13 @@ int main() {
     // Warm the table, then time steady-state decide() calls.
     for (int i = 0; i < 1000; ++i) rl.decide(i % 64, snap, 0.5);
     constexpr int kIters = 200000;
-    const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-    for (int i = 0; i < kIters; ++i) {
-      snap.temperature_c = 60.0 + (i % 40);
-      rl.decide(i % 64, snap, 0.5);
-    }
-    const auto t1 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-    const double ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
+    const double seconds = bench::time_seconds([&] {
+      for (int i = 0; i < kIters; ++i) {
+        snap.temperature_c = 60.0 + (i % 40);
+        rl.decide(i % 64, snap, 0.5);
+      }
+    });
+    const double ns = seconds * 1e9 / kIters;
     std::printf("computation: one RL control step (lookup+update+select)\n");
     std::printf("  paper: 150 ns worst-case, hidden by the 1000-cycle step\n");
     std::printf("  here : %.0f ns on this host (step budget at 2 GHz = 500 ns)\n",

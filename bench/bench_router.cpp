@@ -21,11 +21,11 @@
 // The configuration is pinned (same spirit as bench_scaling): --out=PATH is
 // the only knob. Schema rlftnoc-bench-router-v1; tools/bench_summary.py
 // --router renders it and the perf-smoke CI job gates on it.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "bench_common.h"
 #include "fault/injector.h"
 #include "fault/varius.h"
 #include "sim/simulator.h"
@@ -36,11 +36,6 @@ namespace {
 using namespace rlftnoc;
 
 constexpr std::uint64_t kSeed = 17;
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  const auto t1 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  return std::chrono::duration<double>(t1 - t0).count();
-}
 
 /// Kernel 1: full-network serial stepping, phase share included.
 struct RouterStepResult {
@@ -68,9 +63,8 @@ RouterStepResult run_router_step() {
   SyntheticTraffic gen(MeshTopology(opt.noc), to, opt.seed);
 
   RouterStepResult r;
-  const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  const SimResult sr = sim.run(gen);
-  r.wall_seconds = seconds_since(t0);
+  SimResult sr;
+  r.wall_seconds = bench::time_seconds([&] { sr = sim.run(gen); });
   r.simulated_cycles = sr.total_cycles;
   r.cycles_per_second =
       r.wall_seconds > 0.0
@@ -101,14 +95,14 @@ ErrorDrawResult run_error_draw() {
     BitVec128 payload{};
     payload.set_word(0, 0x0123456789abcdefULL);
     std::uint64_t flips = 0;  // data dependency so the loop cannot be hoisted
-    const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-    for (std::uint64_t i = 0; i < kTraversals; ++i) {
-      const InjectionResult out =
-          legacy ? inj.inject(payload, nullptr, p)
-                 : inj.inject_gated(payload, nullptr, p, gate);
-      flips += static_cast<std::uint64_t>(out.bits_flipped);
-    }
-    const double s = seconds_since(t0);
+    const double s = bench::time_seconds([&] {
+      for (std::uint64_t i = 0; i < kTraversals; ++i) {
+        const InjectionResult out =
+            legacy ? inj.inject(payload, nullptr, p)
+                   : inj.inject_gated(payload, nullptr, p, gate);
+        flips += static_cast<std::uint64_t>(out.bits_flipped);
+      }
+    });
     std::fprintf(stderr, "[bench_router]   (%llu bit flips drawn)\n",
                  static_cast<unsigned long long>(flips));
     return s > 0.0 ? static_cast<double>(kTraversals) / s / 1e6 : 0.0;
@@ -139,9 +133,9 @@ ControlStepResult run_control_step() {
   FtController& ctl = sim.controller();
   ControlStepResult r;
   r.routers = opt.noc.num_nodes();
-  const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  for (int i = 0; i < kSteps; ++i) ctl.control_step();
-  const double s = seconds_since(t0);
+  const double s = bench::time_seconds([&] {
+    for (int i = 0; i < kSteps; ++i) ctl.control_step();
+  });
   r.steps_per_second = s > 0.0 ? kSteps / s : 0.0;
   r.micros_per_step = s / kSteps * 1e6;
   return r;
@@ -150,17 +144,8 @@ ControlStepResult run_control_step() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_router.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--out=", 0) == 0) {
-      out_path = a.substr(6);
-    } else {
-      std::fprintf(stderr, "unknown flag '%s' (supported: --out=PATH)\n",
-                   a.c_str());
-      return 2;
-    }
-  }
+  const std::string out_path =
+      bench::out_path_arg(argc, argv, "BENCH_router.json");
 
   std::fprintf(stderr, "[bench_router] router_step: 16x16 uniform, serial\n");
   const RouterStepResult rs = run_router_step();

@@ -20,15 +20,14 @@
 // wall-time breakdown (serial window / fused receive / execute / merge)
 // from Network::set_phase_timing so a scaling regression names the phase
 // that regressed.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "sim/simulator.h"
 #include "traffic/traffic.h"
 
@@ -78,40 +77,17 @@ SimResult run_cell(const MeshCase& mc, unsigned sim_threads,
   to.total_packets = mc.packets;
   SyntheticTraffic gen(MeshTopology(opt.noc), to, opt.seed);
 
-  const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  const SimResult r = sim.run(gen);
-  const auto t1 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  SimResult r;
+  wall_seconds = bench::time_seconds([&] { r = sim.run(gen); });
   phases = sim.network().phase_timings();
   return r;
-}
-
-/// The determinism contract, spot-checked from the bench itself: a cell
-/// whose results differ from the serial run would make its timing numbers
-/// meaningless, so treat any divergence as a benchmark failure.
-bool results_match(const SimResult& a, const SimResult& b) {
-  return a.total_cycles == b.total_cycles &&
-         a.packets_delivered == b.packets_delivered &&
-         a.flits_delivered == b.flits_delivered &&
-         a.retransmitted_flits == b.retransmitted_flits &&
-         std::memcmp(&a.avg_packet_latency, &b.avg_packet_latency,
-                     sizeof(double)) == 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_scaling.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--out=", 0) == 0) {
-      out_path = a.substr(6);
-    } else {
-      std::fprintf(stderr, "unknown flag '%s' (supported: --out=PATH)\n",
-                   a.c_str());
-      return 2;
-    }
-  }
+  const std::string out_path =
+      bench::out_path_arg(argc, argv, "BENCH_scaling.json");
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(stderr,
@@ -143,7 +119,10 @@ int main(int argc, char** argv) {
       } else {
         c.speedup_vs_serial =
             serial_cps > 0.0 ? c.cycles_per_second / serial_cps : 0.0;
-        if (!results_match(serial, r)) {
+        // The determinism contract, spot-checked from the bench itself: a
+        // cell whose results differ from the serial run would make its
+        // timing numbers meaningless, so any divergence fails the bench.
+        if (r != serial) {
           identical = false;
           std::fprintf(stderr,
                        "[bench_scaling] DIVERGENCE: %dx%d sim_threads=%u "

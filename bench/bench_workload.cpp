@@ -14,13 +14,12 @@
 //
 // The configuration is pinned; --out=PATH is the only knob.
 // tools/bench_summary.py prints the comparison table from the JSON.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/config.h"
 #include "sim/simulator.h"
 #include "workload/generators.h"
@@ -66,40 +65,18 @@ Cell run_cell(const std::string& name, bool gated, unsigned sim_threads) {
   Cell c;
   c.workload = name;
   c.gated = gated;
-  const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  c.r = sim.run(gen);
-  const auto t1 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
-  c.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  c.wall_seconds = bench::time_seconds([&] { c.r = sim.run(gen); });
   c.transfers = gen.transfers_total();
   c.retired = gen.transfers_retired();
   c.abandoned = gen.transfers_abandoned();
   return c;
 }
 
-bool results_match(const SimResult& a, const SimResult& b) {
-  return a.total_cycles == b.total_cycles &&
-         a.packets_injected == b.packets_injected &&
-         a.packets_delivered == b.packets_delivered &&
-         a.flits_delivered == b.flits_delivered &&
-         a.retransmitted_flits == b.retransmitted_flits &&
-         std::memcmp(&a.avg_packet_latency, &b.avg_packet_latency,
-                     sizeof(double)) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_workload.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--out=", 0) == 0) {
-      out_path = a.substr(6);
-    } else {
-      std::fprintf(stderr, "unknown flag '%s' (supported: --out=PATH)\n",
-                   a.c_str());
-      return 2;
-    }
-  }
+  const std::string out_path =
+      bench::out_path_arg(argc, argv, "BENCH_workload.json");
 
   std::fprintf(stderr,
                "[bench_workload] %dx%d mesh, arq+ecc policy, seed %llu\n",
@@ -114,7 +91,7 @@ int main(int argc, char** argv) {
       Cell c = run_cell(name, gated, 1);
       if (gated) {
         const Cell mt = run_cell(name, gated, 4);
-        if (!results_match(c.r, mt.r)) {
+        if (mt.r != c.r) {
           identical = false;
           std::fprintf(stderr,
                        "[bench_workload] DIVERGENCE: %s gated, sim_threads=4 "

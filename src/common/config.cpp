@@ -60,17 +60,21 @@ Config Config::from_file(const std::string& path) {
 }
 
 void Config::set(std::string key, std::string value) {
-  entries_[std::move(key)] = std::move(value);
+  entries_[std::move(key)] = Entry{std::move(value)};
 }
 
 bool Config::contains(const std::string& key) const noexcept {
-  return entries_.count(key) != 0;
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return false;
+  it->second.read = true;
+  return true;
 }
 
 const std::string& Config::raw(const std::string& key) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) throw ConfigError("missing config key: " + key);
-  return it->second;
+  it->second.read = true;
+  return it->second.value;
 }
 
 std::string Config::get_string(const std::string& key) const { return raw(key); }
@@ -125,12 +129,20 @@ std::vector<std::string> Config::keys() const {
 
 std::string Config::to_string() const {
   std::ostringstream out;
-  for (const auto& [k, v] : entries_) out << k << " = " << v << '\n';
+  for (const auto& [k, e] : entries_) out << k << " = " << e.value << '\n';
   return out.str();
 }
 
 void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.entries_) entries_[k] = v;
+  for (const auto& [k, e] : other.entries_) entries_[k] = Entry{e.value};
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [k, e] : entries_) {
+    if (!e.read) out.push_back(k);
+  }
+  return out;
 }
 
 }  // namespace rlftnoc

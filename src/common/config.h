@@ -2,8 +2,10 @@
 //
 // Experiments are described as flat `key = value` text (BookSim style):
 // comments start with '#' or '//', values are bool / int / double / string.
-// Typed getters throw ConfigError on missing keys or unparsable values so a
-// typo in an experiment file fails loudly instead of silently defaulting.
+// Typed getters throw ConfigError on missing keys or unparsable values, and
+// the store records which keys were read, so a driver can reject a key
+// nothing consumed (unread_keys): a typo in an experiment file fails loudly
+// instead of silently defaulting.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace rlftnoc {
@@ -35,6 +38,7 @@ class Config {
   /// Sets / overrides one entry.
   void set(std::string key, std::string value);
 
+  /// True when `key` is present; counts as a read of it.
   bool contains(const std::string& key) const noexcept;
 
   /// Typed getters that throw when the key is absent.
@@ -49,6 +53,21 @@ class Config {
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 
+  /// Overwrites `field` with `key`'s value, parsed as the field's type,
+  /// when the key is present; an absent key keeps the default in `field`.
+  template <class T>
+  void read(const std::string& key, T& field) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      field = get_bool(key, field);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      field = get_double(key, field);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      field = get_string(key, field);
+    } else {
+      field = static_cast<T>(get_int(key, static_cast<std::int64_t>(field)));
+    }
+  }
+
   /// All keys in sorted order (for dumping the effective config).
   std::vector<std::string> keys() const;
 
@@ -58,10 +77,20 @@ class Config {
   /// Merges `other` into this config; other's entries win.
   void merge(const Config& other);
 
+  /// Keys present but never read by a getter or contains(), in sorted
+  /// order. Reads mark entries, so one Config must not be read from two
+  /// threads at once.
+  std::vector<std::string> unread_keys() const;
+
  private:
+  struct Entry {
+    std::string value;
+    mutable bool read = false;
+  };
+
   const std::string& raw(const std::string& key) const;
 
-  std::map<std::string, std::string> entries_;
+  std::map<std::string, Entry> entries_;
 };
 
 }  // namespace rlftnoc

@@ -76,22 +76,16 @@ struct NocConfig {
   /// Reads overrides from a flat Config (keys: noc.mesh_width, ...).
   static NocConfig from_config(const Config& cfg) {
     NocConfig c;
-    c.mesh_width = static_cast<int>(cfg.get_int("noc.mesh_width", c.mesh_width));
-    c.mesh_height = static_cast<int>(cfg.get_int("noc.mesh_height", c.mesh_height));
-    c.vcs_per_port = static_cast<int>(cfg.get_int("noc.vcs_per_port", c.vcs_per_port));
-    c.vc_depth = static_cast<int>(cfg.get_int("noc.vc_depth", c.vc_depth));
-    c.flits_per_packet =
-        static_cast<int>(cfg.get_int("noc.flits_per_packet", c.flits_per_packet));
-    c.retention_depth =
-        static_cast<int>(cfg.get_int("noc.retention_depth", c.retention_depth));
-    c.local_vc_depth =
-        static_cast<int>(cfg.get_int("noc.local_vc_depth", c.local_vc_depth));
-    c.ni_queue_limit =
-        static_cast<int>(cfg.get_int("noc.ni_queue_limit", c.ni_queue_limit));
-    c.e2e_ack_cycles_per_hop =
-        static_cast<int>(cfg.get_int("noc.e2e_ack_cycles_per_hop", c.e2e_ack_cycles_per_hop));
-    c.e2e_ack_fixed_cycles =
-        static_cast<int>(cfg.get_int("noc.e2e_ack_fixed_cycles", c.e2e_ack_fixed_cycles));
+    cfg.read("noc.mesh_width", c.mesh_width);
+    cfg.read("noc.mesh_height", c.mesh_height);
+    cfg.read("noc.vcs_per_port", c.vcs_per_port);
+    cfg.read("noc.vc_depth", c.vc_depth);
+    cfg.read("noc.flits_per_packet", c.flits_per_packet);
+    cfg.read("noc.retention_depth", c.retention_depth);
+    cfg.read("noc.local_vc_depth", c.local_vc_depth);
+    cfg.read("noc.ni_queue_limit", c.ni_queue_limit);
+    cfg.read("noc.e2e_ack_cycles_per_hop", c.e2e_ack_cycles_per_hop);
+    cfg.read("noc.e2e_ack_fixed_cycles", c.e2e_ack_fixed_cycles);
     const std::string routing = cfg.get_string("noc.routing", "xy");
     if (routing == "xy") {
       c.routing = RoutingAlgorithm::kXY;

@@ -20,6 +20,46 @@
 
 namespace rlftnoc {
 
+std::unique_ptr<TrafficGenerator> make_workload_traffic(
+    const std::string& selector, const MeshTopology& topo,
+    const Config& wl_cfg, std::uint64_t seed, std::uint64_t budget_pct) {
+  const std::string w = selector.empty() ? kDefaultWorkload : selector;
+  // Dependency-gated replay: a workload file or a built-in graph generator.
+  if (looks_like_workload_path(w)) {
+    return std::make_unique<WorkloadReplayTraffic>(read_workload_file(w),
+                                                   topo.num_nodes(), seed);
+  }
+  if (is_builtin_workload(w)) {
+    return std::make_unique<WorkloadReplayTraffic>(
+        make_builtin_workload(w, topo, wl_cfg, seed), topo.num_nodes(), seed);
+  }
+  for (const ParsecProfile& p : parsec_suite()) {
+    if (p.name == w) {
+      ParsecProfile prof = p;
+      // Scale the packet budget, but never to zero: an empty measured phase
+      // would yield an all-zero row that the normalized tables silently skip.
+      prof.total_packets =
+          std::max<std::uint64_t>(1, prof.total_packets * budget_pct / 100);
+      return std::make_unique<ParsecTraffic>(topo, prof, seed);
+    }
+  }
+  for (int i = 0; i <= static_cast<int>(TrafficPattern::kHotspot); ++i) {
+    const auto pat = static_cast<TrafficPattern>(i);
+    if (w == traffic_pattern_name(pat)) {
+      SyntheticTraffic::Options o;
+      o.pattern = pat;
+      o.injection_rate = wl_cfg.get_double("injection_rate", 0.06);
+      o.total_packets =
+          static_cast<std::uint64_t>(wl_cfg.get_int("packets", 50000));
+      return std::make_unique<SyntheticTraffic>(topo, o, seed);
+    }
+  }
+  throw std::invalid_argument(
+      "unknown workload '" + w +
+      "' (a PARSEC profile, synthetic pattern, built-in generator "
+      "dnn|rpc|nackstorm, or workload file path)");
+}
+
 std::uint64_t campaign_run_seed(std::uint64_t base_seed,
                                 const std::string& benchmark, PolicyKind pol) {
   return base_seed ^ fnv1a64(benchmark + "/" + policy_name(pol));
@@ -90,23 +130,9 @@ CampaignResults run_campaign(const SimOptions& base,
           campaign_record_path(base.record_workload, bench, policies[p]);
     }
 
-    const MeshTopology topo(opt.noc);
-    std::unique_ptr<TrafficGenerator> traffic;
-    if (looks_like_workload_path(bench)) {
-      traffic = std::make_unique<WorkloadReplayTraffic>(
-          read_workload_file(bench), topo.num_nodes(), opt.seed);
-    } else if (is_builtin_workload(bench)) {
-      traffic = std::make_unique<WorkloadReplayTraffic>(
-          make_builtin_workload(bench, topo, Config{}, opt.seed),
-          topo.num_nodes(), opt.seed);
-    } else {
-      ParsecProfile profile = parsec_profile(bench);
-      // Scale the packet budget, but never to zero: an empty measured phase
-      // would yield an all-zero row that the normalized tables silently skip.
-      profile.total_packets = std::max<std::uint64_t>(
-          1, profile.total_packets * packet_budget_scale_pct / 100);
-      traffic = std::make_unique<ParsecTraffic>(topo, profile, opt.seed);
-    }
+    const auto traffic = make_workload_traffic(
+        bench, MeshTopology(opt.noc), Config{}, opt.seed,
+        packet_budget_scale_pct);
     Simulator sim(opt);
     SimResult res = sim.run(*traffic);
     {

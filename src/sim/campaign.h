@@ -4,9 +4,11 @@
 
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "sim/simulator.h"
 #include "traffic/parsec.h"
 
@@ -27,6 +29,23 @@ struct CampaignResults {
 /// Extracts the metric a figure plots from one run.
 using MetricFn = std::function<double(const SimResult&)>;
 
+/// What an empty workload selector means.
+inline constexpr const char* kDefaultWorkload = "uniform";
+/// PARSEC packet-budget percentage when none is given (full budgets).
+inline constexpr std::uint64_t kDefaultBudgetPct = 100;
+
+/// Resolves a workload selector into the run's traffic, for single runs and
+/// campaign cells alike. Tried in order: an rlftnoc-workload-v1 file path
+/// and a built-in generator ("dnn", "rpc", "nackstorm"; wl.* keys of
+/// `wl_cfg`), both replayed with dependency gating; a PARSEC profile, its
+/// packet budget scaled by `budget_pct` but never below one packet; a
+/// synthetic pattern (`injection_rate`, `packets` of `wl_cfg`). An empty
+/// selector means kDefaultWorkload; any other name throws
+/// std::invalid_argument.
+std::unique_ptr<TrafficGenerator> make_workload_traffic(
+    const std::string& selector, const MeshTopology& topo,
+    const Config& wl_cfg, std::uint64_t seed, std::uint64_t budget_pct);
+
 /// Seed for one (benchmark, policy) run of a campaign: the base experiment
 /// seed XOR a hash of the configuration's identity. Every run gets its own
 /// deterministic stream, so campaign results are bit-identical regardless
@@ -44,17 +63,18 @@ std::uint64_t campaign_run_seed(std::uint64_t base_seed,
 /// warm-up phase lengths together. Progress lines go to stderr, one
 /// complete line per finished run.
 ///
-/// Benchmark entries may be PARSEC profile names, rlftnoc-workload-v1 file
-/// paths (looks_like_workload_path), or built-in workload generator names
-/// ("dnn", "rpc", "nackstorm" with default options) — the latter two run
-/// through the dependency-gated replay engine, whose transfer graph is its
-/// own budget (packet_budget_scale_pct does not scale it). When
+/// Benchmark entries are workload selectors resolved by
+/// make_workload_traffic with an empty wl_cfg (generators and synthetic
+/// patterns run with their default options). Replayed workloads — files and
+/// generators — are their own budget: packet_budget_scale_pct does not
+/// scale them. When
 /// `base.record_workload` is set, each run captures into a derived path
 /// with "-<benchmark>_<policy>" inserted before the extension.
 CampaignResults run_campaign(const SimOptions& base,
                              const std::vector<std::string>& benchmarks,
                              const std::vector<PolicyKind>& policies,
-                             std::uint64_t packet_budget_scale_pct = 100);
+                             std::uint64_t packet_budget_scale_pct =
+                                 kDefaultBudgetPct);
 
 /// The derived per-run record_workload path: "-<benchmark>_<policy>"
 /// (sanitized) inserted before the filename's extension.

@@ -23,27 +23,34 @@ constexpr const char* kRowColumns =
 
 const std::string kHeader = std::string("benchmark\tpolicy\t") + kRowColumns;
 
-/// The one row printer: every SimResult scalar, tab-separated, in
-/// kRowColumns order. Shortest round-trippable decimal form, so
-/// read_results(write_results(x)) reproduces every double bit-for-bit and a
-/// cached campaign cannot drift from a fresh one.
+/// Visits every SimResult scalar in kRowColumns order: the one column list
+/// the row printer and the row parser both walk.
+template <class Result, class Fn>
+void for_each_column(Result& r, Fn&& f) {
+  f(r.execution_cycles); f(r.total_cycles); f(r.drained);
+  f(r.avg_packet_latency); f(r.p50_latency); f(r.p95_latency);
+  f(r.p99_latency); f(r.packets_injected); f(r.packets_delivered);
+  f(r.flits_delivered); f(r.enqueue_drops); f(r.unreachable_drops);
+  f(r.retransmitted_flits); f(r.retx_flits_e2e); f(r.retx_flits_hop);
+  f(r.dup_flits); f(r.crc_packet_failures); f(r.dynamic_energy_pj);
+  f(r.leakage_energy_pj); f(r.total_energy_pj); f(r.energy_efficiency);
+  f(r.avg_dynamic_power_w); f(r.avg_total_power_w); f(r.avg_temperature_c);
+  f(r.max_temperature_c);
+  for (auto& m : r.mode_fraction) f(m);
+  f(r.rl_table_entries); f(r.dt_training_accuracy);
+}
+
+/// The one row printer: every SimResult scalar, tab-separated. Shortest
+/// round-trippable decimal form, so read_results(write_results(x))
+/// reproduces every double bit-for-bit and a cached campaign cannot drift
+/// from a fresh one.
 void write_row(std::ostream& out, const SimResult& r) {
   out.precision(std::numeric_limits<double>::max_digits10);
-  out << r.execution_cycles << '\t' << r.total_cycles << '\t'
-      << (r.drained ? 1 : 0) << '\t' << r.avg_packet_latency << '\t'
-      << r.p50_latency << '\t' << r.p95_latency << '\t' << r.p99_latency
-      << '\t' << r.packets_injected << '\t' << r.packets_delivered << '\t'
-      << r.flits_delivered << '\t' << r.enqueue_drops << '\t'
-      << r.unreachable_drops << '\t' << r.retransmitted_flits << '\t'
-      << r.retx_flits_e2e << '\t' << r.retx_flits_hop << '\t' << r.dup_flits
-      << '\t' << r.crc_packet_failures << '\t' << r.dynamic_energy_pj << '\t'
-      << r.leakage_energy_pj << '\t' << r.total_energy_pj << '\t'
-      << r.energy_efficiency << '\t' << r.avg_dynamic_power_w << '\t'
-      << r.avg_total_power_w << '\t' << r.avg_temperature_c << '\t'
-      << r.max_temperature_c << '\t' << r.mode_fraction[0] << '\t'
-      << r.mode_fraction[1] << '\t' << r.mode_fraction[2] << '\t'
-      << r.mode_fraction[3] << '\t' << r.rl_table_entries << '\t'
-      << r.dt_training_accuracy;
+  const char* sep = "";
+  for_each_column(r, [&](const auto& v) {
+    out << sep << v;
+    sep = "\t";
+  });
 }
 
 PolicyKind policy_from_name(const std::string& name) {
@@ -116,24 +123,13 @@ CampaignResults read_results(std::istream& in) {
     std::string bench;
     std::string policy;
     SimResult r;
-    int drained = 0;
     if (!(std::getline(ls, bench, '\t') && std::getline(ls, policy, '\t')))
       throw std::runtime_error("results_io: malformed row");
     r.workload = bench;
     r.policy = policy;
-    if (!(ls >> r.execution_cycles >> r.total_cycles >> drained >>
-          r.avg_packet_latency >> r.p50_latency >> r.p95_latency >>
-          r.p99_latency >> r.packets_injected >> r.packets_delivered >> r.flits_delivered >>
-          r.enqueue_drops >> r.unreachable_drops >>
-          r.retransmitted_flits >> r.retx_flits_e2e >> r.retx_flits_hop >>
-          r.dup_flits >> r.crc_packet_failures >> r.dynamic_energy_pj >>
-          r.leakage_energy_pj >> r.total_energy_pj >> r.energy_efficiency >>
-          r.avg_dynamic_power_w >> r.avg_total_power_w >> r.avg_temperature_c >>
-          r.max_temperature_c >> r.mode_fraction[0] >> r.mode_fraction[1] >>
-          r.mode_fraction[2] >> r.mode_fraction[3] >> r.rl_table_entries >>
-          r.dt_training_accuracy))
-      throw std::runtime_error("results_io: malformed row values");
-    r.drained = drained != 0;
+    bool parsed = true;
+    for_each_column(r, [&](auto& v) { parsed = parsed && (ls >> v); });
+    if (!parsed) throw std::runtime_error("results_io: malformed row values");
 
     const std::size_t bi = first_seen_index(out.benchmarks, bench);
     if (bi == out.benchmarks.size()) {

@@ -7,10 +7,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "sim/campaign.h"
 #include "sim/results_io.h"
+#include "workload/replay.h"
 
 namespace rlftnoc {
 namespace {
@@ -30,37 +32,6 @@ const std::vector<std::string> kBenchmarks = {"swaptions", "blackscholes"};
 const std::vector<PolicyKind> kPolicies = {PolicyKind::kStaticCrc,
                                            PolicyKind::kRl};
 constexpr std::uint64_t kScalePct = 2;
-
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.execution_cycles, b.execution_cycles);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p95_latency, b.p95_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.packets_injected, b.packets_injected);
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-  EXPECT_EQ(a.enqueue_drops, b.enqueue_drops);
-  EXPECT_EQ(a.retransmitted_flits, b.retransmitted_flits);
-  EXPECT_EQ(a.retx_flits_e2e, b.retx_flits_e2e);
-  EXPECT_EQ(a.retx_flits_hop, b.retx_flits_hop);
-  EXPECT_EQ(a.dup_flits, b.dup_flits);
-  EXPECT_EQ(a.crc_packet_failures, b.crc_packet_failures);
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj);
-  EXPECT_EQ(a.leakage_energy_pj, b.leakage_energy_pj);
-  EXPECT_EQ(a.total_energy_pj, b.total_energy_pj);
-  EXPECT_EQ(a.energy_efficiency, b.energy_efficiency);
-  EXPECT_EQ(a.avg_dynamic_power_w, b.avg_dynamic_power_w);
-  EXPECT_EQ(a.avg_total_power_w, b.avg_total_power_w);
-  EXPECT_EQ(a.avg_temperature_c, b.avg_temperature_c);
-  EXPECT_EQ(a.max_temperature_c, b.max_temperature_c);
-  for (std::size_t m = 0; m < kNumOpModes; ++m)
-    EXPECT_EQ(a.mode_fraction[m], b.mode_fraction[m]);
-  EXPECT_EQ(a.rl_table_entries, b.rl_table_entries);
-}
 
 TEST(CampaignParallel, SeedDerivationIsPerConfigurationAndStable) {
   std::set<std::uint64_t> seeds;
@@ -99,7 +70,7 @@ TEST(CampaignParallel, FourJobsBitIdenticalToSerial) {
       ASSERT_EQ(b.results[bench].size(), kPolicies.size());
       for (std::size_t p = 0; p < kPolicies.size(); ++p) {
         SCOPED_TRACE(kBenchmarks[bench] + "/" + policy_name(kPolicies[p]));
-        expect_identical(a.at(bench, p), b.at(bench, p));
+        EXPECT_EQ(a.at(bench, p), b.at(bench, p));
         // Sanity: the runs actually simulated something.
         EXPECT_GT(a.at(bench, p).packets_delivered, 0u);
       }
@@ -113,7 +84,7 @@ TEST(CampaignParallel, FourJobsBitIdenticalToSerial) {
 }
 
 TEST(CampaignParallel, UnknownBenchmarkRethrowsInvalidArgument) {
-  // One cell names no PARSEC profile: its run throws, the other cells still
+  // One cell names no workload: its run throws, the other cells still
   // run on the pool, and run_campaign rethrows the failure to the caller.
   SimOptions base = tiny_base();
   base.jobs = 4;
@@ -132,6 +103,38 @@ TEST(CampaignParallel, TinyBudgetStillInjectsAtLeastOnePacket) {
       base, {"swaptions"}, {PolicyKind::kStaticCrc}, /*scale_pct=*/0);
   EXPECT_GE(res.at(0, 0).packets_injected, 1u);
   EXPECT_GE(res.at(0, 0).packets_delivered, 1u);
+}
+
+/// Packets a generator emits until exhausted (bounded, so a broken budget
+/// fails instead of hanging).
+std::uint64_t drain_packets(TrafficGenerator& gen) {
+  std::vector<Packet> out;
+  for (Cycle c = 0; c < 10'000'000 && !gen.exhausted(); ++c) gen.tick(c, out);
+  return out.size();
+}
+
+TEST(WorkloadResolver, ZeroBudgetParsecStillEmitsOnePacket) {
+  // budget_pct=0 used to give a single run an empty measured phase
+  // ("delivered 0 / 0"); campaign cells already clamped to one packet.
+  const MeshTopology topo(tiny_base().noc);
+  const auto gen = make_workload_traffic("canneal", topo, Config{}, 3, 0);
+  EXPECT_EQ(gen->name(), "canneal");
+  EXPECT_EQ(drain_packets(*gen), 1u);
+}
+
+TEST(WorkloadResolver, ResolvesEachKindAndDefaultsToUniform) {
+  const MeshTopology topo(tiny_base().noc);
+  const Config cfg = Config::from_string("packets = 25\nwl.layers = 3\n");
+  const auto synthetic = make_workload_traffic("transpose", topo, cfg, 3, 100);
+  EXPECT_EQ(synthetic->name(), "transpose");
+  EXPECT_EQ(drain_packets(*synthetic), 25u);  // `packets` from wl_cfg
+  EXPECT_EQ(make_workload_traffic("", topo, Config{}, 3, 100)->name(),
+            kDefaultWorkload);
+  const auto gen = make_workload_traffic("dnn", topo, cfg, 3, 100);
+  EXPECT_NE(dynamic_cast<WorkloadReplayTraffic*>(gen.get()), nullptr);
+  EXPECT_TRUE(cfg.unread_keys().empty());  // both kinds read their keys
+  EXPECT_THROW(make_workload_traffic("no-such-workload", topo, Config{}, 3, 100),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -108,6 +108,21 @@ TEST(Config, SetAndContains) {
   EXPECT_EQ(c.get_string("k"), "v");
 }
 
+TEST(Config, UnreadKeysAreThoseNoGetterOrContainsTouched) {
+  Config c = Config::from_string("a = 1\nb = 2\nc = 3\nd = x\n");
+  EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(c.get_int("a"), 1);
+  EXPECT_TRUE(c.contains("b"));                // contains counts as a read
+  EXPECT_EQ(c.get_string("zz", "def"), "def");  // absent keys mark nothing
+  EXPECT_THROW(c.get_int("d"), ConfigError);    // a failed parse still read it
+  EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"c"}));
+
+  // A new value is unread until something reads it; merged entries too.
+  c.set("a", "5");
+  c.merge(Config::from_string("e = 1\n"));
+  EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"a", "c", "e"}));
+}
+
 TEST(Config, MissingFileThrows) {
   EXPECT_THROW(Config::from_file("/nonexistent/path/to/config"), ConfigError);
 }

@@ -225,21 +225,6 @@ TEST(HardFaults, StaticDeadRouterDrainsAudited) {
 
 // ---------------------------------------------------------- determinism
 
-bool same_result(const SimResult& a, const SimResult& b) {
-  return a.execution_cycles == b.execution_cycles &&
-         a.total_cycles == b.total_cycles && a.drained == b.drained &&
-         a.packets_injected == b.packets_injected &&
-         a.packets_delivered == b.packets_delivered &&
-         a.flits_delivered == b.flits_delivered &&
-         a.enqueue_drops == b.enqueue_drops &&
-         a.unreachable_drops == b.unreachable_drops &&
-         a.retransmitted_flits == b.retransmitted_flits &&
-         a.retx_flits_e2e == b.retx_flits_e2e &&
-         a.retx_flits_hop == b.retx_flits_hop &&
-         a.avg_packet_latency == b.avg_packet_latency &&
-         a.p99_latency == b.p99_latency;
-}
-
 TEST(HardFaults, MidRunKillsAreBitIdenticalAcrossSimThreads) {
   // Link kill at cycle 400 and a router kill at 900, both mid-traffic on an
   // adaptive torus; teardown + reroute + e2e repair must land identically
@@ -257,7 +242,7 @@ TEST(HardFaults, MidRunKillsAreBitIdenticalAcrossSimThreads) {
     if (threads == 1u) {
       serial = r;
     } else {
-      EXPECT_TRUE(same_result(serial, r)) << "sim_threads=" << threads;
+      EXPECT_EQ(serial, r) << "sim_threads=" << threads;
     }
   }
 }
@@ -275,7 +260,7 @@ TEST(HardFaults, MidRunKillOnXyMeshIsBitIdentical) {
     if (threads == 1u) {
       serial = r;
     } else {
-      EXPECT_TRUE(same_result(serial, r)) << "sim_threads=" << threads;
+      EXPECT_EQ(serial, r) << "sim_threads=" << threads;
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/campaign.h"
 #include "traffic/traffic.h"
 
 namespace rlftnoc {
@@ -15,6 +16,36 @@ TEST(OptionsIo, EmptyConfigYieldsDefaults) {
   EXPECT_EQ(opt.seed, 1u);
   EXPECT_DOUBLE_EQ(opt.rl.alpha, def.rl.alpha);
   EXPECT_DOUBLE_EQ(opt.thermal.ambient_c, def.thermal.ambient_c);
+}
+
+TEST(OptionsIo, DumpedDefaultsParseBackToEmptyConfigDefaults) {
+  const Config dumped = Config::from_string(default_options_text());
+  const SimOptions a = sim_options_from_config(dumped);
+  const SimOptions b = sim_options_from_config(Config{});
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.error_scale, b.error_scale);
+  EXPECT_EQ(a.pretrain_cycles, b.pretrain_cycles);
+  EXPECT_EQ(a.warmup_cycles, b.warmup_cycles);
+  EXPECT_EQ(a.controller.step_cycles, b.controller.step_cycles);
+  EXPECT_EQ(a.noc.mesh_width, b.noc.mesh_width);
+  EXPECT_EQ(a.noc.mesh_height, b.noc.mesh_height);
+  EXPECT_EQ(a.noc.vcs_per_port, b.noc.vcs_per_port);
+  EXPECT_EQ(dumped.get_int("budget_pct"),
+            static_cast<std::int64_t>(kDefaultBudgetPct));
+  // The dumped selector and the empty one name the same traffic.
+  const MeshTopology topo(a.noc);
+  EXPECT_EQ(make_workload_traffic(a.workload, topo, dumped, 1, 100)->name(),
+            make_workload_traffic(b.workload, topo, Config{}, 1, 100)->name());
+  // Every dumped key is one a run reads: the dump is itself a valid config.
+  EXPECT_TRUE(dumped.unread_keys().empty());
+}
+
+TEST(OptionsIo, LegacyStepCyclesAliasIsNotRead) {
+  const Config cfg = Config::from_string("step_cycles = 10\n");
+  EXPECT_EQ(sim_options_from_config(cfg).controller.step_cycles,
+            SimOptions{}.controller.step_cycles);
+  EXPECT_EQ(cfg.unread_keys(), (std::vector<std::string>{"step_cycles"}));
 }
 
 TEST(OptionsIo, PolicySpellings) {

@@ -494,33 +494,6 @@ SyntheticTraffic::Options sim_traffic() {
   return t;
 }
 
-void expect_results_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.execution_cycles, b.execution_cycles);
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p95_latency, b.p95_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.packets_injected, b.packets_injected);
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-  EXPECT_EQ(a.enqueue_drops, b.enqueue_drops);
-  EXPECT_EQ(a.retransmitted_flits, b.retransmitted_flits);
-  EXPECT_EQ(a.retx_flits_e2e, b.retx_flits_e2e);
-  EXPECT_EQ(a.retx_flits_hop, b.retx_flits_hop);
-  EXPECT_EQ(a.dup_flits, b.dup_flits);
-  EXPECT_EQ(a.crc_packet_failures, b.crc_packet_failures);
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj);
-  EXPECT_EQ(a.leakage_energy_pj, b.leakage_energy_pj);
-  EXPECT_EQ(a.total_energy_pj, b.total_energy_pj);
-  EXPECT_EQ(a.avg_temperature_c, b.avg_temperature_c);
-  EXPECT_EQ(a.max_temperature_c, b.max_temperature_c);
-  for (std::size_t m = 0; m < kNumOpModes; ++m)
-    EXPECT_EQ(a.mode_fraction[m], b.mode_fraction[m]);
-  EXPECT_EQ(a.rl_table_entries, b.rl_table_entries);
-}
-
 TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
   SimResult serial;
   {
@@ -538,7 +511,7 @@ TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(sim.network().shard_count(), static_cast<std::size_t>(t));
     SyntheticTraffic gen(MeshTopology(small_mesh()), sim_traffic(), 13);
     const SimResult threaded = sim.run(gen);
-    expect_results_identical(serial, threaded);
+    EXPECT_EQ(serial, threaded);
   }
 }
 

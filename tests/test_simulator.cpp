@@ -83,10 +83,7 @@ TEST(Simulator, DeterministicForSameSeed) {
   };
   const SimResult a = run();
   const SimResult b = run();
-  EXPECT_EQ(a.execution_cycles, b.execution_cycles);
-  EXPECT_DOUBLE_EQ(a.avg_packet_latency, b.avg_packet_latency);
-  EXPECT_EQ(a.retransmitted_flits, b.retransmitted_flits);
-  EXPECT_DOUBLE_EQ(a.total_energy_pj, b.total_energy_pj);
+  EXPECT_EQ(a, b);
 }
 
 TEST(Simulator, SeedChangesOutcome) {

@@ -454,27 +454,6 @@ SyntheticTraffic::Options mesh8_traffic() {
   return t;
 }
 
-void expect_results_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.execution_cycles, b.execution_cycles);
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p95_latency, b.p95_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.packets_injected, b.packets_injected);
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-  EXPECT_EQ(a.enqueue_drops, b.enqueue_drops);
-  EXPECT_EQ(a.retransmitted_flits, b.retransmitted_flits);
-  EXPECT_EQ(a.retx_flits_e2e, b.retx_flits_e2e);
-  EXPECT_EQ(a.retx_flits_hop, b.retx_flits_hop);
-  EXPECT_EQ(a.crc_packet_failures, b.crc_packet_failures);
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj);
-  EXPECT_EQ(a.total_energy_pj, b.total_energy_pj);
-}
-
 TEST(WorkloadRecord, RecorderDoesNotPerturbTheRun) {
   SimResult plain;
   {
@@ -490,7 +469,7 @@ TEST(WorkloadRecord, RecorderDoesNotPerturbTheRun) {
   Simulator sim(opt);
   SyntheticTraffic gen(MeshTopology(opt.noc), mesh8_traffic(), 17);
   const SimResult recorded = sim.run(gen);
-  expect_results_identical(plain, recorded);
+  EXPECT_EQ(plain, recorded);
 }
 
 TEST(WorkloadRecord, RecordThenReplayReproducesSimResult) {
@@ -520,7 +499,7 @@ TEST(WorkloadRecord, RecordThenReplayReproducesSimResult) {
   Simulator sim(mesh8_options());
   WorkloadReplayTraffic replay(wl, 64, /*seed=*/17);
   const SimResult replayed = sim.run(replay);
-  expect_results_identical(original, replayed);
+  EXPECT_EQ(original, replayed);
   EXPECT_EQ(replay.transfers_retired() + replay.transfers_abandoned(),
             replay.transfers_total());
 }
@@ -622,7 +601,7 @@ TEST(WorkloadReplay, BitIdenticalAcrossSimThreads) {
   for (const unsigned t : {2u, 4u, 8u}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
     const SimResult threaded = run_threads(t, tdir(t));
-    expect_results_identical(serial, threaded);
+    EXPECT_EQ(serial, threaded);
     // Telemetry export (including the workload.* metric families) must be
     // byte-identical too.
     for (const std::string& name : names) {

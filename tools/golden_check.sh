@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Byte-diff a rlftnoc_run invocation against a committed golden, across the
-# --sim-threads {1,2,4,8} sweep. The goldens under tests/goldens/ were
-# captured from the pre-bitmask-datapath tree (PR 9), so a pass proves two
-# things at once: the RNG draw sequence is untouched by the kernel rewrite,
-# and results stay bit-identical for every thread count.
+# --sim-threads {1,2,4,8} sweep. Each golden under tests/goldens/ was
+# captured before the change it guards (tests/CMakeLists.txt names which),
+# so a pass proves two things at once: the RNG draw sequence is untouched
+# by that change, and results stay bit-identical for every thread count.
 #
 # Usage: golden_check.sh <rlftnoc_run> <golden.txt> <config> [extra args...]
 set -u
