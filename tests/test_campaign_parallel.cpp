@@ -114,8 +114,7 @@ std::uint64_t drain_packets(TrafficGenerator& gen) {
 }
 
 TEST(WorkloadResolver, ZeroBudgetParsecStillEmitsOnePacket) {
-  // budget_pct=0 used to give a single run an empty measured phase
-  // ("delivered 0 / 0"); campaign cells already clamped to one packet.
+  // A measured phase needs at least one packet, whatever the budget.
   const MeshTopology topo(tiny_base().noc);
   const auto gen = make_workload_traffic("canneal", topo, Config{}, 3, 0);
   EXPECT_EQ(gen->name(), "canneal");

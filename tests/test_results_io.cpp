@@ -62,8 +62,7 @@ TEST(ResultsIo, RoundTripPreservesEverything) {
 
   ASSERT_EQ(back.benchmarks, orig.benchmarks);
   ASSERT_EQ(back.policies, orig.policies);
-  // Every field, percentiles included (a cached campaign used to reload
-  // with zero p50/p95/p99).
+  // Every field, percentiles included.
   EXPECT_EQ(back.results, orig.results);
 }
 
