@@ -164,13 +164,13 @@ void NetworkAuditor::audit_credit_balance(
 
     // Injection loop (NI -> router Local input): no ARQ, exact every cycle.
     const ChannelPair& inj = net.inj_[static_cast<std::size_t>(node)];
-    const auto& local_in = r.input_[port_index(Port::kLocal)];
     for (std::size_t v = 0; v < vcs; ++v) {
       const auto vc = static_cast<VcId>(v);
       const int credits = ni.local_vcs_[v].credits;
       const int lane = lane_count_for_vc(inj.credits, vc);
       const int wire = lane_count_for_vc(inj.flits, vc);
-      const int fifo = static_cast<int>(local_in[v].fifo.size());
+      const int fifo = static_cast<int>(
+          r.input_[r.ivc_bit(port_index(Port::kLocal), v)].fifo.size());
       if (credits < 0 || credits + lane + wire + fifo != cfg.vc_depth) {
         std::ostringstream os;
         os << "injection vc " << v << ": credits " << credits << " + in-flight "
@@ -190,7 +190,6 @@ void NetworkAuditor::audit_credit_balance(
       const ChannelPair* ch = &net.out_ch_[net.link_index(node, p)];
       const NodeId down = net.topology().neighbor(node, p);
       const Router& dr = net.router(down);
-      const auto& down_in = dr.input_[port_index(opposite(p))];
       const Router::OutputPort& op = r.output_[port_index(p)];
       const bool quiescent = ch->flits.empty() && ch->acks.empty() &&
                              op.retention.empty() && op.retx_queue.empty() &&
@@ -199,7 +198,8 @@ void NetworkAuditor::audit_credit_balance(
         const auto vc = static_cast<VcId>(v);
         const int credits = op.vcs[v].credits;
         const int lane = lane_count_for_vc(ch->credits, vc);
-        const int fifo = static_cast<int>(down_in[v].fifo.size());
+        const int fifo = static_cast<int>(
+            dr.input_[dr.ivc_bit(port_index(opposite(p)), v)].fifo.size());
         const int total = credits + lane + fifo;
         const bool bad_bound = credits < 0 || credits > cfg.vc_depth ||
                                total > cfg.vc_depth;
@@ -228,12 +228,13 @@ void NetworkAuditor::audit_vc_bounds(const Network& net,
   for (NodeId node = 0; node < cfg.num_nodes(); ++node) {
     const Router& r = net.router(node);
     for (const Port p : kAllPorts) {
-      const auto& port_vcs = r.input_[port_index(p)];
-      for (std::size_t v = 0; v < port_vcs.size(); ++v) {
+      for (std::size_t v = 0; v < static_cast<std::size_t>(cfg.vcs_per_port);
+           ++v) {
+        const Router::InputVc& iv = r.input_[r.ivc_bit(port_index(p), v)];
         const auto depth = static_cast<std::size_t>(cfg.vc_depth);
-        if (port_vcs[v].fifo.size() > depth) {
+        if (iv.fifo.size() > depth) {
           std::ostringstream os;
-          os << "input vc " << v << " holds " << port_vcs[v].fifo.size()
+          os << "input vc " << v << " holds " << iv.fifo.size()
              << " flits, depth " << depth;
           out.push_back(
               make_violation("vc-depth", net.now(), node, p, os.str()));
@@ -276,13 +277,17 @@ void NetworkAuditor::audit_arq_consistency(
       // Ordered map: which inconsistency gets reported first must not
       // depend on hash traversal order (the audit aborts on the first one).
       std::map<FlitId, const ArqRetention*> retained;
+      const ArqRetention* prev = nullptr;
       op.retention.for_each([&](FlitId key, const ArqRetention& ret) {
-        if (key != ret.clean.id()) {
+        // Entries are appended at first transmission, so the ring holds them
+        // in ascending lsn; lookups and go-back-N resolution rely on it.
+        if (prev != nullptr && ret.clean.lsn <= prev->clean.lsn) {
           std::ostringstream os;
-          os << "retention index key " << key << " disagrees with stored flit "
-             << ret.clean.id();
+          os << "retention out of send order: flit " << key << " lsn "
+             << ret.clean.lsn << " follows lsn " << prev->clean.lsn;
           fail(os.str());
         }
+        prev = &ret;
         if (!retained.emplace(key, &ret).second) {
           std::ostringstream os;
           os << "duplicate retention entry for flit " << key;
@@ -363,7 +368,8 @@ void NetworkAuditor::audit_allocation_structure(
     std::array<std::vector<int>, kNumPorts> claims;
     for (auto& c : claims) c.assign(vcs, 0);
     for (std::size_t in_pi = 0; in_pi < kNumPorts; ++in_pi) {
-      for (const Router::InputVc& iv : r.input_[in_pi]) {
+      for (std::size_t v = 0; v < vcs; ++v) {
+        const Router::InputVc& iv = r.input_[r.ivc_bit(in_pi, v)];
         if (iv.state != Router::InputVc::State::kActive) continue;
         if (iv.out_vc < 0 || iv.out_vc >= cfg.vcs_per_port) {
           std::ostringstream os;
@@ -500,6 +506,13 @@ void NetworkAuditor::audit_parallel_staging(
     for (NodeId node = net.shards_[s].lo; node < net.shards_[s].hi; ++node) {
       const Router& router = net.router(node);
       const NetworkInterface& ni = net.ni(node);
+      if (!router.pending_acks_.empty()) {
+        std::ostringstream os;
+        os << router.pending_acks_.size()
+           << " link responses produced by receive were never pushed by"
+           << " execute";
+        fail(node, os.str());
+      }
       if (router.fx_ != &fx || ni.fx_ != &fx) {
         std::ostringstream os;
         os << "effect sink not bound to owning shard " << s;
@@ -574,7 +587,7 @@ void NetworkAuditor::audit_mask_consistency(
     int buffered = 0;
     for (std::size_t in_pi = 0; in_pi < kNumPorts; ++in_pi) {
       for (std::size_t v = 0; v < vcs; ++v) {
-        const Router::InputVc& iv = r.input_[in_pi][v];
+        const Router::InputVc& iv = r.input_[r.ivc_bit(in_pi, v)];
         const std::uint64_t m = Router::bit64(r.ivc_bit(in_pi, v));
         buffered += static_cast<int>(iv.fifo.size());
         if (!iv.fifo.empty()) occ |= m;

@@ -27,7 +27,8 @@
 //  3. VC depth bounds: no input VC FIFO ever exceeds its configured depth —
 //     the credit protocol's whole purpose.
 //  4. ARQ consistency: retention fits its configured depth, retained flit
-//     ids are unique, every queued resend points at a retention entry that
+//     ids are unique and held in ascending link sequence number (send
+//     order), every queued resend points at a retention entry that
 //     knows it is queued (and vice versa), every pending duplicate points at
 //     a live retention entry, and link sequence numbers never run ahead of
 //     the sender's stamp counter.
@@ -37,7 +38,9 @@
 //     covers [0, num_nodes) exactly; every router and NI is bound to the
 //     staging buffer (and trace stage) of the shard that owns it; and all
 //     staging buffers are empty between steps — a non-empty buffer means a
-//     staged effect escaped the canonical merge.
+//     staged effect escaped the canonical merge. Likewise every router's
+//     pending-ACK list is empty: receive's link responses must be pushed by
+//     the same visit's execute.
 //  7. Bitmask datapath consistency: every packed word the router's execute
 //     stages iterate (input-VC occupancy / state masks, per-output active
 //     words, credit-available and free-VC masks, the buffered-flit counter)

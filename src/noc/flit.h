@@ -36,25 +36,38 @@ constexpr FlitId make_flit_id(PacketId pkt, std::uint32_t seq) noexcept {
   return (pkt << 8) | (seq & 0xFFu);
 }
 
-/// The unit of link-level transfer.
+/// Longest packet a flit can describe: `seq` and `packet_len` are 16-bit.
+/// Every packet source (make_packet, workload validation) enforces it, so a
+/// narrowed field can never wrap silently.
+inline constexpr int kMaxPacketFlits = 0xFFFF;
+
+/// The unit of link-level transfer. Exactly one 64-byte cache line: fields
+/// are ordered widest-first so the struct packs without padding, and the
+/// router's input-VC arena gives each buffered flit its own aligned line.
 struct Flit {
-  FlitType type = FlitType::kHead;
+  BitVec128 payload;           ///< 128 data bits (mutable by faults)
   PacketId packet_id = 0;
-  std::uint32_t seq = 0;       ///< flit index within the packet
-  std::uint32_t packet_len = 1;///< total flits in the packet
+  Cycle packet_inject_cycle = kInvalidCycle;  ///< when the packet entered the source NI queue
+
+  /// Link sequence number, stamped per (router, output port) at first
+  /// transmission. The link layer delivers in-order (go-back-N): a receiver
+  /// NACKs any flit arriving ahead of the expected sequence and ACK-drops
+  /// any duplicate behind it, so rejected flits can never be overtaken.
+  std::uint64_t lsn = 0;
+
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
-  VcId vc = kInvalidVc;        ///< VC at the *receiving* input port
-
-  BitVec128 payload;           ///< 128 data bits (mutable by faults)
-  std::uint32_t crc = 0;       ///< flit CRC computed once at the source NI
+  std::uint32_t crc = 0;            ///< flit CRC computed once at the source NI
+  std::uint16_t seq = 0;            ///< flit index within the packet
+  std::uint16_t packet_len = 1;     ///< total flits in the packet
 
   /// Per-hop ECC state: valid only while crossing an ECC-enabled link.
   FlitEcc ecc;
+  FlitType type = FlitType::kHead;
+  /// VC at the *receiving* input port (NocConfig caps vcs_per_port at 12).
+  std::int8_t vc = kInvalidVc;
   bool ecc_valid = false;
-
-  Cycle packet_inject_cycle = kInvalidCycle;  ///< when the packet entered the source NI queue
-  bool hop_retransmission = false;            ///< this copy is a link-level re-send
+  bool hop_retransmission = false;  ///< this copy is a link-level re-send
 
   /// End-to-end injection generation. A hard fault that destroys part of a
   /// packet in flight triggers a source re-injection with a higher attempt;
@@ -67,12 +80,6 @@ struct Flit {
   /// the RC stage; unused (always 0) on a mesh.
   std::uint8_t vc_class = 0;
 
-  /// Link sequence number, stamped per (router, output port) at first
-  /// transmission. The link layer delivers in-order (go-back-N): a receiver
-  /// NACKs any flit arriving ahead of the expected sequence and ACK-drops
-  /// any duplicate behind it, so rejected flits can never be overtaken.
-  std::uint64_t lsn = 0;
-
   FlitId id() const noexcept { return make_flit_id(packet_id, seq); }
   bool is_head() const noexcept {
     return type == FlitType::kHead || type == FlitType::kHeadTail;
@@ -81,6 +88,7 @@ struct Flit {
     return type == FlitType::kTail || type == FlitType::kHeadTail;
   }
 };
+static_assert(sizeof(Flit) == 64, "Flit must stay one 64-byte cache line");
 
 /// Identity of a flit destroyed by hard-fault teardown. The network collects
 /// these while killing links/routers and decides once per damaged packet

@@ -17,6 +17,11 @@ namespace {
 constexpr std::uint64_t kMinBusyVisitsForPool = 8;
 /// Minimum mesh size before the flags phase itself is worth pooling.
 constexpr std::size_t kMinNodesForPooledFlags = 256;
+/// Tiles per thread when stepping in parallel. More tiles than threads lets
+/// PhasePool's dispenser even out the load (XY traffic concentrates in the
+/// middle of a mesh), at a small per-tile cost. Serial stepping keeps one
+/// tile. Purely a performance knob — results are identical for any tiling.
+constexpr std::size_t kTilesPerThread = 4;
 }  // namespace
 
 Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
@@ -102,11 +107,15 @@ void Network::refresh_all_node_hot() noexcept {
 void Network::set_sim_threads(unsigned threads) {
   threads = resolve_thread_count(threads);
   sim_threads_ = threads;
-  const auto n = routers_.size();
-  const std::size_t shards = std::min<std::size_t>(threads, n ? n : 1);
+  const std::size_t n = std::max<std::size_t>(routers_.size(), 1);
+  const std::size_t shards =
+      threads <= 1 ? 1 : std::min(n, kTilesPerThread * threads);
   build_shards(shards);
-  if (shards > 1) {
-    pool_ = std::make_unique<PhasePool>(threads - 1);
+  // The caller runs tasks too, and a thread beyond the tile count would
+  // never claim one: min(threads, tiles) executors in all.
+  const std::size_t executors = std::min<std::size_t>(threads, shards);
+  if (executors > 1) {
+    pool_ = std::make_unique<PhasePool>(static_cast<unsigned>(executors - 1));
   } else {
     pool_.reset();
   }
@@ -509,9 +518,6 @@ void Network::merge_effects(Cycle now) {
   // structures, so only the intra-kind order matters. Per kind:
   //  * trace — router streams before NI streams within each phase half,
   //    because the serial stepper runs all routers before all NIs,
-  //  * ACKs — replayed pushes with the same `now` stamp they would have had
-  //    inline; they mature at now+1 either way, and each ack lane has a
-  //    single producer, so per-lane order is the producer's staging order,
   //  * e2e events — `e2e_seq_` is assigned here, so the tie-break stream is
   //    the canonical order for any shard count,
   //  * latency samples / path credits — replayed through the global
@@ -519,10 +525,9 @@ void Network::merge_effects(Cycle now) {
   //  * counters — plain sums (order-free, merged in one pass).
   // Kinds with nothing staged anywhere skip their shard sweep entirely —
   // the common near-quiescent case pays a few emptiness checks only.
-  bool any_acks = false, any_e2e = false, any_path = false, any_lat = false;
+  bool any_e2e = false, any_path = false, any_lat = false;
   bool any_rt = false, any_nt = false, any_counters = false;
   for (const StepEffects& fx : fx_) {
-    any_acks |= !fx.acks.empty();
     any_e2e |= !fx.e2e.empty();
     any_path |= !fx.path_credits.empty();
     any_lat |= !fx.latency_samples.empty();
@@ -553,14 +558,6 @@ void Network::merge_effects(Cycle now) {
     }
   }
 
-  if (any_acks) {
-    for (const StepEffects& fx : fx_)
-      for (std::size_t k = 0; k < fx.split.acks; ++k)
-        fx.acks[k].lane->push(now, fx.acks[k].msg);
-    for (const StepEffects& fx : fx_)
-      for (std::size_t k = fx.split.acks; k < fx.acks.size(); ++k)
-        fx.acks[k].lane->push(now, fx.acks[k].msg);
-  }
   if (any_e2e) {
     for (const StepEffects& fx : fx_)
       for (std::size_t k = 0; k < fx.split.e2e; ++k)
@@ -601,8 +598,7 @@ void Network::merge_effects(Cycle now) {
   // stale [0, split) range of an emptied vector.
   (void)any_counters;
   for (StepEffects& fx : fx_) {
-    staged_effects_merged_ +=
-        fx.acks.size() + fx.e2e.size() + fx.path_credits.size();
+    staged_effects_merged_ += fx.e2e.size() + fx.path_credits.size();
     metrics_.packets_injected += fx.packets_injected;
     metrics_.packets_delivered += fx.packets_delivered;
     metrics_.flits_delivered += fx.flits_delivered;
@@ -686,10 +682,11 @@ void Network::step() {
   // nodes, then the receive phase (routers before NIs, ascending). Fusing
   // is sound because the flag scan reads only state the receive phase
   // leaves untouched across shards: receive pops are single-consumer on the
-  // popping node's own lanes, ACKs are staged (not pushed), and the only
-  // receive-side push (the NI's ejection credit) is node-local and ordered
-  // after its own shard's flags. So every flag computes the same value it
-  // would have under the old dedicated flags phase with a barrier.
+  // popping node's own lanes, ACK responses wait in their router until its
+  // execute, and the only receive-side push (the NI's ejection credit) is
+  // node-local and ordered after its own shard's flags. So every flag
+  // computes the same value it would have under the old dedicated flags
+  // phase with a barrier.
   //
   // Idle-skip itself: a node whose internal state is quiescent and whose
   // incoming lanes are all empty cannot change any state this cycle —
@@ -806,8 +803,8 @@ void Network::step() {
   // consumed this cycle, and future stamps would mean it was not awake).
   // Then every shard that executed busy nodes wakes its halo — the shards
   // owning structural neighbours of its nodes, itself included — for t+1,
-  // covering all cross-shard pushes of this cycle: flit/credit pushes in
-  // execute and ACK pushes at the merge all target structural neighbours.
+  // covering all cross-shard pushes of this cycle: flit, credit and ACK
+  // pushes in execute all target structural neighbours.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (wake_[s] <= t && shard_busy_[s] == 0) wake_[s] = kWakeNever;
   }

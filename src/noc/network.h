@@ -216,17 +216,23 @@ class Network {
   }
 
   /// Configures deterministic intra-run parallelism for step(): the mesh is
-  /// partitioned into min(threads, nodes) contiguous shards and each phase
+  /// partitioned into min(nodes, 4 x threads) contiguous tiles ("shards"),
+  /// claimed dynamically by min(threads, tiles) executors, and each phase
   /// runs data-parallel across them, with cross-shard effects staged and
   /// merged in canonical node order — results are bit-identical for any
-  /// value. `threads` <= 1 steps serially on the calling thread (still
-  /// through the same staged path); 0 means one thread per hardware thread.
+  /// value. `threads` <= 1 steps serially on the calling thread with one
+  /// tile (still through the same staged path); 0 means one thread per
+  /// hardware thread.
   /// Composes with campaign-level `jobs`: total worker threads is the
   /// product, so budget jobs x sim_threads against the machine.
   void set_sim_threads(unsigned threads);
   unsigned sim_threads() const noexcept { return sim_threads_; }
   /// Shards the mesh is currently partitioned into (1 when serial).
   std::size_t shard_count() const noexcept { return shards_.size(); }
+  /// Helper threads of the phase pool (0 when serial): executors - 1.
+  unsigned helper_threads() const noexcept {
+    return pool_ != nullptr ? pool_->helpers() : 0;
+  }
 
   /// Parallel stepping diagnostics: cycles stepped through the pooled
   /// (multi-threaded) path vs inline, and total staged effects merged.
@@ -423,8 +429,8 @@ class Network {
   std::vector<Cycle> wake_;
   /// halo_[s]: shards owning structural neighbours of s's nodes (incl. s).
   /// A shard that executed any busy node wakes its halo for the next cycle,
-  /// which covers every cross-shard push (flits/credits in execute, staged
-  /// ACKs at merge — all target structural neighbours).
+  /// which covers every cross-shard push (flits, credits and ACKs, all
+  /// pushed in execute to structural neighbours).
   std::vector<std::vector<std::uint32_t>> halo_;
   /// Per-shard busy_visits of the current cycle (scratch for halo wakes).
   std::vector<std::uint32_t> shard_busy_;

@@ -2,6 +2,8 @@
 #include "noc/ni.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "coding/crc.h"
@@ -12,6 +14,10 @@
 namespace rlftnoc {
 
 Packet make_packet(PacketId id, NodeId src, NodeId dst, int len, Cycle now, Rng& rng) {
+  if (len < 1 || len > kMaxPacketFlits)
+    throw std::invalid_argument("make_packet: len " + std::to_string(len) +
+                                " outside [1, " +
+                                std::to_string(kMaxPacketFlits) + "]");
   Packet pkt;
   pkt.id = id;
   pkt.src = src;
@@ -21,8 +27,8 @@ Packet make_packet(PacketId id, NodeId src, NodeId dst, int len, Cycle now, Rng&
   for (int i = 0; i < len; ++i) {
     Flit f;
     f.packet_id = id;
-    f.seq = static_cast<std::uint32_t>(i);
-    f.packet_len = static_cast<std::uint32_t>(len);
+    f.seq = static_cast<std::uint16_t>(i);
+    f.packet_len = static_cast<std::uint16_t>(len);
     f.src = src;
     f.dst = dst;
     f.packet_inject_cycle = now;

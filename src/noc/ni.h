@@ -30,6 +30,7 @@ class Network;
 class Topology;
 
 /// Creates a packet with `len` flits of RNG-filled payload and valid CRCs.
+/// Throws std::invalid_argument unless 1 <= len <= kMaxPacketFlits.
 class Rng;
 Packet make_packet(PacketId id, NodeId src, NodeId dst, int len, Cycle now, Rng& rng);
 

@@ -10,6 +10,11 @@
 
 namespace rlftnoc {
 
+/// Upper bound on NocConfig::vcs_per_port: kNumPorts (5) x 12 = 60 input VCs
+/// fit one 64-bit occupancy word in the router's bitmask datapath, and the
+/// router sizes its inline per-port VC arrays by it.
+inline constexpr int kMaxVcsPerPort = 12;
+
 /// Mesh / router / protocol parameters with Table II defaults.
 struct NocConfig {
   int mesh_width = 8;        ///< 8x8 2D mesh
@@ -60,9 +65,7 @@ struct NocConfig {
       throw std::invalid_argument(
           "NocConfig: torus dimension-ordered routing needs vcs_per_port >= 2 "
           "(dateline VC classes)");
-    // Cap at 12 so kNumPorts (5) x vcs_per_port fits one 64-bit occupancy
-    // word in the router's bitmask datapath (5 x 12 = 60 bits).
-    if (vcs_per_port < 1 || vcs_per_port > 12)
+    if (vcs_per_port < 1 || vcs_per_port > kMaxVcsPerPort)
       throw std::invalid_argument("NocConfig: vcs_per_port out of range");
     if (vc_depth < 1) throw std::invalid_argument("NocConfig: vc_depth < 1");
     if (flits_per_packet < 1 || flits_per_packet > 32)

@@ -1,23 +1,27 @@
-// Per-output-port ARQ retention buffer with O(1) lookup by FlitId.
+// Per-output-port ARQ retention buffer: a ring of clean copies in send order.
 //
 // The retention buffer holds the pristine encoded copy of every flit that is
 // on the wire awaiting a link-level ACK. It is bounded (NocConfig::
 // retention_depth, 8 by default) but interrogated constantly: every ACK/NACK
 // arrival, every re-send and every mode-2 duplicate resolves its entry by
-// FlitId. The previous std::vector scan made each of those O(depth); this
-// table makes them O(1) without allocating after construction.
+// FlitId.
 //
-// Layout: a preallocated slot array (capacity == retention_depth) with a
-// free-list, plus an open-addressed linear-probe index mapping FlitId ->
-// slot. Slots are pointer-stable for the lifetime of an entry, so callers
-// may hold ArqRetention* across unrelated insert/erase calls. Deletion uses
-// backward-shift compaction, so probe chains never accumulate tombstones.
+// Layout: one preallocated power-of-two ring, oldest entry first. Entries
+// are appended at transmission, so they are held in ascending link sequence
+// number (the auditor checks this). Under go-back-N the receiver answers in
+// lsn order, so an ACK almost always resolves the oldest entry: lookup scans
+// from the front and the first probe hits, touching one cache line. Erasing
+// the oldest entry just advances the head; erasing from the middle (an ACK
+// that overtook a NACKed predecessor) shifts the younger entries down one
+// slot, keeping the ring compact and in order. The key is the stored flit's
+// own id(), so there is no separate index to keep consistent.
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/check.h"
 #include "noc/flit.h"
@@ -38,108 +42,73 @@ class RetentionTable {
   /// Sizes the table for at most `capacity` live entries. Discards contents.
   void reset(std::size_t capacity) {
     RLFTNOC_CHECK(capacity > 0, "RetentionTable: zero capacity");
-    slots_.assign(capacity, Slot{});
-    free_.resize(capacity);
-    for (std::size_t i = 0; i < capacity; ++i)
-      free_[i] = static_cast<std::uint32_t>(capacity - 1 - i);
-    std::size_t nb = 2;
-    while (nb < capacity * 2) nb <<= 1;
-    buckets_.assign(nb, Bucket{});
+    const std::size_t slots = std::bit_ceil(capacity);
+    if (slots != mask_ + 1 || ring_ == nullptr)
+      ring_ = std::make_unique<ArqRetention[]>(slots);
+    mask_ = slots - 1;
+    capacity_ = capacity;
+    head_ = 0;
     size_ = 0;
   }
 
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
-  std::size_t capacity() const noexcept { return slots_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Looks up the entry for `id`; nullptr if absent.
+  /// Looks up the entry for `id`, scanning oldest first; nullptr if absent.
   ArqRetention* find(FlitId id) noexcept {
-    const std::size_t mask = buckets_.size() - 1;
-    for (std::size_t j = hash(id) & mask;; j = (j + 1) & mask) {
-      const Bucket& b = buckets_[j];
-      if (b.key == kEmptyKey) return nullptr;
-      if (b.key == id) return &slots_[b.slot].entry;
+    for (std::size_t i = 0; i < size_; ++i) {
+      ArqRetention& e = slot(i);
+      if (e.clean.id() == id) return &e;
     }
-  }
-  const ArqRetention* find(FlitId id) const noexcept {
-    return const_cast<RetentionTable*>(this)->find(id);
+    return nullptr;
   }
 
-  /// Inserts a new entry for `id` and returns it. The caller must ensure
-  /// there is room (size() < capacity()) and that `id` is not present —
-  /// both are protocol invariants the auditor also checks.
-  ArqRetention& insert(FlitId id, ArqRetention entry) {
-    RLFTNOC_CHECK(size_ < slots_.size(), "RetentionTable: insert past capacity");
-    RLFTNOC_CHECK(find(id) == nullptr, "RetentionTable: duplicate FlitId");
-    const std::uint32_t slot = free_.back();
-    free_.pop_back();
-    slots_[slot].entry = std::move(entry);
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t j = hash(id) & mask;
-    while (buckets_[j].key != kEmptyKey) j = (j + 1) & mask;
-    buckets_[j] = Bucket{id, slot};
+  /// Appends `entry` as the newest entry (keyed by entry.clean.id()) and
+  /// returns it. The caller must ensure there is room (size() < capacity()),
+  /// that the id is not present and that its lsn exceeds every retained
+  /// one — protocol invariants the auditor checks.
+  ArqRetention& insert(ArqRetention entry) {
+    RLFTNOC_CHECK(size_ < capacity_, "RetentionTable: insert past capacity");
+    ArqRetention& e = slot(size_);
+    e = std::move(entry);
     ++size_;
-    return slots_[slot].entry;
+    return e;
   }
 
   /// Removes the entry for `id` if present; returns whether it existed.
+  /// Erasing the oldest entry never moves the others; erasing a younger one
+  /// shifts the entries behind it down a slot.
   bool erase(FlitId id) noexcept {
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t j = hash(id) & mask;
-    while (true) {
-      if (buckets_[j].key == kEmptyKey) return false;
-      if (buckets_[j].key == id) break;
-      j = (j + 1) & mask;
-    }
-    free_.push_back(buckets_[j].slot);
-    --size_;
-    // Backward-shift deletion: pull each displaced successor into the hole
-    // so lookups never need tombstones.
-    std::size_t hole = j;
-    for (std::size_t k = (j + 1) & mask; buckets_[k].key != kEmptyKey;
-         k = (k + 1) & mask) {
-      const std::size_t ideal = hash(buckets_[k].key) & mask;
-      if (((k - ideal) & mask) >= ((k - hole) & mask)) {
-        buckets_[hole] = buckets_[k];
-        hole = k;
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (slot(i).clean.id() != id) continue;
+      if (i == 0) {
+        head_ = (head_ + 1) & mask_;
+      } else {
+        for (std::size_t j = i; j + 1 < size_; ++j) slot(j) = std::move(slot(j + 1));
       }
+      --size_;
+      return true;
     }
-    buckets_[hole] = Bucket{};
-    return true;
+    return false;
   }
 
-  /// Visits every live (id, entry) pair in unspecified order (audit and
-  /// drain checks only — both are order-independent).
+  /// Visits every live (id, entry) pair oldest first (ascending lsn).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Bucket& b : buckets_) {
-      if (b.key != kEmptyKey) fn(b.key, slots_[b.slot].entry);
+    for (std::size_t i = 0; i < size_; ++i) {
+      const ArqRetention& e = ring_[(head_ + i) & mask_];
+      fn(e.clean.id(), e);
     }
   }
 
  private:
-  // FlitId packs (packet_id << 8) | seq, so low bits alone collide heavily;
-  // a splitmix64-style finalizer spreads them across the buckets.
-  static std::size_t hash(FlitId id) noexcept {
-    std::uint64_t x = id + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<std::size_t>(x ^ (x >> 31));
-  }
+  ArqRetention& slot(std::size_t i) noexcept { return ring_[(head_ + i) & mask_]; }
 
-  static constexpr FlitId kEmptyKey = ~static_cast<FlitId>(0);
-
-  struct Slot {
-    ArqRetention entry;
-  };
-  struct Bucket {
-    FlitId key = kEmptyKey;
-    std::uint32_t slot = 0;
-  };
-
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;  ///< indices of unused slots (LIFO)
-  std::vector<Bucket> buckets_;      ///< open-addressed index, pow2 size
+  std::unique_ptr<ArqRetention[]> ring_;
+  std::size_t mask_ = 0;      ///< ring slots - 1 (slots is a power of two)
+  std::size_t capacity_ = 0;  ///< live-entry bound (<= slots)
+  std::size_t head_ = 0;      ///< ring index of the oldest entry
   std::size_t size_ = 0;
 };
 

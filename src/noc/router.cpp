@@ -21,19 +21,28 @@ int port_dim(Port p) noexcept {
 Router::Router(NodeId id, const NocConfig* cfg, Network* net)
     : id_(id), cfg_(cfg), net_(net), dateline_(cfg->dateline_vcs()),
       vcs_(cfg->vcs_per_port) {
+  // Every input-VC FIFO is a fixed window of one arena: vc_depth rounded up
+  // to a power of two slots per VC, one cache line per slot. Credits bound
+  // occupancy by vc_depth, so the datapath never allocates.
+  const std::uint32_t fifo_slots =
+      std::bit_ceil(static_cast<std::uint32_t>(cfg_->vc_depth));
+  const std::size_t input_vcs = kNumPorts * static_cast<std::size_t>(vcs_);
+  arena_ = std::make_unique<FlitFifo::Slot[]>(input_vcs * fifo_slots);
+  for (std::size_t b = 0; b < input_vcs; ++b)
+    input_[b].fifo.bind(&arena_[b * fifo_slots], fifo_slots);
+  // One response per protected flit a receive pops: usually at most one per
+  // mesh lane; a burst beyond this grows the vector once and it stays warm.
+  pending_acks_.reserve(4 * kMeshPorts.size());
+
   for (std::size_t p = 0; p < kNumPorts; ++p) {
-    input_[p].resize(static_cast<std::size_t>(cfg_->vcs_per_port));
     auto& op = output_[p];
-    op.vcs.resize(static_cast<std::size_t>(cfg_->vcs_per_port));
     // Credits mirror the downstream buffer: router input VCs for mesh ports,
     // the deeper NI ejection buffer for the Local port.
     const int depth = (static_cast<Port>(p) == Port::kLocal) ? cfg_->local_vc_depth
                                                              : cfg_->vc_depth;
-    for (auto& vc : op.vcs) vc.credits = depth;
-    // Pre-size every hot queue to its protocol bound so the per-cycle
-    // datapath never allocates: input FIFOs hold at most vc_depth flits and
-    // the ARQ structures at most retention_depth entries.
-    for (auto& iv : input_[p]) iv.fifo.reserve(static_cast<std::size_t>(cfg_->vc_depth));
+    for (int v = 0; v < vcs_; ++v) op.vcs[static_cast<std::size_t>(v)].credits = depth;
+    // Pre-size the ARQ structures to their protocol bound (retention_depth
+    // entries) so the per-cycle datapath never allocates.
     op.retention.reset(static_cast<std::size_t>(cfg_->retention_depth));
     op.retx_queue.reserve(static_cast<std::size_t>(cfg_->retention_depth));
     op.dup_queue.reserve(static_cast<std::size_t>(cfg_->retention_depth));
@@ -137,14 +146,15 @@ void Router::handle_incoming_flit(Cycle now, Port in_port, Flit flit) {
 
 void Router::accept_flit(Port in_port, Flit&& flit) {
   const std::size_t pi = port_index(in_port);
-  InputVc& vc = input_[pi][static_cast<std::size_t>(flit.vc)];
+  const unsigned b = ivc_bit(pi, static_cast<std::size_t>(flit.vc));
+  InputVc& vc = input_[b];
   // Credits guarantee buffer space; overflow here means a flow-control bug.
   RLFTNOC_CHECK(static_cast<int>(vc.fifo.size()) < cfg_->vc_depth,
                 "router %d port %s vc %d: input VC overflow (depth %d)",
                 id_, port_name(in_port), flit.vc, cfg_->vc_depth);
   ++counters_.flits_in[pi];
   net_->record_power(id_, PowerEvent::kBufferWrite);
-  mask_mark_nonempty(ivc_bit(pi, static_cast<std::size_t>(flit.vc)));
+  mask_mark_nonempty(b);
   vc.fifo.push_back(std::move(flit));
   ++buffered_;
 }
@@ -156,9 +166,8 @@ void Router::send_link_response(Cycle /*now*/, Port in_port, FlitId id, VcId vc,
   RLFTNOC_CHECK(ch != nullptr, "router %d: link response through port %s",
                 id_, port_name(in_port));
   // The upstream router pops this very ack lane in the same receive phase,
-  // so the push is staged and applied after the barrier. Same-cycle pushes
-  // mature at now+1 regardless, so the deferral is invisible.
-  fx_->acks.push_back(StepEffects::StagedAck{&ch->acks, AckMsg{id, vc, nack}});
+  // so the push waits for this visit's execute (see execute()).
+  pending_acks_.push_back(PendingAck{&ch->acks, AckMsg{id, vc, nack}});
   net_->record_power(id_, PowerEvent::kAckFlit);
 }
 
@@ -190,6 +199,15 @@ void Router::handle_ack(Port out_port, const AckMsg& ack) {
 // --------------------------------------------------------------------------
 
 void Router::execute(Cycle now) {
+  // Push the ACK/NACKs this visit's receive produced. Race-free inside the
+  // parallel execute phase: ack lanes are read only by receive (the next
+  // cycle's, after a barrier) and each lane has exactly one producer, the
+  // router downstream of it. So the lane sees the same entries, in the same
+  // order and with the same `now` stamp as a push made anywhere else in
+  // this cycle; all of them mature at now+1.
+  for (const PendingAck& a : pending_acks_) a.lane->push(now, a.msg);
+  pending_acks_.clear();
+
   stage_link_resend(now);
   stage_switch_allocation(now);
   stage_vc_allocation();
@@ -290,7 +308,7 @@ void Router::stage_switch_allocation(Cycle now) {
       w &= w - 1;
       const auto in_pi = static_cast<std::size_t>(idx / vcs);
       const auto v = static_cast<std::size_t>(idx % vcs);
-      InputVc& iv = input_[in_pi][v];
+      InputVc& iv = input_[static_cast<std::size_t>(idx)];
       RLFTNOC_CHECK(iv.state == InputVc::State::kActive && !iv.fifo.empty() &&
                         iv.out_port == out,
                     "router %d: SA request word out of sync at bit %d", id_, idx);
@@ -314,7 +332,7 @@ void Router::stage_switch_allocation(Cycle now) {
       }
 
       mask_credit(pi, static_cast<std::size_t>(iv.out_vc), --ovc.credits);
-      flit.vc = iv.out_vc;
+      flit.vc = static_cast<std::int8_t>(iv.out_vc);
       const bool tail = flit.is_tail();
       transmit(now, out, std::move(flit), /*is_copy=*/false);
       if (tail) {
@@ -338,8 +356,7 @@ void Router::stage_vc_allocation() {
   while (waiting != 0) {
     const int b = std::countr_zero(waiting);
     waiting &= waiting - 1;
-    InputVc& iv = input_[static_cast<std::size_t>(b / vcs)]
-                        [static_cast<std::size_t>(b % vcs)];
+    InputVc& iv = input_[static_cast<std::size_t>(b)];
     const std::size_t out_pi = port_index(iv.out_port);
     OutputPort& op = output_[out_pi];
     // Dateline VC classes (torus DOR): class 0 worms may only claim the
@@ -385,7 +402,7 @@ void Router::stage_route_computation(Cycle now) {
       const auto in_pi = static_cast<std::size_t>(b / vcs);
       const auto in_port = static_cast<Port>(in_pi);
       const auto v = static_cast<VcId>(b % vcs);
-      InputVc& iv = input_[in_pi][static_cast<std::size_t>(v)];
+      InputVc& iv = input_[static_cast<std::size_t>(b)];
       if (iv.state == InputVc::State::kIdle && !iv.fifo.empty() &&
           !iv.fifo.front().is_head()) {
         // Orphaned worm fragment: its head was destroyed by a hard fault
@@ -419,7 +436,8 @@ void Router::stage_route_computation(Cycle now) {
           for (int k = 0; k < n; ++k) {
             const OutputPort& op = output_[port_index(candidates[static_cast<std::size_t>(k)])];
             int credits = 0;
-            for (const OutputVc& vc : op.vcs) credits += vc.credits;
+            for (int v = 0; v < vcs; ++v)
+              credits += op.vcs[static_cast<std::size_t>(v)].credits;
             if (credits > best_credits) {
               best_credits = credits;
               iv.out_port = candidates[static_cast<std::size_t>(k)];
@@ -462,7 +480,7 @@ void Router::transmit(Cycle now, Port out_port, Flit flit, bool is_copy) {
     flit.ecc = encode_flit_ecc(default_secded(), flit.payload);
     flit.ecc_valid = true;
     net_->record_power(id_, PowerEvent::kEccEncode);
-    op.retention.insert(flit.id(), ArqRetention{flit, 1, false});
+    op.retention.insert(ArqRetention{flit, 1, false});
     net_->record_power(id_, PowerEvent::kOutputBufferWrite);
   }
   if (is_copy) {
@@ -554,7 +572,7 @@ void Router::purge_dead_output(Cycle now, Port p, std::vector<LostFlit>& lost) {
   // the network's wire sweep.
   for (std::size_t in_pi = 0; in_pi < kNumPorts; ++in_pi) {
     for (VcId v = 0; v < cfg_->vcs_per_port; ++v) {
-      InputVc& iv = input_[in_pi][static_cast<std::size_t>(v)];
+      InputVc& iv = input_[ivc_bit(in_pi, static_cast<std::size_t>(v))];
       const bool granted = iv.state == InputVc::State::kWaitVc ||
                            iv.state == InputVc::State::kActive;
       if (!granted || iv.out_port != p) continue;
@@ -568,9 +586,9 @@ void Router::purge_dead_output(Cycle now, Port p, std::vector<LostFlit>& lost) {
   // All worms bound for p are gone; restore the port's credit/allocation
   // state to its reset value (the auditor skips dead channels, but stale
   // claims must not linger).
-  for (auto& vc : op.vcs) {
-    vc.allocated = false;
-    vc.credits = cfg_->vc_depth;
+  for (int v = 0; v < vcs_; ++v) {
+    op.vcs[static_cast<std::size_t>(v)].allocated = false;
+    op.vcs[static_cast<std::size_t>(v)].credits = cfg_->vc_depth;
   }
   free_vc_mask_[pi] = port_bits(0);
   credit_mask_[pi] = port_bits(0);
@@ -580,7 +598,7 @@ void Router::purge_dead_input(Port p, std::vector<LostFlit>& lost,
                               std::vector<SeveredWorm>& severed) {
   const std::size_t pi = port_index(p);
   for (VcId v = 0; v < cfg_->vcs_per_port; ++v) {
-    InputVc& iv = input_[pi][static_cast<std::size_t>(v)];
+    InputVc& iv = input_[ivc_bit(pi, static_cast<std::size_t>(v))];
     if (iv.state == InputVc::State::kActive) {
       // Head already forwarded downstream: report the severed continuation
       // so the network can chase and purge it. An active VC with an empty
@@ -662,7 +680,8 @@ Router::ChainNext Router::purge_worm_of_packet(Cycle now, Port in, VcId v,
 
 void Router::purge_for_router_kill(std::vector<LostFlit>& lost) {
   for (std::size_t pi = 0; pi < kNumPorts; ++pi) {
-    for (auto& iv : input_[pi]) {
+    for (std::size_t v = 0; v < static_cast<std::size_t>(vcs_); ++v) {
+      InputVc& iv = input_[ivc_bit(pi, v)];
       while (!iv.fifo.empty()) {
         const Flit& f = iv.fifo.front();
         lost.push_back(LostFlit{f.packet_id, f.src, f.dst});
@@ -683,9 +702,9 @@ void Router::purge_for_router_kill(std::vector<LostFlit>& lost) {
     const int depth = (static_cast<Port>(pi) == Port::kLocal)
                           ? cfg_->local_vc_depth
                           : cfg_->vc_depth;
-    for (auto& vc : op.vcs) {
-      vc.allocated = false;
-      vc.credits = depth;
+    for (int v = 0; v < vcs_; ++v) {
+      op.vcs[static_cast<std::size_t>(v)].allocated = false;
+      op.vcs[static_cast<std::size_t>(v)].credits = depth;
     }
     input_arq_[pi] = InputArq{};
     free_vc_mask_[pi] = port_bits(0);

@@ -25,8 +25,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/ring_buffer.h"
 #include "common/types.h"
 #include "noc/channel.h"
@@ -55,6 +58,72 @@ struct RouterCounters {
   std::uint64_t fault_drops = 0;          ///< flits destroyed by hard faults
 };
 
+/// One input VC's flit FIFO: a fixed-capacity ring view into the owning
+/// router's flit arena. The capacity is a power of two >= vc_depth, and the
+/// credit protocol keeps occupancy <= vc_depth, so it never fills. The view
+/// owns no memory.
+class FlitFifo {
+ public:
+  /// One arena slot: a flit on its own cache line.
+  struct alignas(64) Slot {
+    Flit flit;
+  };
+
+  /// Points the view at `capacity` (a power of two) slots; empties it.
+  void bind(Slot* slots, std::uint32_t capacity) noexcept {
+    slots_ = slots;
+    mask_ = capacity - 1;
+    head_ = 0;
+    size_ = 0;
+  }
+
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
+
+  Flit& front() noexcept {
+    RLFTNOC_CHECK(size_ > 0, "FlitFifo: front() on empty FIFO");
+    return slots_[head_].flit;
+  }
+  const Flit& front() const noexcept {
+    RLFTNOC_CHECK(size_ > 0, "FlitFifo: front() on empty FIFO");
+    return slots_[head_].flit;
+  }
+
+  void push_back(Flit&& flit) noexcept {
+    RLFTNOC_CHECK(size_ <= mask_, "FlitFifo: push_back() on full FIFO");
+    slots_[(head_ + size_) & mask_].flit = std::move(flit);
+    ++size_;
+  }
+
+  void pop_front() noexcept {
+    RLFTNOC_CHECK(size_ > 0, "FlitFifo: pop_front() on empty FIFO");
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+
+  /// Removes every flit satisfying `pred`, keeping the survivors' order.
+  /// Returns the count removed.
+  template <typename Pred>
+  std::size_t remove_if(Pred&& pred) {
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      Flit& f = slots_[(head_ + i) & mask_].flit;
+      if (pred(std::as_const(f))) continue;
+      if (kept != i) slots_[(head_ + kept) & mask_].flit = std::move(f);
+      ++kept;
+    }
+    const std::size_t removed = size_ - kept;
+    size_ = kept;
+    return removed;
+  }
+
+ private:
+  Slot* slots_ = nullptr;
+  std::uint32_t mask_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+};
+
 /// One mesh router.
 class Router {
  public:
@@ -76,8 +145,8 @@ class Router {
   /// Binds this router's shard-local staging buffer and trace sink (null
   /// trace = tracing off). Called by the Network whenever the shard
   /// partition or the tracer changes; receive/execute route every
-  /// cross-shard mutation (ACK pushes, shared metric counters, trace
-  /// events) through these instead of the global sinks.
+  /// cross-shard mutation (shared metric counters, trace events) through
+  /// these instead of the global sinks.
   void set_effect_sinks(StepEffects* fx, TraceStage* trace) noexcept {
     fx_ = fx;
     trace_ = trace;
@@ -141,7 +210,7 @@ class Router {
  private:
   /// Per-input-VC wormhole state machine.
   struct InputVc {
-    RingBuffer<Flit> fifo;
+    FlitFifo fifo;
     enum class State : std::uint8_t { kIdle, kRouting, kWaitVc, kActive } state =
         State::kIdle;
     Port out_port = Port::kLocal;
@@ -155,9 +224,9 @@ class Router {
   };
 
   struct OutputPort {
-    std::vector<OutputVc> vcs;
+    std::array<OutputVc, kMaxVcsPerPort> vcs{};  ///< first vcs_per_port used
     Cycle busy_until = 0;  ///< first cycle the channel is free again
-    RetentionTable retention;  ///< in-flight clean copies, keyed by FlitId
+    RetentionTable retention;  ///< in-flight clean copies, in send order
     RingBuffer<FlitId> retx_queue;  ///< NACK-triggered resends
     struct PendingDup {
       Cycle earliest = 0;
@@ -174,6 +243,13 @@ class Router {
   /// the whole state.
   struct InputArq {
     std::uint64_t expected_lsn = 0;
+  };
+
+  /// A link-level ACK/NACK produced by receive, pushed by the same visit's
+  /// execute (see execute()).
+  struct PendingAck {
+    DelayLine<AckMsg>* lane;
+    AckMsg msg;
   };
 
   // -- receive-side helpers --
@@ -272,8 +348,13 @@ class Router {
   /// The invariant auditor cross-checks buffer occupancy, credit balance and
   /// ARQ bookkeeping against the rest of the network (see noc/audit.h).
   friend class NetworkAuditor;
+  /// Auditor tests corrupt private state through this (defined only there)
+  /// to prove each invariant trips.
+  friend struct RouterTestPeer;
 
-  InputVc& ivc(Port p, VcId v) { return input_[port_index(p)][static_cast<std::size_t>(v)]; }
+  InputVc& ivc(Port p, VcId v) {
+    return input_[ivc_bit(port_index(p), static_cast<std::size_t>(v))];
+  }
 
   NodeId id_;
   const NocConfig* cfg_;
@@ -283,8 +364,14 @@ class Router {
   OpMode mode_ = OpMode::kMode0;
   bool dateline_ = false;  ///< torus DOR: stamp/partition VCs by dateline class
 
-  std::array<std::vector<InputVc>, kNumPorts> input_;
+  /// Input VCs indexed by ivc_bit (port-major, vcs_per_port per port);
+  /// their FIFOs are views into arena_.
+  std::array<InputVc, kNumPorts * kMaxVcsPerPort> input_{};
+  std::unique_ptr<FlitFifo::Slot[]> arena_;  ///< every input-VC flit slot
   std::array<OutputPort, kNumPorts> output_;
+  /// Responses of this visit's receive, awaiting the execute push; empty
+  /// between steps (auditor invariant 6).
+  std::vector<PendingAck> pending_acks_;
   std::array<InputArq, kNumPorts> input_arq_;
   RouterCounters counters_;
 

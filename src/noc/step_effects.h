@@ -3,11 +3,12 @@
 // Network::step partitions the mesh into contiguous node shards and runs the
 // receive and execute phases data-parallel across them. Everything a node
 // touches that is *not* owned by its own shard-local slice of the network —
-// ACK pushes onto a neighbour's channel, global NetworkMetrics counters,
-// floating-point latency accumulators, e2e response scheduling, per-path
-// latency credits, and trace events — is captured here instead of applied
-// in place, then merged after the phase barrier in canonical shard order
-// (= ascending node order, the exact order the serial stepper used).
+// global NetworkMetrics counters, floating-point latency accumulators, e2e
+// response scheduling, per-path latency credits, and trace events — is
+// captured here instead of applied in place, then merged after the phase
+// barrier in canonical shard order (= ascending node order, the exact order
+// the serial stepper used). Link-level ACKs need no staging: the router that
+// produced them in receive pushes them itself in execute (Router::execute).
 //
 // Merge-order invariant: shards are contiguous ascending node ranges and a
 // shard task processes its nodes in ascending order, so concatenating the
@@ -20,11 +21,11 @@
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/types.h"
-#include "noc/channel.h"
 #include "telemetry/telemetry.h"
 
 namespace rlftnoc {
@@ -33,17 +34,6 @@ namespace rlftnoc {
 /// Cleared after every merge; vectors keep their capacity, so after the
 /// first few cycles staging allocates nothing.
 struct alignas(64) StepEffects {
-  /// Link-layer ACK/NACK responses. In the serial stepper the receiver
-  /// pushes these straight onto the upstream router's outgoing ack lane —
-  /// a lane that upstream router pops in the *same* receive phase, which is
-  /// exactly the cross-shard mutation staging exists to defer. Pushes made
-  /// during a cycle mature at now+1, so applying them after the barrier
-  /// (with the same cycle stamp) is observationally identical.
-  struct StagedAck {
-    DelayLine<AckMsg>* lane;
-    AckMsg msg;
-  };
-
   /// Deferred Network::schedule_e2e_response — the global `e2e_seq_`
   /// tie-break counter is assigned at merge time, in canonical order.
   struct StagedE2e {
@@ -60,7 +50,6 @@ struct alignas(64) StepEffects {
     double latency;
   };
 
-  std::vector<StagedAck> acks;
   std::vector<StagedE2e> e2e;
   std::vector<StagedPathCredit> path_credits;
   /// End-to-end latency samples in delivery order; replayed through the
@@ -76,7 +65,6 @@ struct alignas(64) StepEffects {
   /// merge replays [0, split) then [split, end) per kind, shard-ascending,
   /// reproducing the two-merge emission order exactly.
   struct PhaseSplit {
-    std::size_t acks = 0;
     std::size_t e2e = 0;
     std::size_t path_credits = 0;
     std::size_t latency_samples = 0;
@@ -88,7 +76,6 @@ struct alignas(64) StepEffects {
   /// Marks the receive/execute boundary (called by the shard task after its
   /// last receive, before any execute).
   void mark_receive_end() noexcept {
-    split.acks = acks.size();
     split.e2e = e2e.size();
     split.path_credits = path_credits.size();
     split.latency_samples = latency_samples.size();
@@ -120,7 +107,7 @@ struct alignas(64) StepEffects {
 
   /// True when nothing is staged (auditor invariant between steps).
   bool empty() const noexcept {
-    return acks.empty() && e2e.empty() && path_credits.empty() &&
+    return e2e.empty() && path_credits.empty() &&
            latency_samples.empty() && packets_injected == 0 &&
            packets_delivered == 0 && flits_delivered == 0 &&
            retx_flits_hop == 0 && dup_flits == 0 &&
@@ -131,7 +118,6 @@ struct alignas(64) StepEffects {
   /// Drops all staged state (keeps capacity). Trace stages are drained —
   /// not cleared — by the merge; this clears the rest.
   void clear_posts() noexcept {
-    acks.clear();
     e2e.clear();
     path_credits.clear();
     latency_samples.clear();

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "noc/flit.h"
+
 namespace rlftnoc {
 namespace {
 
@@ -523,19 +525,30 @@ Workload read_trace(std::istream& in) {
                            msg);
     };
     // A line with content must parse as exactly 'cycle src dst len'; a field
-    // that fails is re-extracted as a string so the error quotes it.
-    const auto expected = [&](const char* field) {
+    // that fails is re-extracted from its start as a string so the error
+    // quotes it. A token of digits that still fails overflowed the field.
+    const auto read_field = [&](const char* field, auto& value) {
+      ls >> std::ws;
+      if (ls.eof())
+        throw fail(std::string("expected ") + field + ", got '<end of line>'");
+      const std::streampos at = ls.tellg();
+      if (ls >> value) return;
       ls.clear();
+      ls.seekg(at);
       std::string token;
-      if (!(ls >> token)) token = "<end of line>";
-      return fail(std::string("expected ") + field + ", got '" + token + "'");
+      ls >> token;
+      const std::size_t sign = (token[0] == '+' || token[0] == '-') ? 1 : 0;
+      if (token.size() > sign &&
+          token.find_first_not_of("0123456789", sign) == std::string::npos)
+        throw fail(std::string(field) + " '" + token + "' overflows");
+      throw fail(std::string("expected ") + field + ", got '" + token + "'");
     };
     WorkloadTransfer t;
     t.id = wl.transfers.size() + 1;
-    if (!(ls >> t.earliest_cycle)) throw expected("cycle");
-    if (!(ls >> t.src)) throw expected("src");
-    if (!(ls >> t.dst)) throw expected("dst");
-    if (!(ls >> t.len)) throw expected("len");
+    read_field("cycle", t.earliest_cycle);
+    read_field("src", t.src);
+    read_field("dst", t.dst);
+    read_field("len", t.len);
     std::string trailing;
     if (ls >> trailing)
       throw fail("trailing token '" + trailing + "' after 'cycle src dst len'");
@@ -610,6 +623,14 @@ void validate_workload(const Workload& wl, int num_nodes) {
       throw WorkloadError("workload transfer id " + std::to_string(t.id) +
                           ": len must be >= 1 (got " + std::to_string(t.len) +
                           ")");
+    }
+    // Flit headers carry len and the flit index in 16 bits (Flit::seq,
+    // Flit::packet_len); a longer packet would wrap them silently.
+    if (t.len > kMaxPacketFlits) {
+      throw WorkloadError("workload transfer id " + std::to_string(t.id) +
+                          ": len must be <= " +
+                          std::to_string(kMaxPacketFlits) + " (got " +
+                          std::to_string(t.len) + ")");
     }
     for (const std::uint64_t dep : t.deps) {
       if (dep == t.id) {

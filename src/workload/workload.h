@@ -75,9 +75,10 @@ class WorkloadError : public std::runtime_error {
 };
 
 /// Static validation: duplicate / zero ids, node range (against `num_nodes`),
-/// self-transfers, non-positive lengths, unknown dependency ids, and
-/// dependency cycles (Kahn's algorithm; the error names transfers on a
-/// cycle). Throws WorkloadError; returns normally iff the workload is a
+/// self-transfers, lengths outside [1, kMaxPacketFlits] (the 16-bit flit
+/// header limit, so trace, JSON and .wkb input are bounded alike), unknown
+/// dependency ids, and dependency cycles (Kahn's algorithm; the error names
+/// transfers on a cycle). Throws WorkloadError; returns normally iff the workload is a
 /// well-formed DAG ready for replay.
 void validate_workload(const Workload& wl, int num_nodes);
 
@@ -92,8 +93,9 @@ Workload read_workload_file(const std::string& path);
 /// named "trace": transfer ids are 1..N in file order and each record's
 /// cycle becomes its earliest_cycle (so trace cycles count from the start of
 /// the injection window). Throws WorkloadError naming the 1-based line and
-/// quoting the offending token on malformed lines, unsorted cycles or a
-/// non-positive length. Node ranges are left to validate_workload.
+/// quoting the offending token on malformed lines (a number too large for
+/// its field is reported as an overflow), unsorted cycles or a non-positive
+/// length. Node ranges and the length cap are left to validate_workload.
 Workload read_trace(std::istream& in);
 Workload read_trace_file(const std::string& path);
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -227,6 +228,76 @@ TEST(Audit, MintedMeshCreditTripsCreditBalance) {
   EXPECT_EQ(violations.front().invariant, "credit-balance");
   EXPECT_EQ(violations.front().node, 0);
   EXPECT_EQ(violations.front().port, Port::kEast);
+}
+
+}  // namespace
+
+/// Reaches router internals the public API can never corrupt.
+struct RouterTestPeer {
+  static RetentionTable& retention(Router& r, Port p) {
+    return r.output_[port_index(p)].retention;
+  }
+  static void stage_response(Router& r, DelayLine<AckMsg>* lane, AckMsg msg) {
+    r.pending_acks_.push_back(Router::PendingAck{lane, msg});
+  }
+};
+
+namespace {
+
+/// First violation of `invariant` whose detail mentions `needle`, if any.
+const AuditViolation* find_violation(const std::vector<AuditViolation>& v,
+                                     const std::string& invariant,
+                                     const std::string& needle) {
+  const auto it = std::find_if(v.begin(), v.end(), [&](const AuditViolation& a) {
+    return a.invariant == invariant && a.detail.find(needle) != std::string::npos;
+  });
+  return it == v.end() ? nullptr : &*it;
+}
+
+TEST(Audit, RetentionOutOfSendOrderTripsArqConsistency) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+  ASSERT_NE(net.out_channel(0, Port::kEast), nullptr);
+
+  // Two retained copies whose lsn order contradicts their send order — a
+  // retention ring that no longer matches the go-back-N stream.
+  RetentionTable& ret = RouterTestPeer::retention(net.router(0), Port::kEast);
+  for (const auto& [seq, lsn] : {std::pair<int, std::uint64_t>{0, 1}, {1, 0}}) {
+    ArqRetention e;
+    e.clean.packet_id = 77;
+    e.clean.seq = static_cast<std::uint16_t>(seq);
+    e.clean.lsn = lsn;
+    e.unresolved = 1;
+    ret.insert(e);
+  }
+
+  NetworkAuditor auditor;
+  const std::vector<AuditViolation> violations = auditor.run(net);
+  const AuditViolation* v =
+      find_violation(violations, "arq-consistency", "out of send order");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->node, 0);
+  EXPECT_EQ(v->port, Port::kEast);
+}
+
+TEST(Audit, UnpushedLinkResponseTripsParallelStaging) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+
+  // A response receive produced but execute never pushed: the upstream
+  // router would wait for an ACK that never arrives.
+  ChannelPair* ch = net.in_channel(5, Port::kWest);
+  ASSERT_NE(ch, nullptr);
+  RouterTestPeer::stage_response(net.router(5), &ch->acks,
+                                 AckMsg{make_flit_id(1, 0), 0, false});
+
+  NetworkAuditor auditor;
+  const std::vector<AuditViolation> violations = auditor.run(net);
+  const AuditViolation* v =
+      find_violation(violations, "parallel-staging", "never pushed");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->node, 5);
+  EXPECT_EQ(auditor.clean_passes(), 0u);
 }
 
 TEST(Audit, CheckOrThrowReportsLocation) {

@@ -6,6 +6,7 @@
 // sequence stream and the trace ring content never depend on thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -34,26 +35,48 @@ NocConfig small_mesh() {
 // Shard partition structure
 // ---------------------------------------------------------------------------
 
+/// The tile rule: serial stepping keeps one tile; t > 1 threads get
+/// min(nodes, 4t) tiles, claimed by min(t, tiles) executors (the caller
+/// plus helpers).
+std::size_t expected_tiles(unsigned t, std::size_t nodes) {
+  return t <= 1 ? 1 : std::min<std::size_t>(nodes, 4 * std::size_t{t});
+}
+unsigned expected_helpers(unsigned t, std::size_t nodes) {
+  return static_cast<unsigned>(
+      std::min<std::size_t>(t, expected_tiles(t, nodes)) - 1);
+}
+
 TEST(ParallelStep, ShardPartitionFollowsThreadCount) {
   Network net(small_mesh(), /*seed=*/3);
   EXPECT_EQ(net.sim_threads(), 1u);
   EXPECT_EQ(net.shard_count(), 1u);
+  EXPECT_EQ(net.helper_threads(), 0u);
 
-  net.set_sim_threads(4);
-  EXPECT_EQ(net.sim_threads(), 4u);
-  EXPECT_EQ(net.shard_count(), 4u);
+  // Four tiles per thread: 2 threads -> 8 tiles, 3 -> 12 uneven tiles
+  // (16 nodes), 4 -> one tile per node.
+  for (const unsigned t : {2u, 3u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(t));
+    net.set_sim_threads(t);
+    EXPECT_EQ(net.sim_threads(), t);
+    EXPECT_EQ(net.shard_count(), 4 * std::size_t{t});
+    EXPECT_EQ(net.helper_threads(), t - 1);
+  }
 
-  // More threads than nodes: one shard per node at most.
+  // More threads than nodes: one tile per node at most, and no helper
+  // beyond the tile count (a helper without a tile never runs a task).
   net.set_sim_threads(64);
   EXPECT_EQ(net.shard_count(), 16u);
+  EXPECT_EQ(net.helper_threads(), 15u);
 
   // 0 = one per hardware thread, never less than one shard.
   net.set_sim_threads(0);
   EXPECT_GE(net.sim_threads(), 1u);
-  EXPECT_GE(net.shard_count(), 1u);
+  EXPECT_EQ(net.shard_count(), expected_tiles(net.sim_threads(), 16));
+  EXPECT_EQ(net.helper_threads(), expected_helpers(net.sim_threads(), 16));
 
   net.set_sim_threads(1);
   EXPECT_EQ(net.shard_count(), 1u);
+  EXPECT_EQ(net.helper_threads(), 0u);
 }
 
 TEST(ParallelStep, RebindingThreadsMidRunKeepsAuditClean) {
@@ -505,10 +528,13 @@ TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(serial.packets_delivered, 0u);
   EXPECT_GT(serial.retransmitted_flits, 0u);
 
-  for (const unsigned t : {2u, 4u, 8u}) {
+  // 3 and 5 threads leave the tiles (or the executors' share of them)
+  // uneven.
+  for (const unsigned t : {2u, 3u, 4u, 5u, 8u}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
     Simulator sim(sim_base(t));
-    EXPECT_EQ(sim.network().shard_count(), static_cast<std::size_t>(t));
+    EXPECT_EQ(sim.network().shard_count(), expected_tiles(t, 16));
+    EXPECT_EQ(sim.network().helper_threads(), expected_helpers(t, 16));
     SyntheticTraffic gen(MeshTopology(small_mesh()), sim_traffic(), 13);
     const SimResult threaded = sim.run(gen);
     EXPECT_EQ(serial, threaded);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -152,10 +154,12 @@ TEST(RingBuffer, ClearResets) {
 // RetentionTable
 // ---------------------------------------------------------------------------
 
-ArqRetention make_entry(FlitId id) {
+/// A retention entry for flit `id`, sent with link sequence number `lsn`.
+ArqRetention make_entry(FlitId id, std::uint64_t lsn) {
   ArqRetention r;
   r.clean.packet_id = id >> 8;
-  r.clean.seq = static_cast<std::uint32_t>(id & 0xFF);
+  r.clean.seq = static_cast<std::uint16_t>(id & 0xFF);
+  r.clean.lsn = lsn;
   r.unresolved = 1;
   return r;
 }
@@ -167,8 +171,8 @@ TEST(RetentionTable, InsertFindErase) {
   EXPECT_EQ(t.capacity(), 8u);
   EXPECT_EQ(t.find(42), nullptr);
 
-  t.insert(42, make_entry(42));
-  t.insert(513, make_entry(513));
+  t.insert(make_entry(42, 0));
+  t.insert(make_entry(513, 1));
   EXPECT_EQ(t.size(), 2u);
   ASSERT_NE(t.find(42), nullptr);
   EXPECT_EQ(t.find(42)->clean.id(), 42u);
@@ -182,48 +186,78 @@ TEST(RetentionTable, InsertFindErase) {
   EXPECT_EQ(t.size(), 1u);
 }
 
-TEST(RetentionTable, PointerStableAcrossUnrelatedChurn) {
+TEST(RetentionTable, ErasingOldestNeverMovesOthers) {
+  // Callers hold an entry across the ACK of an older one (the common
+  // go-back-N order); that erase must leave every other entry in place.
   RetentionTable t;
   t.reset(8);
-  ArqRetention* keep = &t.insert(1000, make_entry(1000));
-  for (FlitId id = 1; id <= 7; ++id) t.insert(id, make_entry(id));
-  for (FlitId id = 1; id <= 7; ++id) t.erase(id);
-  for (FlitId id = 10; id <= 16; ++id) t.insert(id, make_entry(id));
-  EXPECT_EQ(t.find(1000), keep);
-  EXPECT_EQ(keep->clean.id(), 1000u);
+  std::uint64_t lsn = 0;
+  for (FlitId id = 1; id <= 8; ++id) t.insert(make_entry(id, lsn++));
+  std::vector<const ArqRetention*> before;
+  for (FlitId id = 2; id <= 8; ++id) before.push_back(t.find(id));
+  EXPECT_TRUE(t.erase(1));
+  for (FlitId id = 2; id <= 8; ++id) {
+    EXPECT_EQ(t.find(id), before[id - 2]) << "flit " << id;
+    EXPECT_EQ(t.find(id)->clean.id(), id);
+  }
+  // The freed slot is reused by the next send; still nothing moves.
+  t.insert(make_entry(9, lsn++));
+  for (FlitId id = 2; id <= 8; ++id) EXPECT_EQ(t.find(id), before[id - 2]);
+}
+
+TEST(RetentionTable, MiddleEraseKeepsSendOrder) {
+  RetentionTable t;
+  t.reset(4);
+  std::uint64_t lsn = 10;
+  for (FlitId id = 1; id <= 4; ++id) t.insert(make_entry(id, lsn++));
+  EXPECT_TRUE(t.erase(2));
+  EXPECT_TRUE(t.erase(4));
+  t.insert(make_entry(5, lsn++));
+  std::vector<FlitId> order;
+  t.for_each([&](FlitId id, const ArqRetention& r) {
+    EXPECT_EQ(id, r.clean.id());
+    order.push_back(id);
+  });
+  EXPECT_EQ(order, (std::vector<FlitId>{1, 3, 5}));
 }
 
 TEST(RetentionTable, NackStormChurnMatchesReferenceModel) {
   // ARQ under a NACK storm: constant insert (transmits), lookup (ACK/NACK
-  // arrivals, many for already-freed flits) and erase (ACK resolutions),
-  // with the occupancy bouncing off the depth bound. Cross-check every
-  // operation against std::unordered_map. FlitIds replicate the real
-  // (packet_id << 8 | seq) shape, so low bits are heavily clustered.
+  // arrivals, many for already-freed flits) and erase (ACK resolutions, in
+  // any order), with the occupancy bouncing off the depth bound.
+  // Cross-check every operation against std::unordered_map, and the ring's
+  // send order against the reference's lsn order. FlitIds replicate the
+  // real (packet_id << 8 | seq) shape.
   RetentionTable t;
   t.reset(8);
   std::unordered_map<FlitId, int> ref;  // id -> unresolved
+  std::map<std::uint64_t, FlitId> by_lsn;
   Rng rng(99, "storm");
-  std::vector<FlitId> live;
+  std::vector<std::pair<FlitId, std::uint64_t>> live;  // (id, lsn)
   FlitId next_pkt = 1;
+  std::uint64_t next_lsn = 0;
 
   for (int step = 0; step < 50000; ++step) {
     const std::uint64_t op = rng.next_u64() % 4;
     if (op == 0 && live.size() < 8) {  // transmit: insert fresh entry
       const FlitId id = make_flit_id(next_pkt++, rng.next_u64() % 4);
-      t.insert(id, make_entry(id));
+      const std::uint64_t lsn = next_lsn++;
+      t.insert(make_entry(id, lsn));
       ref[id] = 1;
-      live.push_back(id);
+      by_lsn[lsn] = id;
+      live.emplace_back(id, lsn);
     } else if (op == 1 && !live.empty()) {  // NACK: mutate through find()
-      const FlitId id = live[rng.next_u64() % live.size()];
+      const FlitId id = live[rng.next_u64() % live.size()].first;
       ArqRetention* r = t.find(id);
       ASSERT_NE(r, nullptr);
       ++r->unresolved;
       ++ref[id];
     } else if (op == 2 && !live.empty()) {  // ACK: erase
       const std::size_t k = rng.next_u64() % live.size();
-      const FlitId id = live[k];
+      const auto [id, lsn] = live[k];
       EXPECT_TRUE(t.erase(id));
       ref.erase(id);
+      by_lsn.erase(lsn);
       live[k] = live.back();
       live.pop_back();
     } else {  // stale response: lookup of a freed (or never-sent) id
@@ -238,25 +272,27 @@ TEST(RetentionTable, NackStormChurnMatchesReferenceModel) {
     ASSERT_EQ(t.size(), ref.size());
   }
 
-  // for_each must visit exactly the live set.
-  std::unordered_map<FlitId, int> seen;
-  t.for_each([&](FlitId id, const ArqRetention& r) { seen[id] = r.unresolved; });
-  EXPECT_EQ(seen.size(), ref.size());
-  for (const auto& [id, unresolved] : ref) {
-    ASSERT_TRUE(seen.count(id));
-    EXPECT_EQ(seen[id], unresolved);
-  }
+  // for_each must visit exactly the live set, oldest send first.
+  std::vector<FlitId> seen;
+  t.for_each([&](FlitId id, const ArqRetention& r) {
+    seen.push_back(id);
+    ASSERT_TRUE(ref.count(id));
+    EXPECT_EQ(r.unresolved, ref[id]);
+  });
+  std::vector<FlitId> want;
+  for (const auto& [lsn, id] : by_lsn) want.push_back(id);
+  EXPECT_EQ(seen, want);
 }
 
 TEST(RetentionTable, ResetDiscardsContents) {
   RetentionTable t;
   t.reset(4);
-  t.insert(7, make_entry(7));
+  t.insert(make_entry(7, 0));
   t.reset(4);
   EXPECT_TRUE(t.empty());
   EXPECT_EQ(t.find(7), nullptr);
   // Full capacity usable after reset.
-  for (FlitId id = 0; id < 4; ++id) t.insert(id, make_entry(id));
+  for (FlitId id = 0; id < 4; ++id) t.insert(make_entry(id, id));
   EXPECT_EQ(t.size(), 4u);
 }
 

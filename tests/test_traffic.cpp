@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 
 #include "coding/crc.h"
 #include "noc/ni.h"
@@ -213,6 +214,19 @@ TEST(MakePacket, FlitStructure) {
   }
   const Packet single = make_packet(8, 0, 1, 1, 0, rng);
   EXPECT_EQ(single.flits[0].type, FlitType::kHeadTail);
+}
+
+TEST(MakePacket, LengthBoundedByFlitHeaderWidth) {
+  // Flit::seq and Flit::packet_len are 16-bit: the longest packet still
+  // numbers its last flit exactly, one flit more is refused, not wrapped.
+  Rng rng(1);
+  const Packet longest = make_packet(9, 0, 1, kMaxPacketFlits, 0, rng);
+  ASSERT_EQ(longest.flits.size(), static_cast<std::size_t>(kMaxPacketFlits));
+  EXPECT_EQ(longest.flits.back().seq, kMaxPacketFlits - 1);
+  EXPECT_EQ(longest.flits.back().packet_len, kMaxPacketFlits);
+  EXPECT_THROW(make_packet(10, 0, 1, kMaxPacketFlits + 1, 0, rng),
+               std::invalid_argument);
+  EXPECT_THROW(make_packet(11, 0, 1, 0, 0, rng), std::invalid_argument);
 }
 
 }  // namespace

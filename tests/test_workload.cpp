@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "noc/flit.h"
 #include "sim/campaign.h"
 #include "sim/options_io.h"
 #include "sim/results_io.h"
@@ -369,6 +370,33 @@ TEST(Trace, ErrorsNameLineAndOffendingToken) {
   // Extra fields are an error too, naming the trailing token.
   msg = expect_workload_error([] { trace_from("7 3 4 1 bogus\n"); });
   EXPECT_NE(msg.find("'bogus'"), std::string::npos) << msg;
+}
+
+TEST(Trace, OverflowingFieldIsReportedAsOverflow) {
+  // The value does not fit the field: say so and quote it, instead of
+  // claiming the line ended early.
+  std::string msg = expect_workload_error([] { trace_from("5 3 2 999999999999\n"); });
+  EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("len '999999999999' overflows"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("<end of line>"), std::string::npos) << msg;
+  msg = expect_workload_error([] { trace_from("5 -99999999999 2 4\n"); });
+  EXPECT_NE(msg.find("src '-99999999999' overflows"), std::string::npos) << msg;
+  // A non-numeric token is still a type error, not an overflow.
+  msg = expect_workload_error([] { trace_from("5 3 2 four\n"); });
+  EXPECT_NE(msg.find("expected len, got 'four'"), std::string::npos) << msg;
+}
+
+TEST(Workload, PacketLengthBoundedByFlitHeaderWidth) {
+  // One check in validation covers trace, JSON and .wkb input alike: a
+  // length the 16-bit flit header fields cannot carry is rejected.
+  Workload wl;
+  wl.name = "long";
+  wl.transfers = {transfer(1, 0, 1, kMaxPacketFlits)};
+  EXPECT_NO_THROW(validate_workload(wl, 4));
+  wl.transfers = {transfer(2, 0, 1, kMaxPacketFlits + 1)};
+  const std::string msg = expect_workload_error([&] { validate_workload(wl, 4); });
+  EXPECT_NE(msg.find("len must be <= 65535"), std::string::npos) << msg;
+  EXPECT_THROW(validate_workload(trace_from("0 0 1 70000\n"), 4), WorkloadError);
 }
 
 TEST(Trace, SkipsCommentsAndBlanks) {

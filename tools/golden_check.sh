@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Byte-diff a rlftnoc_run invocation against a committed golden, across the
-# --sim-threads {1,2,4,8} sweep. Each golden under tests/goldens/ was
+# --sim-threads {1,2,3,4,8} sweep. Each golden under tests/goldens/ was
 # captured before the change it guards (tests/CMakeLists.txt names which),
 # so a pass proves two things at once: the RNG draw sequence is untouched
 # by that change, and results stay bit-identical for every thread count.
@@ -18,7 +18,7 @@ bin="$1"; golden="$2"; config="$3"; shift 3
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 status=0
-for t in 1 2 4 8; do
+for t in 1 2 3 4 8; do
   if ! "$bin" "$config" --sim-threads "$t" "$@" > "$tmp" 2>/dev/null; then
     echo "golden_check: run failed (config=$config sim-threads=$t)" >&2
     status=1
