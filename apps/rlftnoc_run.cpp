@@ -248,8 +248,8 @@ int main(int argc, char** argv) {
     }
 
     SimOptions opt = sim_options_from_config(cfg);
-    const auto budget_pct = static_cast<std::uint64_t>(cfg.get_int(
-        "budget_pct", static_cast<std::int64_t>(kDefaultBudgetPct)));
+    const auto budget_pct =
+        cfg.get_int_as<std::uint64_t>("budget_pct", kDefaultBudgetPct);
     if (cfg.contains("campaign")) return run_campaign_mode(cfg, opt, budget_pct);
 
     const std::string rl_load = cfg.get_string("rl_load", "");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -83,9 +84,18 @@ std::int64_t Config::get_int(const std::string& key) const {
   const std::string& v = raw(key);
   std::int64_t out = 0;
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec == std::errc::result_out_of_range && ptr == v.data() + v.size())
+    throw ConfigError("config key '" + key +
+                      "' is out of range for a 64-bit integer: '" + v + "'");
   if (ec != std::errc{} || ptr != v.data() + v.size())
     throw ConfigError("config key '" + key + "' is not an integer: '" + v + "'");
   return out;
+}
+
+void Config::throw_out_of_range(const std::string& key, bool negative) const {
+  throw ConfigError("config key '" + key + "' " +
+                    (negative ? "must not be negative" : "is out of range") +
+                    ": '" + raw(key) + "'");
 }
 
 double Config::get_double(const std::string& key) const {
@@ -94,7 +104,11 @@ double Config::get_double(const std::string& key) const {
     std::size_t consumed = 0;
     const double out = std::stod(v, &consumed);
     if (consumed != v.size()) throw std::invalid_argument(v);
+    if (!std::isfinite(out)) throw std::domain_error(v);
     return out;
+  } catch (const std::domain_error&) {
+    throw ConfigError("config key '" + key + "' is not a finite number: '" + v +
+                      "'");
   } catch (const std::exception&) {
     throw ConfigError("config key '" + key + "' is not a number: '" + v + "'");
   }

@@ -2,7 +2,8 @@
 //
 // Experiments are described as flat `key = value` text (BookSim style):
 // comments start with '#' or '//', values are bool / int / double / string.
-// Typed getters throw ConfigError on missing keys or unparsable values, and
+// Typed getters throw ConfigError on missing keys, unparsable values, values
+// the destination type cannot hold and non-finite numbers, and
 // the store records which keys were read, so a driver can reject a key
 // nothing consumed (unread_keys): a typo in an experiment file fails loudly
 // instead of silently defaulting.
@@ -14,6 +15,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rlftnoc {
@@ -53,6 +55,18 @@ class Config {
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 
+  /// `key`'s integer value as T, or `def` when the key is absent. Throws
+  /// ConfigError naming the key and value when T cannot hold the value — a
+  /// negative value for an unsigned T, or one outside T's range.
+  template <class T>
+  T get_int_as(const std::string& key, T def) const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    if (!contains(key)) return def;
+    const std::int64_t v = get_int(key);
+    if (!std::in_range<T>(v)) throw_out_of_range(key, std::is_unsigned_v<T> && v < 0);
+    return static_cast<T>(v);
+  }
+
   /// Overwrites `field` with `key`'s value, parsed as the field's type,
   /// when the key is present; an absent key keeps the default in `field`.
   template <class T>
@@ -64,7 +78,7 @@ class Config {
     } else if constexpr (std::is_same_v<T, std::string>) {
       field = get_string(key, field);
     } else {
-      field = static_cast<T>(get_int(key, static_cast<std::int64_t>(field)));
+      field = get_int_as<T>(key, field);
     }
   }
 
@@ -89,6 +103,8 @@ class Config {
   };
 
   const std::string& raw(const std::string& key) const;
+  [[noreturn]] void throw_out_of_range(const std::string& key,
+                                       bool negative) const;
 
   std::map<std::string, Entry> entries_;
 };

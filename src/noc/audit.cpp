@@ -556,6 +556,80 @@ void NetworkAuditor::audit_parallel_staging(
       }
     }
   }
+
+  // Lane occupancy bytes and bound endpoints, re-derived from the channel
+  // arrays: every live lane is bound to its consumer's byte and the byte
+  // equals the lane's non-emptiness; the byte of an absent or dead lane is
+  // 0; every router and NI holds exactly the live channels of its ports, so
+  // a killed link is null on both sides.
+  const auto fail_at = [&](NodeId node, Port p, const std::string& detail) {
+    out.push_back(
+        make_violation("parallel-staging", net.now(), node, p, detail));
+  };
+  const auto live_out = [&](NodeId node, Port p) -> const ChannelPair* {
+    const std::size_t idx = net.link_index(node, p);
+    return net.out_alive_[idx] ? &net.out_ch_[idx] : nullptr;
+  };
+  const auto live_in = [&](NodeId node, Port p) -> const ChannelPair* {
+    const NodeId nb = net.topology().neighbor(node, p);
+    return nb == kInvalidNode ? nullptr : live_out(nb, opposite(p));
+  };
+  for (NodeId node = 0; node < n; ++node) {
+    const auto i = static_cast<std::size_t>(node);
+    const LaneBytes& bytes = net.lanes_[i];
+    const auto check_lane = [&](std::size_t k, Port p, const auto* lane) {
+      const unsigned got = bytes.b[k];
+      std::ostringstream os;
+      if (lane == nullptr) {
+        if (got == 0) return;
+        os << "lane byte " << k << " is " << got << " but no live lane feeds it";
+      } else if (lane->occupancy_byte() != &bytes.b[k]) {
+        os << "lane for byte " << k << " is bound elsewhere";
+      } else if (got != (lane->empty() ? 0u : 1u)) {
+        os << "lane byte " << k << " is " << got << " but the lane holds "
+           << lane->size() << " entries";
+      } else {
+        return;
+      }
+      fail_at(node, p, os.str());
+    };
+    const ChannelPair& inj = net.inj_[i];
+    const ChannelPair& ej = net.ej_[i];
+    const Router& router = net.router(node);
+    for (const Port p : kMeshPorts) {
+      const std::size_t pi = port_index(p);
+      const ChannelPair* in = live_in(node, p);
+      const ChannelPair* outc = live_out(node, p);
+      check_lane(lane_byte::kInFlits + pi, p, in ? &in->flits : nullptr);
+      check_lane(lane_byte::kOutCredits + pi, p, outc ? &outc->credits : nullptr);
+      check_lane(lane_byte::kOutAcks + pi, p, outc ? &outc->acks : nullptr);
+      if (router.in_ch_[pi] != in || router.out_ch_[pi] != outc)
+        fail_at(node, p, "bound endpoint differs from the live channel");
+    }
+    check_lane(lane_byte::kInjFlits, Port::kLocal, &inj.flits);
+    check_lane(lane_byte::kEjCredits, Port::kLocal, &ej.credits);
+    check_lane(lane_byte::kEjFlits, Port::kLocal, &ej.flits);
+    check_lane(lane_byte::kInjCredits, Port::kLocal, &inj.credits);
+    const std::size_t local = port_index(Port::kLocal);
+    const NetworkInterface& ni = net.ni(node);
+    if (router.in_ch_[local] != &inj || router.out_ch_[local] != &ej ||
+        ni.inj_ != &inj || ni.ej_ != &ej)
+      fail_at(node, Port::kLocal,
+              "bound endpoint differs from the injection/ejection channel");
+    if (router.lanes_ != &bytes || ni.lanes_ != &bytes)
+      fail(node, "lane byte block bound to another node");
+  }
+  for (std::size_t idx = 0; idx < net.out_ch_.size(); ++idx) {
+    const ChannelPair& ch = net.out_ch_[idx];
+    if (net.out_alive_[idx] != 0) continue;
+    if (ch.flits.occupancy_byte() != nullptr ||
+        ch.credits.occupancy_byte() != nullptr ||
+        ch.acks.occupancy_byte() != nullptr) {
+      fail_at(static_cast<NodeId>(idx / kNumPorts),
+              static_cast<Port>(idx % kNumPorts),
+              "absent or dead channel still bound to a lane byte");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -641,6 +715,21 @@ void NetworkAuditor::audit_mask_consistency(
       if (free != r.free_vc_mask_[pi])
         word_mismatch(p, "free-vc", free, r.free_vc_mask_[pi]);
     }
+
+    // ARQ port words: retention non-empty, resend or duplicate queued.
+    std::uint64_t retained = 0;
+    std::uint64_t resend = 0;
+    for (std::size_t pi = 0; pi < kNumPorts; ++pi) {
+      const Router::OutputPort& op = r.output_[pi];
+      if (!op.retention.empty()) retained |= Router::bit64(static_cast<unsigned>(pi));
+      if (!op.retx_queue.empty() || !op.dup_queue.empty())
+        resend |= Router::bit64(static_cast<unsigned>(pi));
+    }
+    if (retained != r.retained_ports_)
+      word_mismatch(Port::kLocal, "arq retained-ports", retained,
+                    r.retained_ports_);
+    if (resend != r.resend_ports_)
+      word_mismatch(Port::kLocal, "arq resend-ports", resend, r.resend_ports_);
   }
 }
 

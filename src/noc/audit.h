@@ -40,12 +40,17 @@
 //     staging buffers are empty between steps — a non-empty buffer means a
 //     staged effect escaped the canonical merge. Likewise every router's
 //     pending-ACK list is empty: receive's link responses must be pushed by
-//     the same visit's execute.
+//     the same visit's execute. Every live lane is bound to its consumer's
+//     occupancy byte and the byte equals the lane's non-emptiness; absent
+//     and dead lanes are unbound with a 0 byte; every router's and NI's
+//     bound endpoints equal the live channels of its ports, so a killed
+//     link is null on both sides.
 //  7. Bitmask datapath consistency: every packed word the router's execute
 //     stages iterate (input-VC occupancy / state masks, per-output active
-//     words, credit-available and free-VC masks, the buffered-flit counter)
-//     re-derives exactly from the live FIFO / state / credit / allocation
-//     data it summarizes. A drifted word would silently change arbitration.
+//     words, credit-available and free-VC masks, the ARQ port words, the
+//     buffered-flit counter) re-derives exactly from the live FIFO / state /
+//     credit / allocation / retention / resend-queue data it summarizes. A
+//     drifted word would silently change arbitration or idle-skip.
 //
 // Violations are reported with the offending cycle / router / port so a
 // failure in a million-cycle campaign points straight at the broken state.

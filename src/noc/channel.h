@@ -5,6 +5,11 @@
 // order-independent: producers push entries stamped `deliver_at = now +
 // latency`, consumers only pop entries whose stamp has matured. Pushing and
 // popping within the same simulated cycle therefore never race.
+//
+// A line the Network wires up is also bound to one occupancy byte owned by
+// its consumer node (noc/node_hot.h): the byte is 1 exactly while the line
+// holds an entry, mature or not, so the stepper finds the lanes with work by
+// reading bytes instead of walking lines.
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
@@ -27,6 +32,17 @@ class DelayLine {
 
   Cycle latency() const noexcept { return latency_; }
 
+  /// Binds the line to its consumer's occupancy byte (null unbinds) and
+  /// syncs the byte to the current contents. From here on push() sets it,
+  /// and a pop() or clear() that empties the line clears it. An unbound line
+  /// touches no byte.
+  void bind_occupancy(std::uint8_t* byte) noexcept {
+    occ_ = byte;
+    if (occ_ != nullptr) *occ_ = entries_.empty() ? 0 : 1;
+  }
+  /// The bound occupancy byte; null when unbound (auditing).
+  const std::uint8_t* occupancy_byte() const noexcept { return occ_; }
+
   /// Enqueues `value` at time `now`; it becomes visible at `now + latency`.
   void push(Cycle now, T value) { push_delayed(now, std::move(value), 0); }
 
@@ -42,6 +58,7 @@ class DelayLine {
                   static_cast<unsigned long long>(at),
                   static_cast<unsigned long long>(entries_.back().deliver_at));
     entries_.push_back(Entry{at, std::move(value)});
+    if (occ_ != nullptr) *occ_ = 1;
   }
 
   /// Pops the oldest entry if it has matured by `now`.
@@ -49,6 +66,7 @@ class DelayLine {
     if (entries_.empty() || entries_.front().deliver_at > now) return std::nullopt;
     T out = std::move(entries_.front().value);
     entries_.pop_front();
+    if (occ_ != nullptr && entries_.empty()) *occ_ = 0;
     return out;
   }
 
@@ -61,6 +79,7 @@ class DelayLine {
   std::size_t clear() noexcept {
     const std::size_t n = entries_.size();
     entries_.clear();
+    if (occ_ != nullptr) *occ_ = 0;
     return n;
   }
 
@@ -77,6 +96,7 @@ class DelayLine {
     T value{};
   };
   Cycle latency_;
+  std::uint8_t* occ_ = nullptr;  ///< consumer's occupancy byte; null = unbound
   RingBuffer<Entry> entries_;
 };
 

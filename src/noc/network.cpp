@@ -36,9 +36,8 @@ Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
   latency_window_.resize(static_cast<std::size_t>(n));
 
   // By-value channel arrays: every slot exists (default-empty); out_alive_
-  // marks which carry a live link. The flag scan reads lane emptiness
-  // straight out of these contiguous arrays — absent/killed slots stay
-  // empty forever, so emptiness checks need no aliveness branch.
+  // marks which carry a live link. Absent/killed slots stay empty and
+  // unbound forever.
   out_ch_ = std::vector<ChannelPair>(static_cast<std::size_t>(n) * kNumPorts);
   out_alive_.assign(static_cast<std::size_t>(n) * kNumPorts, 0);
   link_prob_.resize(static_cast<std::size_t>(n) * kNumPorts);
@@ -67,36 +66,57 @@ Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
   skip_router_.assign(static_cast<std::size_t>(n), 0);
   skip_ni_.assign(static_cast<std::size_t>(n), 0);
 
-  // Precompute each input port's feeding lane index; absent neighbours
-  // alias the node's own Local slot, which never carries a channel and is
-  // therefore permanently empty.
-  in_lane_idx_.assign(static_cast<std::size_t>(n) * kMeshPorts.size(), 0);
-  for (NodeId node = 0; node < n; ++node) {
-    for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
-      const Port p = kMeshPorts[pi];
-      const NodeId nb = topo_.neighbor(node, p);
-      in_lane_idx_[static_cast<std::size_t>(node) * kMeshPorts.size() + pi] =
-          static_cast<std::uint32_t>(
-              nb != kInvalidNode ? link_index(nb, opposite(p))
-                                 : link_index(node, Port::kLocal));
-    }
-  }
+  lanes_ = std::vector<LaneBytes>(static_cast<std::size_t>(n));
+  bind_lane_bytes();
+  for (NodeId node = 0; node < n; ++node) bind_node_links(node);
 
   node_hot_.assign(static_cast<std::size_t>(n), 0);
   build_shards(1);
   refresh_all_node_hot();
 }
 
+void Network::bind_lane_bytes() {
+  for (NodeId node = 0; node < static_cast<NodeId>(routers_.size()); ++node) {
+    const auto i = static_cast<std::size_t>(node);
+    std::uint8_t* own = lanes_[i].b.data();
+    for (const Port p : kMeshPorts) {
+      ChannelPair* out = out_channel(node, p);
+      if (out == nullptr) continue;
+      const std::size_t pi = port_index(p);
+      // The flit lane is consumed downstream, at the neighbour's input port
+      // facing back here; credits and ACKs come back to this node.
+      const NodeId nb = topo_.neighbor(node, p);
+      out->flits.bind_occupancy(
+          &lanes_[static_cast<std::size_t>(nb)]
+               .b[lane_byte::kInFlits + port_index(opposite(p))]);
+      out->credits.bind_occupancy(own + lane_byte::kOutCredits + pi);
+      out->acks.bind_occupancy(own + lane_byte::kOutAcks + pi);
+    }
+    inj_[i].flits.bind_occupancy(own + lane_byte::kInjFlits);
+    ej_[i].credits.bind_occupancy(own + lane_byte::kEjCredits);
+    ej_[i].flits.bind_occupancy(own + lane_byte::kEjFlits);
+    inj_[i].credits.bind_occupancy(own + lane_byte::kInjCredits);
+  }
+}
+
+void Network::bind_node_links(NodeId node) {
+  const auto i = static_cast<std::size_t>(node);
+  std::array<ChannelPair*, kNumPorts> in{};
+  std::array<ChannelPair*, kNumPorts> out{};
+  for (const Port p : kMeshPorts) {
+    in[port_index(p)] = in_channel(node, p);
+    out[port_index(p)] = out_channel(node, p);
+  }
+  in[port_index(Port::kLocal)] = &inj_[i];
+  out[port_index(Port::kLocal)] = &ej_[i];
+  routers_[i]->bind_links(in, out, &lanes_[i]);
+  nis_[i]->bind_links(&inj_[i], &ej_[i], &lanes_[i]);
+}
+
 void Network::refresh_node_hot(NodeId node) noexcept {
   const auto i = static_cast<std::size_t>(node);
-  std::uint8_t h = 0;
-  if (routers_[i]->quiescent()) h |= node_hot::kRouterQuiescent;
-  if (nis_[i]->injection_idle()) h |= node_hot::kNiInjectionIdle;
-  if (inj_[i].flits.empty()) h |= node_hot::kInjFlitsEmpty;
-  if (inj_[i].credits.empty()) h |= node_hot::kInjCreditsEmpty;
-  if (ej_[i].flits.empty()) h |= node_hot::kEjFlitsEmpty;
-  if (ej_[i].credits.empty()) h |= node_hot::kEjCreditsEmpty;
-  node_hot_[i] = h;
+  set_hot_bit(i, node_hot::kRouterQuiescent, routers_[i]->quiescent());
+  set_hot_bit(i, node_hot::kNiInjectionIdle, nis_[i]->injection_idle());
 }
 
 void Network::refresh_all_node_hot() noexcept {
@@ -325,8 +345,10 @@ void Network::kill_link_internal(NodeId node, Port p,
                 static_cast<std::int8_t>(port_index(p)),
                 static_cast<std::int32_t>(nb));
 
-  // 1. Destroy both wire directions first, so every later teardown step that
-  //    tries to push credits toward the dead link hits a null channel.
+  // 1. Destroy both wire directions first, and rebind both endpoints, so
+  //    every later teardown step that tries to push credits toward the dead
+  //    link hits a null channel. Clearing zeroes the lanes' occupancy bytes;
+  //    unbinding keeps them zero.
   const std::array<std::pair<NodeId, Port>, 2> dirs = {
       std::pair<NodeId, Port>{node, p}, std::pair<NodeId, Port>{nb, opposite(p)}};
   for (const auto& [up, out] : dirs) {
@@ -339,12 +361,17 @@ void Network::kill_link_internal(NodeId node, Port p,
       wire_kill_drops_ += ch.flits.clear();
       ch.credits.clear();
       ch.acks.clear();
+      ch.flits.bind_occupancy(nullptr);
+      ch.credits.bind_occupancy(nullptr);
+      ch.acks.bind_occupancy(nullptr);
     }
     out_alive_[idx] = 0;  // slot stays permanently empty from here on
     injectors_[idx].reset();
     link_prob_[idx] = LinkErrorProb{};
     link_gate_[idx] = LinkGate{};
   }
+  bind_node_links(node);
+  bind_node_links(nb);
 
   // 2. Sender-side teardown on each alive endpoint.
   for (const auto& [up, out] : dirs) {
@@ -468,31 +495,21 @@ void Network::finish_fault_application(std::vector<LostFlit>& lost) {
 
 bool Network::router_has_work(NodeId node) const {
   const auto i = static_cast<std::size_t>(node);
-  // Node-local half of the predicate from the packed hot byte: router
-  // quiescence, injection-flit lane, ejection-credit lane (see
-  // noc/node_hot.h for the freshness argument).
-  if ((node_hot_[i] & node_hot::kRouterSideIdle) != node_hot::kRouterSideIdle)
-    return true;
-  // Anything sitting on an incoming lane, mature or not: flits arriving on
-  // mesh links, credits/ACKs returning on outgoing links. Maturity is
-  // ignored on purpose — an immature entry just keeps the node un-skipped a
-  // cycle or two early, which is conservative. Absent/killed lanes are
-  // permanently empty, so no aliveness branch is needed.
-  const std::size_t in_base = i * kMeshPorts.size();
-  for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
-    if (!out_ch_[in_lane_idx_[in_base + pi]].flits.empty()) return true;
-    const std::size_t out = link_index(node, kMeshPorts[pi]);
-    if (!out_ch_[out].credits.empty() || !out_ch_[out].acks.empty())
-      return true;
-  }
-  return false;
+  // Router not quiescent (noc/node_hot.h for the freshness argument), or
+  // anything sitting on a lane it reads, mature or not: flits arriving on
+  // mesh links and from the NI, credits/ACKs returning on its outgoing
+  // links, ejection credits. Maturity is ignored on purpose — an immature
+  // entry just keeps the node un-skipped a cycle or two early, which is
+  // conservative. Absent/killed lanes are unbound, so their bytes stay 0.
+  return (node_hot_[i] & node_hot::kRouterQuiescent) == 0 ||
+         lanes_[i].router_busy();
 }
 
 bool Network::ni_has_work(NodeId node) const {
-  // Injection idleness + ejection-flit and injection-credit lane emptiness,
-  // all cached in the packed hot byte.
-  return (node_hot_[static_cast<std::size_t>(node)] & node_hot::kNiSideIdle) !=
-         node_hot::kNiSideIdle;
+  // Injection side busy, or ejection flits / injection credits waiting.
+  const auto i = static_cast<std::size_t>(node);
+  return (node_hot_[i] & node_hot::kNiInjectionIdle) == 0 ||
+         lanes_[i].ni_busy();
 }
 
 template <typename F>
@@ -713,14 +730,23 @@ void Network::step() {
   for_each_shard(pooled_a, [&](std::size_t s) {
     if (wake_[s] > t) return;  // sleeping shard: no flags, no visits
     StepEffects& fx = fx_[s];
+    // Local tallies: the byte stores below may alias fx's counters, which
+    // would otherwise be reloaded and stored for every node.
+    std::uint64_t router_skipped = 0;
+    std::uint64_t ni_skipped = 0;
     for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
       const auto i = static_cast<std::size_t>(node);
-      skip_router_[i] = router_has_work(node) ? 0 : 1;
-      skip_ni_[i] = ni_has_work(node) ? 0 : 1;
-      fx.router_skipped += skip_router_[i];
-      fx.ni_skipped += skip_ni_[i];
-      fx.busy_visits += (2u - skip_router_[i]) - skip_ni_[i];
+      const std::uint8_t skip_r = router_has_work(node) ? 0 : 1;
+      const std::uint8_t skip_n = ni_has_work(node) ? 0 : 1;
+      skip_router_[i] = skip_r;
+      skip_ni_[i] = skip_n;
+      router_skipped += skip_r;
+      ni_skipped += skip_n;
     }
+    const auto nodes = static_cast<std::uint64_t>(shards_[s].hi - shards_[s].lo);
+    fx.router_skipped += router_skipped;
+    fx.ni_skipped += ni_skipped;
+    fx.busy_visits += 2 * nodes - router_skipped - ni_skipped;
     for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
       const auto i = static_cast<std::size_t>(node);
       if (!skip_router_[i]) routers_[i]->receive(t);
@@ -752,27 +778,31 @@ void Network::step() {
         std::chrono::duration<double>(t2 - t1).count();
   }
 
-  // Dispatch B — the execute phase over the same skip flags, then a refresh
-  // of every visited node's packed hot byte (a visit is the only thing that
-  // can change the node-local half of the flag predicate mid-run; serial
-  // mutators refresh explicitly). Whether it runs pooled or inline depends
-  // only on the deterministic busy count, never on timing. Nothing busy
-  // means nothing to execute and nothing staged — skip the dispatch.
+  // Dispatch B — the execute phase over the same skip flags. Each visited
+  // router and NI republishes its hot bit right after its own execute, while
+  // it is still in cache: a node's visits are the only thing that can change
+  // its router's quiescence or its NI's injection idleness mid-run (other
+  // nodes' visits only push onto its lanes), and serial mutators refresh
+  // explicitly. Whether it runs pooled or inline depends only on the
+  // deterministic busy count, never on timing. Nothing busy means nothing
+  // to execute and nothing staged — skip the dispatch.
   if (busy > 0) {
     const bool pooled = busy >= kMinBusyVisitsForPool;
     for_each_shard(pooled, [&](std::size_t s) {
       if (wake_[s] > t) return;
       for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
         const auto i = static_cast<std::size_t>(node);
-        if (!skip_router_[i]) routers_[i]->execute(t);
+        if (skip_router_[i]) continue;
+        Router& r = *routers_[i];
+        r.execute(t);
+        set_hot_bit(i, node_hot::kRouterQuiescent, r.quiescent());
       }
       for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
         const auto i = static_cast<std::size_t>(node);
-        if (!skip_ni_[i]) nis_[i]->execute(t);
-      }
-      for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-        const auto i = static_cast<std::size_t>(node);
-        if (!skip_router_[i] || !skip_ni_[i]) refresh_node_hot(node);
+        if (skip_ni_[i]) continue;
+        NetworkInterface& ni = *nis_[i];
+        ni.execute(t);
+        set_hot_bit(i, node_hot::kNiInjectionIdle, ni.injection_idle());
       }
     });
   }

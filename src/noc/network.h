@@ -111,10 +111,13 @@ class Network {
   const VariusModel& varius() const noexcept { return varius_; }
 
   /// Outgoing inter-router channel of `node` through mesh port `p`;
-  /// nullptr at a mesh edge or for the Local port.
+  /// nullptr at a mesh edge, for a dead link or for the Local port. The
+  /// step datapath never calls this: routers use the endpoints bound from
+  /// it (Router::bind_links); tests use it directly.
   ChannelPair* out_channel(NodeId node, Port p);
   /// Incoming inter-router channel at `node`'s input port `p` (the
-  /// neighbour's outgoing channel); nullptr at a mesh edge / Local.
+  /// neighbour's outgoing channel); nullptr at a mesh edge, for a dead link
+  /// or for Local.
   ChannelPair* in_channel(NodeId node, Port p);
   /// NI -> router injection channel of `node`.
   ChannelPair& inj_channel(NodeId node) {
@@ -283,7 +286,7 @@ class Network {
   struct PhaseTimings {
     double serial_seconds = 0.0;   ///< faults + e2e drain + wake bookkeeping
     double receive_seconds = 0.0;  ///< fused flags+receive dispatch
-    double execute_seconds = 0.0;  ///< execute dispatch (incl. hot refresh)
+    double execute_seconds = 0.0;  ///< execute dispatch (incl. hot bits)
     double merge_seconds = 0.0;    ///< single canonical merge
   };
   void set_phase_timing(bool on) noexcept { time_phases_ = on; }
@@ -349,17 +352,22 @@ class Network {
   /// Rebuilds routes and runs packet-level repair over the lost-flit list.
   void finish_fault_application(std::vector<LostFlit>& lost);
 
+  /// Binds every live lane's DelayLine to its consumer's byte in lanes_
+  /// (construction only; a killed lane is unbound in kill_link_internal).
+  void bind_lane_bytes();
+  /// (Re)binds `node`'s router and NI endpoints from in_channel /
+  /// out_channel (construction, link kills).
+  void bind_node_links(NodeId node);
+
   NocConfig cfg_;
   MeshTopology topo_;
   Cycle now_ = 0;
 
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
-  /// out_ch_[node*5+port]: inter-router channels, by value so the flag scan
-  /// reads lane emptiness with contiguous loads instead of a unique_ptr
-  /// chase. Slots at mesh edges / Local / killed links stay default-empty
-  /// forever (out_alive_ gates the accessors); their lanes are cleared on
-  /// kill, so emptiness checks need no aliveness branch.
+  /// out_ch_[node*5+port]: inter-router channels, by value. Slots at mesh
+  /// edges / Local / killed links stay empty and unbound forever (out_alive_
+  /// gates the accessors); a killed link's lanes are cleared on kill.
   std::vector<ChannelPair> out_ch_;
   std::vector<std::uint8_t> out_alive_;  ///< per link_index: channel exists
   std::vector<ChannelPair> inj_;
@@ -416,14 +424,19 @@ class Network {
   // -- SoA hot state + cross-cycle quiescence lookahead (see step()) --
   /// Sentinel wake stamp for a shard with no scheduled wake-up.
   static constexpr Cycle kWakeNever = ~Cycle{0};
-  /// Per-node packed hot byte (see noc/node_hot.h).
+  /// Per-node packed hot byte: router quiescent, NI injection idle (see
+  /// noc/node_hot.h).
   std::vector<std::uint8_t> node_hot_;
+  /// Per-node lane occupancy bytes, laid out by consumer (noc/node_hot.h).
+  /// Each byte has one producer, which only sets it (a push, in execute —
+  /// or, for ej credits, the node's own NI receive), and one consumer, the
+  /// node itself, which clears it in the pop that empties the lane. The
+  /// inj-credit byte is set by the node's router and cleared by its NI, both
+  /// run by the same shard task. Distinct bytes are distinct memory
+  /// locations, so no atomics are needed (DESIGN.md §5).
+  std::vector<LaneBytes> lanes_;
   /// node_shard_[node]: owning shard index (rebuilt with the partition).
   std::vector<std::uint32_t> node_shard_;
-  /// in_lane_idx_[node*4+mesh_port]: link_index of the neighbour's outgoing
-  /// channel feeding this input port; absent neighbours alias the node's own
-  /// (always-empty) Local slot so the flag scan stays branch-light.
-  std::vector<std::uint32_t> in_lane_idx_;
   /// wake_[s] <= now_ means shard s must be visited this cycle; kWakeNever
   /// means it sleeps until an external event lowers the stamp.
   std::vector<Cycle> wake_;
@@ -443,6 +456,10 @@ class Network {
 
   /// Refreshes node_hot_[node] from the node's current settled state.
   void refresh_node_hot(NodeId node) noexcept;
+  void set_hot_bit(std::size_t i, std::uint8_t bit, bool on) noexcept {
+    node_hot_[i] = static_cast<std::uint8_t>(on ? node_hot_[i] | bit
+                                                : node_hot_[i] & ~bit);
+  }
   void refresh_all_node_hot() noexcept;
 
   bool time_phases_ = false;

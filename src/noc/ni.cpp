@@ -9,6 +9,7 @@
 #include "coding/crc.h"
 #include "common/rng.h"
 #include "noc/network.h"
+#include "noc/node_hot.h"
 #include "noc/topology.h"
 
 namespace rlftnoc {
@@ -69,7 +70,8 @@ bool NetworkInterface::enqueue_packet(Packet pkt) {
 }
 
 void NetworkInterface::receive(Cycle now) {
-  ChannelPair& ej = net_->ej_channel(id_);
+  if (lanes_->b[lane_byte::kEjFlits] == 0) return;
+  ChannelPair& ej = *ej_;
   while (auto f = ej.flits.pop(now)) {
     RLFTNOC_CHECK(f->vc >= 0 && f->vc < cfg_->vcs_per_port,
                   "NI %d: ejected flit carries invalid vc %d", id_, f->vc);
@@ -318,9 +320,11 @@ void NetworkInterface::start_next_packet(Cycle /*now*/) {
 }
 
 void NetworkInterface::execute(Cycle now) {
-  ChannelPair& inj = net_->inj_channel(id_);
-  while (auto c = inj.credits.pop(now))
-    ++local_vcs_[static_cast<std::size_t>(c->vc)].credits;
+  ChannelPair& inj = *inj_;
+  if (lanes_->b[lane_byte::kInjCredits] != 0) {
+    while (auto c = inj.credits.pop(now))
+      ++local_vcs_[static_cast<std::size_t>(c->vc)].credits;
+  }
 
   if (!sending_) start_next_packet(now);
   if (!sending_) return;

@@ -28,6 +28,8 @@ namespace rlftnoc {
 
 class Network;
 class Topology;
+struct ChannelPair;
+struct LaneBytes;
 
 /// Creates a packet with `len` flits of RNG-filled payload and valid CRCs.
 /// Throws std::invalid_argument unless 1 <= len <= kMaxPacketFlits.
@@ -82,6 +84,16 @@ class NetworkInterface {
   void set_effect_sinks(StepEffects* fx, TraceStage* trace) noexcept {
     fx_ = fx;
     trace_ = trace;
+  }
+
+  /// Binds the node-local channels (NI -> router injection, router -> NI
+  /// ejection) and this node's lane occupancy block (noc/node_hot.h); see
+  /// Router::bind_links.
+  void bind_links(ChannelPair* inj, ChannelPair* ej,
+                  const LaneBytes* lanes) noexcept {
+    inj_ = inj;
+    ej_ = ej;
+    lanes_ = lanes;
   }
 
   /// True when this NI holds no in-flight state (drain detection).
@@ -149,6 +161,9 @@ class NetworkInterface {
   Network* net_;
   StepEffects* fx_ = nullptr;   ///< shard staging buffer (never null in step)
   TraceStage* trace_ = nullptr; ///< shard trace sink; null = tracing off
+  ChannelPair* inj_ = nullptr;        ///< bound injection channel
+  ChannelPair* ej_ = nullptr;         ///< bound ejection channel
+  const LaneBytes* lanes_ = nullptr;  ///< this node's lane occupancy bytes
 
   RingBuffer<Packet> queue_;     ///< fresh packets
   RingBuffer<Packet> reinject_;  ///< end-to-end retransmissions (priority)

@@ -15,6 +15,11 @@ namespace rlftnoc {
 /// router sizes its inline per-port VC arrays by it.
 inline constexpr int kMaxVcsPerPort = 12;
 
+/// Upper bound on mesh_width x mesh_height. The topology's next-hop table
+/// holds nodes^2 bytes (256 MiB at this bound, a 128x128 mesh), and the
+/// node count must fit an int.
+inline constexpr std::int64_t kMaxNodes = 128 * 128;
+
 /// Mesh / router / protocol parameters with Table II defaults.
 struct NocConfig {
   int mesh_width = 8;        ///< 8x8 2D mesh
@@ -54,6 +59,14 @@ struct NocConfig {
           std::to_string(mesh_width) + "x" + std::to_string(mesh_height) + ")");
     if (mesh_width < 2 || mesh_height < 2)
       throw std::invalid_argument("NocConfig: mesh must be at least 2x2");
+    const std::int64_t nodes =
+        static_cast<std::int64_t>(mesh_width) * mesh_height;
+    if (nodes > kMaxNodes)
+      throw std::invalid_argument(
+          "NocConfig: noc.mesh_width x noc.mesh_height = " +
+          std::to_string(mesh_width) + "x" + std::to_string(mesh_height) +
+          " = " + std::to_string(nodes) + " nodes exceeds the limit of " +
+          std::to_string(kMaxNodes) + " (the next-hop table is nodes^2 bytes)");
     if (topology == TopologyKind::kTorus &&
         routing == RoutingAlgorithm::kWestFirst)
       throw std::invalid_argument(

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "coding/secded.h"
 #include "noc/network.h"
+#include "noc/node_hot.h"
 #include "noc/routing.h"
 
 namespace rlftnoc {
@@ -58,30 +59,39 @@ Router::Router(NodeId id, const NocConfig* cfg, Network* net)
 // --------------------------------------------------------------------------
 
 void Router::receive(Cycle now) {
-  for (const Port p : kMeshPorts) {
-    if (ChannelPair* ch = net_->in_channel(id_, p)) {
-      while (auto f = ch->flits.pop(now)) handle_incoming_flit(now, p, std::move(*f));
-    }
+  // Poll only the lanes whose occupancy byte is set (a set byte implies a
+  // live, bound lane), in the fixed lane order below: the order of pending
+  // ACKs and FIFO pushes is part of the result.
+  const std::uint8_t* occ = lanes_->b.data();
+  constexpr std::size_t local_pi = port_index(Port::kLocal);
+  for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
+    if (occ[lane_byte::kInFlits + pi] == 0) continue;
+    const auto p = static_cast<Port>(pi);
+    while (auto f = in_ch_[pi]->flits.pop(now))
+      handle_incoming_flit(now, p, std::move(*f));
   }
-  ChannelPair& inj = net_->inj_channel(id_);
-  while (auto f = inj.flits.pop(now))
-    handle_incoming_flit(now, Port::kLocal, std::move(*f));
+  if (occ[lane_byte::kInjFlits] != 0) {
+    while (auto f = in_ch_[local_pi]->flits.pop(now))
+      handle_incoming_flit(now, Port::kLocal, std::move(*f));
+  }
 
-  for (const Port p : kMeshPorts) {
-    if (ChannelPair* ch = net_->out_channel(id_, p)) {
-      const std::size_t pi = port_index(p);
-      while (auto c = ch->credits.pop(now)) {
+  for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
+    if (occ[lane_byte::kOutCredits + pi] != 0) {
+      while (auto c = out_ch_[pi]->credits.pop(now)) {
         const auto v = static_cast<std::size_t>(c->vc);
         mask_credit(pi, v, ++output_[pi].vcs[v].credits);
       }
-      while (auto a = ch->acks.pop(now)) handle_ack(p, *a);
+    }
+    if (occ[lane_byte::kOutAcks + pi] != 0) {
+      const auto p = static_cast<Port>(pi);
+      while (auto a = out_ch_[pi]->acks.pop(now)) handle_ack(p, *a);
     }
   }
-  ChannelPair& ej = net_->ej_channel(id_);
-  const std::size_t local_pi = port_index(Port::kLocal);
-  while (auto c = ej.credits.pop(now)) {
-    const auto v = static_cast<std::size_t>(c->vc);
-    mask_credit(local_pi, v, ++output_[local_pi].vcs[v].credits);
+  if (occ[lane_byte::kEjCredits] != 0) {
+    while (auto c = out_ch_[local_pi]->credits.pop(now)) {
+      const auto v = static_cast<std::size_t>(c->vc);
+      mask_credit(local_pi, v, ++output_[local_pi].vcs[v].credits);
+    }
   }
 }
 
@@ -161,7 +171,7 @@ void Router::accept_flit(Port in_port, Flit&& flit) {
 
 void Router::send_link_response(Cycle /*now*/, Port in_port, FlitId id, VcId vc,
                                 bool nack) {
-  ChannelPair* ch = net_->in_channel(id_, in_port);
+  ChannelPair* ch = in_ch_[port_index(in_port)];
   // ECC traffic only arrives on mesh ports, which always have a back channel.
   RLFTNOC_CHECK(ch != nullptr, "router %d: link response through port %s",
                 id_, port_name(in_port));
@@ -180,6 +190,7 @@ void Router::handle_ack(Port out_port, const AckMsg& ack) {
     ++counters_.acks_received[pi];
     erase_retention(out_port, ack.flit_id);
     drop_queued_copies(out_port, ack.flit_id);
+    arq_sync(pi);
     return;
   }
 
@@ -191,6 +202,7 @@ void Router::handle_ack(Port out_port, const AckMsg& ack) {
   if (r->unresolved == 0 && !dup_scheduled && !r->resend_queued) {
     op.retx_queue.push_back(ack.flit_id);
     r->resend_queued = true;
+    resend_ports_ = static_cast<std::uint8_t>(resend_ports_ | (1u << pi));
   }
 }
 
@@ -215,9 +227,11 @@ void Router::execute(Cycle now) {
 }
 
 void Router::stage_link_resend(Cycle now) {
-  for (const Port p : kMeshPorts) {
-    if (net_->out_channel(id_, p) == nullptr) continue;
-    const std::size_t pi = port_index(p);
+  // Only ports with a queued resend or duplicate, in ascending port order.
+  // Edge ports never queue one, and a dead port's queues died with it.
+  for (unsigned ports = resend_ports_; ports != 0; ports &= ports - 1) {
+    const auto pi = static_cast<std::size_t>(std::countr_zero(ports));
+    const auto p = static_cast<Port>(pi);
     OutputPort& op = output_[pi];
     if (now < op.busy_until) continue;
 
@@ -241,7 +255,10 @@ void Router::stage_link_resend(Cycle now) {
       sent = true;
       break;
     }
-    if (sent) continue;
+    if (sent) {
+      arq_sync(pi);
+      continue;
+    }
 
     // Priority 2: mode-2 proactive duplicates whose gap has elapsed.
     while (!op.dup_queue.empty() && op.dup_queue.front().earliest <= now) {
@@ -259,6 +276,7 @@ void Router::stage_link_resend(Cycle now) {
       transmit(now, p, std::move(copy), /*is_copy=*/true);
       break;
     }
+    arq_sync(pi);
   }
 }
 
@@ -279,7 +297,7 @@ void Router::stage_switch_allocation(Cycle now) {
     if (req == 0) continue;
     if (now < op.busy_until) continue;
     const bool mesh = out != Port::kLocal;
-    if (mesh && net_->out_channel(id_, out) == nullptr) continue;
+    if (mesh && out_ch_[pi] == nullptr) continue;
     // A protected link must be able to retain a copy of what it sends.
     if (mesh && ecc_enabled() &&
         static_cast<int>(op.retention.size()) >= cfg_->retention_depth)
@@ -288,7 +306,7 @@ void Router::stage_switch_allocation(Cycle now) {
     // sending unprotected flits past an open retransmission gap would let
     // the stream arrive out of order.
     if (mesh && !ecc_enabled() &&
-        !(op.retention.empty() && op.retx_queue.empty() && op.dup_queue.empty()))
+        (((retained_ports_ | resend_ports_) >> pi) & 1u) != 0)
       continue;
 
     // Round-robin arbitration over the set bits only: visit bits >= sa_rr
@@ -324,12 +342,8 @@ void Router::stage_switch_allocation(Cycle now) {
       net_->record_power(id_, PowerEvent::kArbitration);
       net_->record_power(id_, PowerEvent::kCrossbar);
 
-      const auto in_port = static_cast<Port>(in_pi);
-      if (in_port == Port::kLocal) {
-        net_->inj_channel(id_).credits.push(now, Credit{static_cast<VcId>(v)});
-      } else if (ChannelPair* ch = net_->in_channel(id_, in_port)) {
+      if (ChannelPair* ch = in_ch_[in_pi])
         ch->credits.push(now, Credit{static_cast<VcId>(v)});
-      }
 
       mask_credit(pi, static_cast<std::size_t>(iv.out_vc), --ovc.credits);
       flit.vc = static_cast<std::int8_t>(iv.out_vc);
@@ -469,7 +483,7 @@ void Router::transmit(Cycle now, Port out_port, Flit flit, bool is_copy) {
   const std::size_t pi = port_index(out_port);
   OutputPort& op = output_[pi];
   const bool mesh = out_port != Port::kLocal;
-  ChannelPair* ch = mesh ? net_->out_channel(id_, out_port) : &net_->ej_channel(id_);
+  ChannelPair* ch = out_ch_[pi];
   RLFTNOC_CHECK(ch != nullptr, "router %d: transmit through edge port %s", id_,
                 port_name(out_port));
 
@@ -481,6 +495,7 @@ void Router::transmit(Cycle now, Port out_port, Flit flit, bool is_copy) {
     flit.ecc_valid = true;
     net_->record_power(id_, PowerEvent::kEccEncode);
     op.retention.insert(ArqRetention{flit, 1, false});
+    retained_ports_ = static_cast<std::uint8_t>(retained_ports_ | (1u << pi));
     net_->record_power(id_, PowerEvent::kOutputBufferWrite);
   }
   if (is_copy) {
@@ -522,6 +537,7 @@ void Router::transmit(Cycle now, Port out_port, Flit flit, bool is_copy) {
     // Flit pre-retransmission: schedule the proactive duplicate one idle
     // cycle after the original (Fig. 3(c)).
     op.dup_queue.push_back(OutputPort::PendingDup{now + 2, fid});
+    resend_ports_ = static_cast<std::uint8_t>(resend_ports_ | (1u << pi));
   }
 }
 
@@ -540,11 +556,7 @@ void Router::drop_leading_worm(Cycle now, Port in, VcId v, InputVc& iv,
     if (lost != nullptr) lost->push_back(LostFlit{f.packet_id, f.src, f.dst});
     ++counters_.fault_drops;
     if (return_credits) {
-      if (in == Port::kLocal) {
-        net_->inj_channel(id_).credits.push(now, Credit{v});
-      } else if (ChannelPair* ch = net_->in_channel(id_, in)) {
-        ch->credits.push(now, Credit{v});
-      }
+      if (ChannelPair* ch = in_ch_[port_index(in)]) ch->credits.push(now, Credit{v});
     }
     iv.fifo.pop_front();
     --buffered_;
@@ -565,6 +577,7 @@ void Router::purge_dead_output(Cycle now, Port p, std::vector<LostFlit>& lost) {
   op.retention.reset(static_cast<std::size_t>(cfg_->retention_depth));
   op.retx_queue.clear();
   op.dup_queue.clear();
+  arq_sync(pi);
   op.busy_until = 0;
 
   // Worms mid-flight toward the dead port: drop the local fragment and free
@@ -668,12 +681,8 @@ Router::ChainNext Router::purge_worm_of_packet(Cycle now, Port in, VcId v,
   counters_.fault_drops += static_cast<std::uint64_t>(n);
   buffered_ -= static_cast<int>(n);
   mask_update_occupancy(ivc_bit(port_index(in), static_cast<std::size_t>(v)), iv);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in == Port::kLocal) {
-      net_->inj_channel(id_).credits.push(now, Credit{v});
-    } else if (ChannelPair* ch = net_->in_channel(id_, in)) {
-      ch->credits.push(now, Credit{v});
-    }
+  if (ChannelPair* ch = in_ch_[port_index(in)]) {
+    for (std::size_t i = 0; i < n; ++i) ch->credits.push(now, Credit{v});
   }
   return next;
 }
@@ -715,6 +724,8 @@ void Router::purge_for_router_kill(std::vector<LostFlit>& lost) {
   active_mask_ = 0;
   waitvc_mask_ = 0;
   active_to_.fill(0);
+  retained_ports_ = 0;
+  resend_ports_ = 0;
   buffered_ = 0;
 }
 
@@ -757,15 +768,6 @@ int Router::pending_link_work() const noexcept {
                           op.dup_queue.size());
   }
   return n;
-}
-
-bool Router::quiescent() const noexcept {
-  if ((occ_mask_ | active_mask_ | waitvc_mask_) != 0) return false;
-  for (const auto& op : output_) {
-    if (!op.retention.empty() || !op.retx_queue.empty() || !op.dup_queue.empty())
-      return false;
-  }
-  return true;
 }
 
 }  // namespace rlftnoc

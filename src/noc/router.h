@@ -41,6 +41,7 @@
 namespace rlftnoc {
 
 class Network;
+struct LaneBytes;
 
 /// Cumulative per-router activity counters; the control layer samples deltas
 /// per time-step to build the RL state (Table I features).
@@ -152,6 +153,20 @@ class Router {
     trace_ = trace;
   }
 
+  /// Binds this router's link endpoints: in[p] / out[p] is the live channel
+  /// entering / leaving through port p (null for an absent or dead link),
+  /// with the NI's injection / ejection channels at the Local index, and
+  /// `lanes` is this node's lane occupancy block (noc/node_hot.h). Called by
+  /// the Network at construction and after every link kill; the datapath
+  /// reaches its channels only through these.
+  void bind_links(const std::array<ChannelPair*, kNumPorts>& in,
+                  const std::array<ChannelPair*, kNumPorts>& out,
+                  const LaneBytes* lanes) noexcept {
+    in_ch_ = in;
+    out_ch_ = out;
+    lanes_ = lanes;
+  }
+
   /// Number of occupied input VCs (RL state feature 1).
   int occupied_input_vcs() const noexcept;
 
@@ -166,7 +181,10 @@ class Router {
   /// retention entries or queued resends/duplicates. A quiescent router's
   /// receive/execute are no-ops as long as its incoming lanes are also empty
   /// (the network checks those), which is what licenses idle-skip stepping.
-  bool quiescent() const noexcept;
+  bool quiescent() const noexcept {
+    return (occ_mask_ | active_mask_ | waitvc_mask_) == 0 &&
+           (retained_ports_ | resend_ports_) == 0;
+  }
 
   const RouterCounters& counters() const noexcept { return counters_; }
 
@@ -344,6 +362,18 @@ class Router {
     else
       free_vc_mask_[out_pi] |= bit64(static_cast<unsigned>(v));
   }
+  /// Re-derives output port `pi`'s bits of the ARQ port words after a
+  /// removal from its retention ring or resend queues (additions set the
+  /// bit directly).
+  void arq_sync(std::size_t pi) noexcept {
+    const auto m = static_cast<std::uint8_t>(1u << pi);
+    const OutputPort& op = output_[pi];
+    retained_ports_ = static_cast<std::uint8_t>(
+        op.retention.empty() ? retained_ports_ & ~m : retained_ports_ | m);
+    resend_ports_ = static_cast<std::uint8_t>(
+        op.retx_queue.empty() && op.dup_queue.empty() ? resend_ports_ & ~m
+                                                      : resend_ports_ | m);
+  }
 
   /// The invariant auditor cross-checks buffer occupancy, credit balance and
   /// ARQ bookkeeping against the rest of the network (see noc/audit.h).
@@ -361,6 +391,11 @@ class Router {
   Network* net_;
   StepEffects* fx_ = nullptr;   ///< shard staging buffer (never null in step)
   TraceStage* trace_ = nullptr; ///< shard trace sink; null = tracing off
+  /// Bound link endpoints by port index (see bind_links): in_ch_[Local] is
+  /// the injection channel, out_ch_[Local] the ejection channel.
+  std::array<ChannelPair*, kNumPorts> in_ch_{};
+  std::array<ChannelPair*, kNumPorts> out_ch_{};
+  const LaneBytes* lanes_ = nullptr;  ///< this node's lane occupancy bytes
   OpMode mode_ = OpMode::kMode0;
   bool dateline_ = false;  ///< torus DOR: stamp/partition VCs by dateline class
 
@@ -387,6 +422,9 @@ class Router {
   std::array<std::uint64_t, kNumPorts> active_to_{};  ///< kActive worms headed to out port
   std::array<std::uint64_t, kNumPorts> credit_mask_{};   ///< out VC bit set <=> credits > 0
   std::array<std::uint64_t, kNumPorts> free_vc_mask_{};  ///< out VC bit set <=> !allocated
+  // ARQ port words, bit = port_index (see arq_sync).
+  std::uint8_t retained_ports_ = 0;  ///< bit set <=> retention non-empty
+  std::uint8_t resend_ports_ = 0;    ///< bit set <=> retx or dup queued
 };
 
 }  // namespace rlftnoc

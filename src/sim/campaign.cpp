@@ -49,8 +49,7 @@ std::unique_ptr<TrafficGenerator> make_workload_traffic(
       SyntheticTraffic::Options o;
       o.pattern = pat;
       o.injection_rate = wl_cfg.get_double("injection_rate", 0.06);
-      o.total_packets =
-          static_cast<std::uint64_t>(wl_cfg.get_int("packets", 50000));
+      o.total_packets = wl_cfg.get_int_as<std::uint64_t>("packets", 50000);
       return std::make_unique<SyntheticTraffic>(topo, o, seed);
     }
   }

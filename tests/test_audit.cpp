@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "fault/hard_faults.h"
 #include "noc/network.h"
+#include "router_test_peer.h"
 #include "sim/simulator.h"
 #include "traffic/traffic.h"
 
@@ -230,19 +231,6 @@ TEST(Audit, MintedMeshCreditTripsCreditBalance) {
   EXPECT_EQ(violations.front().port, Port::kEast);
 }
 
-}  // namespace
-
-/// Reaches router internals the public API can never corrupt.
-struct RouterTestPeer {
-  static RetentionTable& retention(Router& r, Port p) {
-    return r.output_[port_index(p)].retention;
-  }
-  static void stage_response(Router& r, DelayLine<AckMsg>* lane, AckMsg msg) {
-    r.pending_acks_.push_back(Router::PendingAck{lane, msg});
-  }
-};
-
-namespace {
 
 /// First violation of `invariant` whose detail mentions `needle`, if any.
 const AuditViolation* find_violation(const std::vector<AuditViolation>& v,
@@ -298,6 +286,59 @@ TEST(Audit, UnpushedLinkResponseTripsParallelStaging) {
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->node, 5);
   EXPECT_EQ(auditor.clean_passes(), 0u);
+}
+
+TEST(Audit, StaleLaneByteTripsParallelStaging) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+
+  // A byte claiming flits on router 5's (empty) west input lane: the flag
+  // scan would visit a node with nothing to do — or, flipped the other way,
+  // skip one with a flit waiting.
+  RouterTestPeer::lane_bytes(net.router(5))[lane_byte::kInFlits +
+                                            port_index(Port::kWest)] = 1;
+
+  NetworkAuditor auditor;
+  const std::vector<AuditViolation> violations = auditor.run(net);
+  const AuditViolation* v =
+      find_violation(violations, "parallel-staging", "lane holds 0 entries");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->node, 5);
+  EXPECT_EQ(v->port, Port::kWest);
+}
+
+TEST(Audit, DriftedArqPortWordTripsMaskConsistency) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+
+  // A resend bit with no queued resend: quiescent() would report work that
+  // does not exist and stage_link_resend would visit an idle port.
+  RouterTestPeer::resend_ports(net.router(6)) |=
+      static_cast<std::uint8_t>(1u << port_index(Port::kNorth));
+
+  NetworkAuditor auditor;
+  const std::vector<AuditViolation> violations = auditor.run(net);
+  const AuditViolation* v =
+      find_violation(violations, "mask-consistency", "arq resend-ports");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->node, 6);
+}
+
+TEST(Audit, StaleBoundEndpointTripsParallelStaging) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+
+  // Router 1 keeps sending east after its endpoint went stale: the datapath
+  // would push onto a channel the network no longer considers live.
+  RouterTestPeer::out_link(net.router(1), Port::kEast) = nullptr;
+
+  NetworkAuditor auditor;
+  const std::vector<AuditViolation> violations = auditor.run(net);
+  const AuditViolation* v =
+      find_violation(violations, "parallel-staging", "bound endpoint");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->node, 1);
+  EXPECT_EQ(v->port, Port::kEast);
 }
 
 TEST(Audit, CheckOrThrowReportsLocation) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+
 namespace rlftnoc {
 namespace {
 
@@ -64,6 +67,60 @@ TEST(DelayLine, MovesValueOut) {
   auto v = d.pop(1);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(**v, 7);
+}
+
+TEST(DelayLine, BoundByteTracksNonEmptiness) {
+  std::uint8_t byte = 0;
+  DelayLine<int> d(2);
+  d.bind_occupancy(&byte);
+  EXPECT_EQ(d.occupancy_byte(), &byte);
+  EXPECT_EQ(byte, 0);
+  d.push(0, 1);  // push sets the byte
+  EXPECT_EQ(byte, 1);
+  d.push(0, 2);
+  EXPECT_FALSE(d.pop(1).has_value());  // immature entry keeps it set
+  EXPECT_EQ(byte, 1);
+  EXPECT_EQ(*d.pop(2), 1);  // a pop that leaves an entry keeps it set
+  EXPECT_EQ(byte, 1);
+  EXPECT_EQ(*d.pop(2), 2);  // the pop that empties the lane clears it
+  EXPECT_EQ(byte, 0);
+  EXPECT_FALSE(d.pop(9).has_value());
+  EXPECT_EQ(byte, 0);
+}
+
+TEST(DelayLine, ClearZeroesBoundByte) {
+  std::uint8_t byte = 0;
+  DelayLine<int> d(1);
+  d.bind_occupancy(&byte);
+  d.push_delayed(0, 1, 4);
+  EXPECT_EQ(byte, 1);
+  EXPECT_EQ(d.clear(), 1u);
+  EXPECT_EQ(byte, 0);
+}
+
+TEST(DelayLine, BindingSyncsByteAndUnbindingStopsWrites) {
+  DelayLine<int> d(1);
+  d.push(0, 7);
+  std::uint8_t byte = 0;
+  d.bind_occupancy(&byte);  // binding a non-empty line sets the byte
+  EXPECT_EQ(byte, 1);
+  d.bind_occupancy(nullptr);
+  EXPECT_EQ(d.occupancy_byte(), nullptr);
+  EXPECT_EQ(*d.pop(1), 7);  // an unbound line writes no byte
+  EXPECT_EQ(byte, 1);
+}
+
+TEST(DelayLine, UnboundLineBehavesAsBefore) {
+  DelayLine<int> d(1);
+  EXPECT_EQ(d.occupancy_byte(), nullptr);
+  d.push(0, 1);
+  d.push(1, 2);
+  EXPECT_EQ(d.size(), 2u);
+  EXPECT_EQ(*d.pop(1), 1);
+  EXPECT_FALSE(d.pop(1).has_value());
+  EXPECT_EQ(*d.pop(2), 2);
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(d.clear(), 0u);
 }
 
 TEST(ChannelPair, DefaultLatencies) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
+#include "noc/noc_config.h"
+
 namespace rlftnoc {
 namespace {
 
@@ -121,6 +127,82 @@ TEST(Config, UnreadKeysAreThoseNoGetterOrContainsTouched) {
   c.set("a", "5");
   c.merge(Config::from_string("e = 1\n"));
   EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"a", "c", "e"}));
+}
+
+/// Message of the ConfigError `fn` throws; fails the test if none is thrown.
+template <class Fn>
+std::string config_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected ConfigError";
+  return "";
+}
+
+TEST(Config, ReadRejectsValuesTheFieldTypeCannotHold) {
+  const Config c = Config::from_string(
+      "neg = -1\nbig = 4294967297\nbyte = 256\nok = 255\nhuge = "
+      "99999999999999999999\n");
+  std::uint64_t u64 = 7;
+  std::string msg = config_error_of([&] { c.read("neg", u64); });
+  EXPECT_NE(msg.find("'neg'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'-1'"), std::string::npos) << msg;
+  EXPECT_EQ(u64, 7u);  // a rejected value leaves the field alone
+
+  int i32 = 0;
+  msg = config_error_of([&] { c.read("big", i32); });
+  EXPECT_NE(msg.find("'big'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("4294967297"), std::string::npos) << msg;
+
+  std::uint8_t u8 = 0;
+  EXPECT_THROW(c.read("byte", u8), ConfigError);
+  c.read("ok", u8);
+  EXPECT_EQ(u8, 255);
+
+  msg = config_error_of([&] { c.read("huge", u64); });
+  EXPECT_NE(msg.find("'huge'"), std::string::npos) << msg;
+}
+
+TEST(Config, GetIntAsChecksTheTargetType) {
+  const Config c = Config::from_string("packets = -1\nbudget_pct = 3\n");
+  EXPECT_THROW((void)c.get_int_as<std::uint64_t>("packets", 50), ConfigError);
+  EXPECT_EQ(c.get_int_as<std::uint64_t>("budget_pct", 100), 3u);
+  EXPECT_EQ(c.get_int_as<std::uint64_t>("absent", 100), 100u);
+  EXPECT_EQ(c.get_int_as<std::int32_t>("packets", 0), -1);
+}
+
+TEST(Config, NonFiniteDoublesThrow) {
+  const Config c =
+      Config::from_string("a = nan\nb = inf\nc = -inf\nd = 1e999\ne = 2.5\n");
+  for (const char* key : {"a", "b", "c", "d"}) {
+    const std::string msg = config_error_of([&] { (void)c.get_double(key); });
+    EXPECT_NE(msg.find(std::string("'") + key + "'"), std::string::npos) << msg;
+  }
+  double e = 0.0;
+  c.read("e", e);
+  EXPECT_EQ(e, 2.5);
+}
+
+TEST(NocConfigLimits, NodeCountIsComputedWideAndBounded) {
+  NocConfig cfg;
+  cfg.mesh_width = 100000;
+  cfg.mesh_height = 100000;  // 10^10 nodes: overflows int
+  try {
+    cfg.validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("noc.mesh_width"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("noc.mesh_height"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(kMaxNodes)), std::string::npos) << msg;
+  }
+  cfg.mesh_width = 128;
+  cfg.mesh_height = 128;  // configs/mesh128_stress.cfg
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.mesh_width = 129;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(Config, MissingFileThrows) {

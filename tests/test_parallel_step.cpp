@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "noc/audit.h"
 #include "noc/network.h"
+#include "router_test_peer.h"
 #include "sim/options_io.h"
 #include "sim/simulator.h"
 #include "traffic/traffic.h"
@@ -420,6 +421,98 @@ TEST(ParallelStep, FaultHeavyMode2AuditsCleanEveryCycleThreaded) {
   }
   EXPECT_TRUE(net.drained());
   EXPECT_GT(auditor.clean_passes(), 0u);
+}
+
+/// A link killed mid-run, while flits, credits and ACKs are crossing it:
+/// from the strike cycle on, both endpoint routers hold null for the port
+/// and every lane byte of the dead link is 0. Audited every cycle, so the
+/// rebinding and the lane bytes are re-derived from scratch throughout.
+/// Runs to a fixed horizon, not to drain: this kill strands one packet the
+/// fault repair never recovers (see ROADMAP, hard-fault repair).
+std::unique_ptr<Network> run_midrun_kill_audited(unsigned sim_threads) {
+  NocConfig cfg;
+  cfg.mesh_width = 6;
+  cfg.mesh_height = 6;
+  cfg.routing = RoutingAlgorithm::kAdaptive;
+  constexpr std::uint64_t kSeed = 53;
+  constexpr Cycle kKillCycle = 60;
+  constexpr NodeId kUp = 14;  // link 14:E <-> 15:W
+  constexpr NodeId kDown = 15;
+  auto net = std::make_unique<Network>(cfg, kSeed);
+  net->set_sim_threads(sim_threads);
+  for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+    net->router(n).set_mode(OpMode::kMode2);
+    for (const Port p : kMeshPorts) {
+      if (net->out_channel(n, p) != nullptr)
+        net->set_link_error_prob(n, p, LinkErrorProb{0.08, 0.004});
+    }
+  }
+  HardFault f;
+  f.kind = HardFault::Kind::kLink;
+  f.node = kUp;
+  f.port = Port::kEast;
+  f.at_cycle = kKillCycle;
+  net->schedule_hard_faults({f});
+
+  Rng traffic_rng(kSeed, "midrun-kill-traffic");
+  PacketId next_id = 1;
+  for (int i = 0; i < 300; ++i) {
+    const auto src = static_cast<NodeId>(
+        traffic_rng.next_u64() % static_cast<std::uint64_t>(cfg.num_nodes()));
+    const auto dst = static_cast<NodeId>(
+        traffic_rng.next_u64() % static_cast<std::uint64_t>(cfg.num_nodes()));
+    if (src == dst) continue;
+    net->ni(src).enqueue_packet(make_packet(next_id++, src, dst,
+                                            cfg.flits_per_packet, 0,
+                                            net->payload_rng()));
+  }
+
+  const auto dead_link_unbound = [&] {
+    Router& up = net->router(kUp);
+    Router& down = net->router(kDown);
+    const std::size_t e = port_index(Port::kEast);
+    const std::size_t w = port_index(Port::kWest);
+    const std::uint8_t* ub = RouterTestPeer::lane_bytes(up);
+    const std::uint8_t* db = RouterTestPeer::lane_bytes(down);
+    return RouterTestPeer::out_link(up, Port::kEast) == nullptr &&
+           RouterTestPeer::in_link(up, Port::kEast) == nullptr &&
+           RouterTestPeer::out_link(down, Port::kWest) == nullptr &&
+           RouterTestPeer::in_link(down, Port::kWest) == nullptr &&
+           ub[lane_byte::kInFlits + e] == 0 && ub[lane_byte::kOutCredits + e] == 0 &&
+           ub[lane_byte::kOutAcks + e] == 0 && db[lane_byte::kInFlits + w] == 0 &&
+           db[lane_byte::kOutCredits + w] == 0 && db[lane_byte::kOutAcks + w] == 0;
+  };
+
+  NetworkAuditor auditor;
+  bool busy_at_strike = false;
+  for (Cycle c = 0; c < 1500 && !net->drained(); ++c) {
+    if (net->now() == kKillCycle) {
+      // The link carries live traffic when it dies.
+      busy_at_strike = RouterTestPeer::lane_bytes(net->router(kDown))
+                           [lane_byte::kInFlits + port_index(Port::kWest)] != 0 ||
+                       net->router(kUp).pending_link_work() != 0;
+      EXPECT_FALSE(dead_link_unbound());
+    }
+    net->step();
+    for (const AuditViolation& v : auditor.run(*net))
+      ADD_FAILURE() << v.to_string();
+    if (net->now() > kKillCycle) {
+      EXPECT_TRUE(dead_link_unbound()) << "cycle " << net->now();
+    }
+  }
+  EXPECT_TRUE(busy_at_strike);
+  EXPECT_GT(net->metrics().packets_delivered, 250u);
+  EXPECT_EQ(net->hard_faults_applied(), 1u);
+  return net;
+}
+
+TEST(ParallelStep, MidRunKillUnbindsEndpointsAuditedAcrossThreads) {
+  const auto serial = run_midrun_kill_audited(1);
+  for (const unsigned t : {3u, 4u}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(t));
+    const auto threaded = run_midrun_kill_audited(t);
+    expect_networks_identical(*serial, *threaded);
+  }
 }
 
 TEST(ParallelStep, AuditedFaultHeavySweepHoldsInvariant6WithSingleMerge) {
