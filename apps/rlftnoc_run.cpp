@@ -8,47 +8,18 @@
 //               [key=value ...]
 //   rlftnoc_run --dump-defaults      (print the defaults as a config file)
 //
-// Config keys (all optional; defaults reproduce the paper's setup; a key
-// that nothing reads -- a typo, or one that does not apply to this workload
-// or mode -- is rejected with exit 2 before anything is simulated):
-//   policy        = crc | arq | dt | rl | oracle
-//   workload      = uniform (default) | transpose | hotspot | ... |
-//                   <parsec name> |
-//                   dnn | rpc | nackstorm  (dependency-graph generators,
-//                                           tuned with wl.* keys) |
-//                   <path>.json | <path>.wkb  (rlftnoc-workload-v1 file,
-//                                              dependency-gated replay;
-//                                              also --workload W)
-//   record_workload = <path>         (capture this run into a replayable
-//                                     rlftnoc-workload-v1 file; .wkb =
-//                                     binary; also --record-workload PATH)
+// Every simulation, workload and generator key, with its default, meaning
+// and range, is listed by --dump-defaults (the declared option tables of
+// sim/options_io.h, sim/campaign.h and workload/generators.h). A key that
+// nothing reads -- a typo, or one that does not apply to this workload or
+// mode -- and a value outside its range are rejected with exit 2 before
+// anything is simulated. The keys this driver reads itself:
 //   trace         = <path>           (overrides workload: replay a
 //                                     `cycle src dst len` text trace; cycles
 //                                     count from the injection-window start)
-//   seed          = 1
-//   jobs          = 1                (campaign-mode parallelism; also --jobs N)
-//   sim_threads   = 1                (threads inside one run's Network::step;
-//                                     0 = hardware threads; also --sim-threads N.
-//                                     Results are bit-identical for any value;
-//                                     total threads ~= jobs x sim_threads)
-//   audit         = false            (per-cycle invariant audit; also --audit)
-//   audit_interval= 1                (cycles between audit sweeps)
-//   telemetry     = false            (event trace + metrics; also --trace)
-//   telemetry.dir = telemetry        (output directory; also --trace-dir D)
-//   metrics_interval = 1000          (cycles/sample; also --metrics-interval N)
-//   telemetry.series_rows / telemetry.trace_capacity   (ring sizes)
-//   hard_faults   =                  (permanent faults: "link:NODE:P[@CYCLE],
-//                                     router:NODE[@CYCLE], ..."; also the
-//                                     --kill-link / --kill-router flags.
-//                                     Needs xy|yx|adaptive routing)
-//   injection_rate= 0.06             (synthetic workloads)
-//   packets       = 50000            (synthetic workloads)
 //   budget_pct    = 100              (PARSEC workloads; at least 1 packet)
-//   error_scale   = 1.0
-//   pretrain_cycles / warmup_cycles / ctrl.step_cycles
 //   rl_save       = <path>           (persist learned Q-tables after the run)
 //   rl_load       = <path>           (start from previously saved Q-tables)
-//   noc.mesh_width / noc.mesh_height / noc.vcs_per_port / ... (see NocConfig)
 //
 // Single runs and campaign cells resolve `workload` alike
 // (make_workload_traffic in sim/campaign.h).

@@ -51,7 +51,7 @@ int main() {
   for (const TrafficPattern pat :
        {TrafficPattern::kUniform, TrafficPattern::kTranspose,
         TrafficPattern::kHotspot}) {
-    std::printf("%-14s", traffic_pattern_name(pat));
+    std::printf("%-14s", spelling(pat));
     for (const double load : loads) {
       const double lat = run_point(pat, load, OpMode::kMode0, 0.0);
       if (lat < 0.0) {

@@ -124,31 +124,11 @@ bool Config::get_bool(const std::string& key) const {
 std::string Config::get_string(const std::string& key, std::string def) const {
   return contains(key) ? get_string(key) : std::move(def);
 }
-std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
-  return contains(key) ? get_int(key) : def;
-}
-double Config::get_double(const std::string& key, double def) const {
-  return contains(key) ? get_double(key) : def;
-}
-bool Config::get_bool(const std::string& key, bool def) const {
-  return contains(key) ? get_bool(key) : def;
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [k, v] : entries_) out.push_back(k);
-  return out;
-}
 
 std::string Config::to_string() const {
   std::ostringstream out;
   for (const auto& [k, e] : entries_) out << k << " = " << e.value << '\n';
   return out.str();
-}
-
-void Config::merge(const Config& other) {
-  for (const auto& [k, e] : other.entries_) entries_[k] = Entry{e.value};
 }
 
 std::vector<std::string> Config::unread_keys() const {

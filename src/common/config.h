@@ -49,11 +49,8 @@ class Config {
   double get_double(const std::string& key) const;
   bool get_bool(const std::string& key) const;
 
-  /// Typed getters with a default for absent keys (malformed still throws).
+  /// `key`'s value, or `def` when the key is absent.
   std::string get_string(const std::string& key, std::string def) const;
-  std::int64_t get_int(const std::string& key, std::int64_t def) const;
-  double get_double(const std::string& key, double def) const;
-  bool get_bool(const std::string& key, bool def) const;
 
   /// `key`'s integer value as T, or `def` when the key is absent. Throws
   /// ConfigError naming the key and value when T cannot hold the value — a
@@ -67,29 +64,8 @@ class Config {
     return static_cast<T>(v);
   }
 
-  /// Overwrites `field` with `key`'s value, parsed as the field's type,
-  /// when the key is present; an absent key keeps the default in `field`.
-  template <class T>
-  void read(const std::string& key, T& field) const {
-    if constexpr (std::is_same_v<T, bool>) {
-      field = get_bool(key, field);
-    } else if constexpr (std::is_floating_point_v<T>) {
-      field = get_double(key, field);
-    } else if constexpr (std::is_same_v<T, std::string>) {
-      field = get_string(key, field);
-    } else {
-      field = get_int_as<T>(key, field);
-    }
-  }
-
-  /// All keys in sorted order (for dumping the effective config).
-  std::vector<std::string> keys() const;
-
   /// Renders the whole config back to `key = value` lines.
   std::string to_string() const;
-
-  /// Merges `other` into this config; other's entries win.
-  void merge(const Config& other);
 
   /// Keys present but never read by a getter or contains(), in sorted
   /// order. Reads mark entries, so one Config must not be read from two

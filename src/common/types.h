@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace rlftnoc {
 
@@ -126,29 +128,11 @@ enum class RoutingAlgorithm : std::uint8_t {
                   ///< connected alive subgraph; see noc/routing.h)
 };
 
-inline const char* routing_name(RoutingAlgorithm a) noexcept {
-  switch (a) {
-    case RoutingAlgorithm::kXY: return "xy";
-    case RoutingAlgorithm::kYX: return "yx";
-    case RoutingAlgorithm::kWestFirst: return "westfirst";
-    case RoutingAlgorithm::kAdaptive: return "adaptive";
-  }
-  return "?";
-}
-
 /// Network topology shape (see noc/topology.h).
 enum class TopologyKind : std::uint8_t {
   kMesh = 0,   ///< 2D mesh, open edges (the paper's Table II substrate)
   kTorus = 1,  ///< 2D torus: mesh plus wrap-around links in both dimensions
 };
-
-inline const char* topology_kind_name(TopologyKind k) noexcept {
-  switch (k) {
-    case TopologyKind::kMesh: return "mesh";
-    case TopologyKind::kTorus: return "torus";
-  }
-  return "?";
-}
 
 /// Which fault-tolerance policy governs the network.
 enum class PolicyKind : std::uint8_t {
@@ -159,15 +143,66 @@ enum class PolicyKind : std::uint8_t {
   kOracle = 4,      ///< reference: classify the true error probability
 };
 
-inline const char* policy_name(PolicyKind k) noexcept {
-  switch (k) {
-    case PolicyKind::kStaticCrc: return "CRC";
-    case PolicyKind::kStaticArqEcc: return "ARQ+ECC";
-    case PolicyKind::kDecisionTree: return "DT";
-    case PolicyKind::kRl: return "RL";
-    case PolicyKind::kOracle: return "Oracle";
+/// An enum value and its config spelling. `display`, when set, is the name
+/// results print (also accepted when parsing).
+template <class E>
+struct Spelling {
+  E value;
+  const char* name;
+  const char* display = nullptr;
+};
+
+/// The one spelling table of a config enum: parse_spelling and spelling
+/// read it, so parsing and printing cannot disagree.
+template <class E>
+inline constexpr Spelling<E> kSpellings[] = {};
+template <>
+inline constexpr Spelling<RoutingAlgorithm> kSpellings<RoutingAlgorithm>[] = {
+    {RoutingAlgorithm::kXY, "xy"},
+    {RoutingAlgorithm::kYX, "yx"},
+    {RoutingAlgorithm::kWestFirst, "westfirst"},
+    {RoutingAlgorithm::kAdaptive, "adaptive"}};
+template <>
+inline constexpr Spelling<TopologyKind> kSpellings<TopologyKind>[] = {
+    {TopologyKind::kMesh, "mesh"}, {TopologyKind::kTorus, "torus"}};
+template <>
+inline constexpr Spelling<PolicyKind> kSpellings<PolicyKind>[] = {
+    {PolicyKind::kStaticCrc, "crc", "CRC"},
+    {PolicyKind::kStaticArqEcc, "arq", "ARQ+ECC"},
+    {PolicyKind::kDecisionTree, "dt", "DT"},
+    {PolicyKind::kRl, "rl", "RL"},
+    {PolicyKind::kOracle, "oracle", "Oracle"}};
+
+/// `value`'s config spelling, or its display name when `display` is set
+/// and it has one.
+template <class E>
+const char* spelling(E value, bool display = false) noexcept {
+  for (const Spelling<E>& s : kSpellings<E>) {
+    if (s.value == value) return display && s.display ? s.display : s.name;
   }
   return "?";
+}
+
+/// The value spelled `text` (its config spelling or display name).
+template <class E>
+std::optional<E> parse_spelling(std::string_view text) noexcept {
+  for (const Spelling<E>& s : kSpellings<E>) {
+    if (text == s.name || (s.display && text == s.display)) return s.value;
+  }
+  return std::nullopt;
+}
+
+/// Every config spelling of E, as "a|b|c".
+template <class E>
+std::string spelling_choices() {
+  std::string out;
+  for (const Spelling<E>& s : kSpellings<E>) (out += out.empty() ? "" : "|") += s.name;
+  return out;
+}
+
+/// The display name results and tables print ("ARQ+ECC", "RL", ...).
+inline const char* policy_name(PolicyKind k) noexcept {
+  return spelling(k, true);
 }
 
 }  // namespace rlftnoc

@@ -92,13 +92,16 @@ std::vector<HardFault> parse_hard_faults(const std::string& spec) {
   return out;
 }
 
-std::string hard_fault_to_string(const HardFault& f) {
-  std::string s = f.kind == HardFault::Kind::kLink
-                      ? "link:" + std::to_string(f.node) + ":" +
-                            port_name(f.port)
-                      : "router:" + std::to_string(f.node);
-  if (f.at_cycle != 0) s += "@" + std::to_string(f.at_cycle);
-  return s;
+std::string format_option(const std::vector<HardFault>& faults) {
+  std::string out;
+  for (const HardFault& f : faults) {
+    if (!out.empty()) out += ',';
+    out += f.kind == HardFault::Kind::kLink ? "link:" : "router:";
+    out += std::to_string(f.node);
+    if (f.kind == HardFault::Kind::kLink) (out += ':') += port_name(f.port);
+    if (f.at_cycle != 0) (out += '@') += std::to_string(f.at_cycle);
+  }
+  return out;
 }
 
 }  // namespace rlftnoc

@@ -42,7 +42,11 @@ struct HardFault {
 /// empty list. Throws std::invalid_argument on malformed specs.
 std::vector<HardFault> parse_hard_faults(const std::string& spec);
 
-/// Renders one fault in the parse_hard_faults format (diagnostics, tests).
-std::string hard_fault_to_string(const HardFault& f);
+/// A fault list as the value of option `hard_faults` (common/options.h):
+/// parse_hard_faults and its inverse, which joins items with commas.
+inline void parse_option(const std::string& text, std::vector<HardFault>& faults) {
+  faults = parse_hard_faults(text);
+}
+std::string format_option(const std::vector<HardFault>& faults);
 
 }  // namespace rlftnoc

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/config.h"
 #include "common/types.h"
 
 namespace rlftnoc {
@@ -79,52 +78,15 @@ struct NocConfig {
           "NocConfig: torus dimension-ordered routing needs vcs_per_port >= 2 "
           "(dateline VC classes)");
     if (vcs_per_port < 1 || vcs_per_port > kMaxVcsPerPort)
-      throw std::invalid_argument("NocConfig: vcs_per_port out of range");
-    if (vc_depth < 1) throw std::invalid_argument("NocConfig: vc_depth < 1");
+      throw std::invalid_argument("NocConfig: noc.vcs_per_port out of range");
+    if (vc_depth < 1) throw std::invalid_argument("NocConfig: noc.vc_depth < 1");
     if (flits_per_packet < 1 || flits_per_packet > 32)
-      throw std::invalid_argument("NocConfig: flits_per_packet out of range");
+      throw std::invalid_argument("NocConfig: noc.flits_per_packet out of range");
     if (retention_depth < 2)
-      throw std::invalid_argument("NocConfig: retention_depth < 2 cannot cover ACK RTT");
+      throw std::invalid_argument(
+          "NocConfig: noc.retention_depth < 2 cannot cover ACK RTT");
     if (local_vc_depth < vc_depth)
       throw std::invalid_argument("NocConfig: local_vc_depth < vc_depth");
-  }
-
-  /// Reads overrides from a flat Config (keys: noc.mesh_width, ...).
-  static NocConfig from_config(const Config& cfg) {
-    NocConfig c;
-    cfg.read("noc.mesh_width", c.mesh_width);
-    cfg.read("noc.mesh_height", c.mesh_height);
-    cfg.read("noc.vcs_per_port", c.vcs_per_port);
-    cfg.read("noc.vc_depth", c.vc_depth);
-    cfg.read("noc.flits_per_packet", c.flits_per_packet);
-    cfg.read("noc.retention_depth", c.retention_depth);
-    cfg.read("noc.local_vc_depth", c.local_vc_depth);
-    cfg.read("noc.ni_queue_limit", c.ni_queue_limit);
-    cfg.read("noc.e2e_ack_cycles_per_hop", c.e2e_ack_cycles_per_hop);
-    cfg.read("noc.e2e_ack_fixed_cycles", c.e2e_ack_fixed_cycles);
-    const std::string routing = cfg.get_string("noc.routing", "xy");
-    if (routing == "xy") {
-      c.routing = RoutingAlgorithm::kXY;
-    } else if (routing == "yx") {
-      c.routing = RoutingAlgorithm::kYX;
-    } else if (routing == "westfirst") {
-      c.routing = RoutingAlgorithm::kWestFirst;
-    } else if (routing == "adaptive") {
-      c.routing = RoutingAlgorithm::kAdaptive;
-    } else {
-      throw std::invalid_argument(
-          "noc.routing must be xy|yx|westfirst|adaptive");
-    }
-    const std::string topology = cfg.get_string("noc.topology", "mesh");
-    if (topology == "mesh") {
-      c.topology = TopologyKind::kMesh;
-    } else if (topology == "torus") {
-      c.topology = TopologyKind::kTorus;
-    } else {
-      throw std::invalid_argument("noc.topology must be mesh|torus");
-    }
-    c.validate();
-    return c;
   }
 };
 

@@ -1,7 +1,6 @@
 #include "noc/routing.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace rlftnoc {
@@ -275,14 +274,6 @@ const RoutingPolicy& routing_policy_for(RoutingAlgorithm alg) {
     case RoutingAlgorithm::kAdaptive: return kAdaptivePolicy;
   }
   return kXyPolicy;
-}
-
-RoutingAlgorithm routing_from_name(const std::string& name) {
-  if (name == "xy") return RoutingAlgorithm::kXY;
-  if (name == "yx") return RoutingAlgorithm::kYX;
-  if (name == "westfirst") return RoutingAlgorithm::kWestFirst;
-  if (name == "adaptive") return RoutingAlgorithm::kAdaptive;
-  throw std::invalid_argument("unknown routing algorithm: " + name);
 }
 
 int route_candidates(RoutingAlgorithm alg, const Topology& topo, NodeId cur,

@@ -37,7 +37,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -59,10 +58,6 @@ class RoutingPolicy {
 
 /// The shared policy instance implementing `alg`.
 const RoutingPolicy& routing_policy_for(RoutingAlgorithm alg);
-
-/// Parses a routing name ("xy" | "yx" | "westfirst" | "adaptive"); throws
-/// std::invalid_argument otherwise.
-RoutingAlgorithm routing_from_name(const std::string& name);
 
 /// Minimal route candidates at `cur` toward `dst` under `alg`, in
 /// preference order. Returns the number of candidates written (0, 1 or 2);

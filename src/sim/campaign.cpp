@@ -43,15 +43,13 @@ std::unique_ptr<TrafficGenerator> make_workload_traffic(
       return std::make_unique<ParsecTraffic>(topo, prof, seed);
     }
   }
-  for (int i = 0; i <= static_cast<int>(TrafficPattern::kHotspot); ++i) {
-    const auto pat = static_cast<TrafficPattern>(i);
-    if (w == traffic_pattern_name(pat)) {
-      SyntheticTraffic::Options o;
-      o.pattern = pat;
-      o.injection_rate = wl_cfg.get_double("injection_rate", 0.06);
-      o.total_packets = wl_cfg.get_int_as<std::uint64_t>("packets", 50000);
-      return std::make_unique<SyntheticTraffic>(topo, o, seed);
-    }
+  if (const auto pattern = parse_spelling<TrafficPattern>(w)) {
+    const auto synthetic = options_from_config<SyntheticWorkloadOptions>(wl_cfg);
+    SyntheticTraffic::Options o;
+    o.pattern = *pattern;
+    o.injection_rate = synthetic.injection_rate;
+    o.total_packets = synthetic.packets;
+    return std::make_unique<SyntheticTraffic>(topo, o, seed);
   }
   throw std::invalid_argument(
       "unknown workload '" + w +

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/options.h"
 #include "sim/simulator.h"
 #include "traffic/parsec.h"
 
@@ -34,12 +35,25 @@ inline constexpr const char* kDefaultWorkload = "uniform";
 /// PARSEC packet-budget percentage when none is given (full budgets).
 inline constexpr std::uint64_t kDefaultBudgetPct = 100;
 
+/// The run-config keys of a synthetic pattern (make_workload_traffic).
+struct SyntheticWorkloadOptions {
+  double injection_rate = 0.06;   ///< flits/node/cycle
+  std::uint64_t packets = 50000;  ///< packets to inject
+};
+
+template <class V>
+void visit_options(SyntheticWorkloadOptions& o, V&& v) {
+  v({"injection_rate", "synthetic patterns: flits/node/cycle", 0, 1, true},
+    o.injection_rate);
+  v({"packets", "synthetic patterns: packets to inject", 1}, o.packets);
+}
+
 /// Resolves a workload selector into the run's traffic, for single runs and
 /// campaign cells alike. Tried in order: an rlftnoc-workload-v1 file path
 /// and a built-in generator ("dnn", "rpc", "nackstorm"; wl.* keys of
 /// `wl_cfg`), both replayed with dependency gating; a PARSEC profile, its
 /// packet budget scaled by `budget_pct` but never below one packet; a
-/// synthetic pattern (`injection_rate`, `packets` of `wl_cfg`). An empty
+/// synthetic pattern (SyntheticWorkloadOptions of `wl_cfg`). An empty
 /// selector means kDefaultWorkload; any other name throws
 /// std::invalid_argument.
 std::unique_ptr<TrafficGenerator> make_workload_traffic(

@@ -53,15 +53,6 @@ void write_row(std::ostream& out, const SimResult& r) {
   });
 }
 
-PolicyKind policy_from_name(const std::string& name) {
-  for (const PolicyKind k :
-       {PolicyKind::kStaticCrc, PolicyKind::kStaticArqEcc, PolicyKind::kDecisionTree,
-        PolicyKind::kRl, PolicyKind::kOracle}) {
-    if (name == policy_name(k)) return k;
-  }
-  throw std::runtime_error("results_io: unknown policy name: " + name);
-}
-
 /// Index of `name` in `names`, in declaration order. Linear scan on purpose:
 /// campaigns have a handful of benchmarks/policies, and a flat vector makes
 /// the first-seen ordering (which report tables must follow) structural
@@ -139,7 +130,9 @@ CampaignResults read_results(std::istream& in) {
     const std::size_t pi = first_seen_index(policy_names, policy);
     if (pi == policy_names.size()) {
       policy_names.push_back(policy);
-      out.policies.push_back(policy_from_name(policy));
+      const auto kind = parse_spelling<PolicyKind>(policy);
+      if (!kind) throw std::runtime_error("results_io: unknown policy name: " + policy);
+      out.policies.push_back(*kind);
     }
     auto& row = out.results[bi];
     if (row.size() != pi)

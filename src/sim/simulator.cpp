@@ -6,6 +6,7 @@
 #include "common/log.h"
 #include "ftnoc/dt_policy.h"
 #include "ftnoc/rl_policy.h"
+#include "sim/options_io.h"
 #include "sim/telemetry_probe.h"
 #include "telemetry/export.h"
 #include "workload/recorder.h"
@@ -214,28 +215,12 @@ void Simulator::export_telemetry(const std::string& workload_name) {
   info.mesh_height = net_->topology().height();
   info.measure_start = measure_start_;
   info.end_cycle = net_->now();
-  const auto opt_str = [&info](const char* key, std::string v) {
-    info.options.emplace_back(key, std::move(v));
-  };
-  opt_str("policy", policy_->name());
-  opt_str("seed", std::to_string(opt_.seed));
-  opt_str("noc.mesh_width", std::to_string(opt_.noc.mesh_width));
-  opt_str("noc.mesh_height", std::to_string(opt_.noc.mesh_height));
-  opt_str("pretrain_cycles", std::to_string(opt_.pretrain_cycles));
-  opt_str("warmup_cycles", std::to_string(opt_.warmup_cycles));
-  opt_str("max_measure_cycles", std::to_string(opt_.max_measure_cycles));
-  opt_str("error_scale", std::to_string(opt_.error_scale));
-  opt_str("ctrl.step_cycles", std::to_string(opt_.controller.step_cycles));
-  opt_str("audit", opt_.audit ? "1" : "0");
-  // Like `jobs`, `sim_threads` is deliberately absent: exports must stay
-  // byte-identical across thread counts, and execution resources are not
-  // part of the run's reproducibility contract.
-  opt_str("metrics_interval",
-          std::to_string(telemetry_->options().metrics_interval));
-  opt_str("telemetry.series_rows",
-          std::to_string(telemetry_->options().series_rows));
-  opt_str("telemetry.trace_capacity",
-          std::to_string(telemetry_->options().trace_capacity));
+  // Every declared option that determines the result; thread counts and
+  // output paths are left out, so exports stay byte-identical across them.
+  SimOptions recorded = opt_;
+  visit_options(recorded, [&info](const OptionSpec& s, const auto& field) {
+    if (s.recorded) info.options.emplace_back(s.key, format_option(field));
+  });
   telemetry_dir_ = info.out_dir;
   telemetry_files_ = export_run_telemetry(
       *telemetry_, info,

@@ -8,20 +8,6 @@
 
 namespace rlftnoc {
 
-const char* traffic_pattern_name(TrafficPattern p) noexcept {
-  switch (p) {
-    case TrafficPattern::kUniform: return "uniform";
-    case TrafficPattern::kTranspose: return "transpose";
-    case TrafficPattern::kBitComplement: return "bitcomplement";
-    case TrafficPattern::kTornado: return "tornado";
-    case TrafficPattern::kNeighbor: return "neighbor";
-    case TrafficPattern::kBitReverse: return "bitreverse";
-    case TrafficPattern::kShuffle: return "shuffle";
-    case TrafficPattern::kHotspot: return "hotspot";
-  }
-  return "?";
-}
-
 NodeId pattern_destination(TrafficPattern p, NodeId src, const MeshTopology& topo) {
   const int n = topo.num_nodes();
   const Coord c = topo.coord(src);
@@ -60,7 +46,7 @@ NodeId pattern_destination(TrafficPattern p, NodeId src, const MeshTopology& top
 SyntheticTraffic::SyntheticTraffic(const MeshTopology& topo, Options opt,
                                    std::uint64_t seed)
     : topo_(topo), opt_(opt), rng_(seed, "synthetic"),
-      name_(traffic_pattern_name(opt.pattern)) {
+      name_(spelling(opt.pattern)) {
   if (opt_.pattern == TrafficPattern::kHotspot && opt_.hotspots.empty()) {
     // Default hot nodes: the four central tiles.
     const int cx = topo_.width() / 2;

@@ -44,7 +44,16 @@ enum class TrafficPattern : std::uint8_t {
   kHotspot,          ///< uniform, but a fraction targets a few hot nodes
 };
 
-const char* traffic_pattern_name(TrafficPattern p) noexcept;
+template <>
+inline constexpr Spelling<TrafficPattern> kSpellings<TrafficPattern>[] = {
+    {TrafficPattern::kUniform, "uniform"},
+    {TrafficPattern::kTranspose, "transpose"},
+    {TrafficPattern::kBitComplement, "bitcomplement"},
+    {TrafficPattern::kTornado, "tornado"},
+    {TrafficPattern::kNeighbor, "neighbor"},
+    {TrafficPattern::kBitReverse, "bitreverse"},
+    {TrafficPattern::kShuffle, "shuffle"},
+    {TrafficPattern::kHotspot, "hotspot"}};
 
 /// Resolves the destination for `src` under a pattern (hotspot handled by
 /// the generator itself since it needs randomness).

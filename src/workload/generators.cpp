@@ -24,10 +24,6 @@ std::vector<NodeId> shuffled_nodes(const MeshTopology& topo,
   return nodes;
 }
 
-int clamp_min(std::int64_t v, int lo) {
-  return static_cast<int>(std::max<std::int64_t>(v, lo));
-}
-
 }  // namespace
 
 Workload make_dnn_workload(const MeshTopology& topo,
@@ -187,47 +183,6 @@ Workload make_nack_storm_workload(const MeshTopology& topo,
   return wl;
 }
 
-DnnWorkloadOptions dnn_workload_options_from_config(const Config& cfg) {
-  DnnWorkloadOptions o;
-  o.layers = clamp_min(cfg.get_int("wl.layers", o.layers), 2);
-  o.nodes_per_layer =
-      clamp_min(cfg.get_int("wl.nodes_per_layer", o.nodes_per_layer), 1);
-  o.fan_in = clamp_min(cfg.get_int("wl.fan_in", o.fan_in), 1);
-  o.packet_len = clamp_min(cfg.get_int("wl.packet_len", o.packet_len), 1);
-  o.layer_spacing = static_cast<Cycle>(clamp_min(
-      cfg.get_int("wl.layer_spacing", static_cast<std::int64_t>(o.layer_spacing)),
-      0));
-  return o;
-}
-
-RpcWorkloadOptions rpc_workload_options_from_config(const Config& cfg) {
-  RpcWorkloadOptions o;
-  o.clients = clamp_min(cfg.get_int("wl.clients", o.clients), 1);
-  o.servers = clamp_min(cfg.get_int("wl.servers", o.servers), 1);
-  o.requests_per_client =
-      clamp_min(cfg.get_int("wl.requests", o.requests_per_client), 1);
-  o.fanout = clamp_min(cfg.get_int("wl.fanout", o.fanout), 0);
-  o.request_len = clamp_min(cfg.get_int("wl.request_len", o.request_len), 1);
-  o.response_len = clamp_min(cfg.get_int("wl.response_len", o.response_len), 1);
-  o.request_spacing = static_cast<Cycle>(clamp_min(
-      cfg.get_int("wl.spacing", static_cast<std::int64_t>(o.request_spacing)),
-      0));
-  return o;
-}
-
-NackStormWorkloadOptions nack_storm_workload_options_from_config(
-    const Config& cfg) {
-  NackStormWorkloadOptions o;
-  o.victim = static_cast<NodeId>(
-      cfg.get_int("wl.victim", static_cast<std::int64_t>(o.victim)));
-  o.attackers = clamp_min(cfg.get_int("wl.attackers", o.attackers), 1);
-  o.waves = clamp_min(cfg.get_int("wl.waves", o.waves), 1);
-  o.packets_per_wave =
-      clamp_min(cfg.get_int("wl.burst", o.packets_per_wave), 1);
-  o.packet_len = clamp_min(cfg.get_int("wl.packet_len", o.packet_len), 1);
-  return o;
-}
-
 bool is_builtin_workload(const std::string& name) {
   return name == "dnn" || name == "rpc" || name == "nackstorm";
 }
@@ -236,14 +191,18 @@ Workload make_builtin_workload(const std::string& name,
                                const MeshTopology& topo, const Config& cfg,
                                std::uint64_t seed) {
   if (name == "dnn") {
-    return make_dnn_workload(topo, dnn_workload_options_from_config(cfg), seed);
+    return make_dnn_workload(topo, options_from_config<DnnWorkloadOptions>(cfg),
+                             seed);
   }
   if (name == "rpc") {
-    return make_rpc_workload(topo, rpc_workload_options_from_config(cfg), seed);
+    return make_rpc_workload(topo, options_from_config<RpcWorkloadOptions>(cfg),
+                             seed);
   }
   if (name == "nackstorm") {
     return make_nack_storm_workload(
-        topo, nack_storm_workload_options_from_config(cfg), seed);
+        topo,
+        options_from_config<NackStormWorkloadOptions>(cfg, topo.num_nodes()),
+        seed);
   }
   throw WorkloadError("unknown built-in workload generator '" + name +
                       "' (have: dnn, rpc, nackstorm)");

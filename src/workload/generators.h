@@ -23,7 +23,9 @@
 #include <string>
 
 #include "common/config.h"
+#include "common/options.h"
 #include "common/types.h"
+#include "noc/flit.h"
 #include "noc/topology.h"
 #include "workload/workload.h"
 
@@ -55,6 +57,38 @@ struct NackStormWorkloadOptions {
   int packet_len = 4;
 };
 
+// The `wl.*` config keys of each generator (common/options.h).
+template <class V>
+void visit_options(DnnWorkloadOptions& o, V&& v) {
+  v({"wl.layers", "dnn: layers", 2}, o.layers);
+  v({"wl.nodes_per_layer", "dnn: nodes per layer (capped at the mesh)", 1},
+    o.nodes_per_layer);
+  v({"wl.fan_in", "dnn: producers per consumer", 1}, o.fan_in);
+  v({"wl.packet_len", "dnn: flits per transfer", 1, kMaxPacketFlits}, o.packet_len);
+  v({"wl.layer_spacing", "dnn: cycles between layer releases"}, o.layer_spacing);
+}
+
+template <class V>
+void visit_options(RpcWorkloadOptions& o, V&& v) {
+  v({"wl.clients", "rpc: clients (at most nodes - 1)", 1}, o.clients);
+  v({"wl.servers", "rpc: servers", 1}, o.servers);
+  v({"wl.requests", "rpc: sequential requests per client", 1}, o.requests_per_client);
+  v({"wl.fanout", "rpc: backend sub-requests per request", 0}, o.fanout);
+  v({"wl.request_len", "rpc: flits per request", 1, kMaxPacketFlits}, o.request_len);
+  v({"wl.response_len", "rpc: flits per reply", 1, kMaxPacketFlits}, o.response_len);
+  v({"wl.spacing", "rpc: cycles between a client's requests"}, o.request_spacing);
+}
+
+/// `nodes` bounds the victim: an explicit one must lie inside the mesh.
+template <class V>
+void visit_options(NackStormWorkloadOptions& o, V&& v, int nodes) {
+  v({"wl.victim", "nackstorm: victim node (-1: mesh centre)", 0, nodes - 1}, o.victim);
+  v({"wl.attackers", "nackstorm: attacking nodes", 1}, o.attackers);
+  v({"wl.waves", "nackstorm: bursts per attacker", 1}, o.waves);
+  v({"wl.burst", "nackstorm: packets per burst", 1}, o.packets_per_wave);
+  v({"wl.packet_len", "nackstorm: flits per packet", 1, kMaxPacketFlits}, o.packet_len);
+}
+
 Workload make_dnn_workload(const MeshTopology& topo,
                            const DnnWorkloadOptions& opt, std::uint64_t seed);
 Workload make_rpc_workload(const MeshTopology& topo,
@@ -63,17 +97,12 @@ Workload make_nack_storm_workload(const MeshTopology& topo,
                                   const NackStormWorkloadOptions& opt,
                                   std::uint64_t seed);
 
-/// Option parsing from a run config (keys `wl.*`; every field optional).
-DnnWorkloadOptions dnn_workload_options_from_config(const Config& cfg);
-RpcWorkloadOptions rpc_workload_options_from_config(const Config& cfg);
-NackStormWorkloadOptions nack_storm_workload_options_from_config(
-    const Config& cfg);
-
 /// True when `name` names a built-in generator ("dnn", "rpc", "nackstorm").
 bool is_builtin_workload(const std::string& name);
 
-/// Builds the named generator's workload with options taken from `cfg`
-/// (see *_options_from_config). Throws WorkloadError on unknown names.
+/// Builds the named generator's workload with its `wl.*` options read from
+/// `cfg` (options_from_config). Throws WorkloadError on unknown names and
+/// ConfigError on a malformed or out-of-range option.
 Workload make_builtin_workload(const std::string& name,
                                const MeshTopology& topo, const Config& cfg,
                                std::uint64_t seed);

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <type_traits>
+
 #include "sim/campaign.h"
 #include "traffic/traffic.h"
+#include "workload/generators.h"
 
 namespace rlftnoc {
 namespace {
@@ -18,27 +24,174 @@ TEST(OptionsIo, EmptyConfigYieldsDefaults) {
   EXPECT_DOUBLE_EQ(opt.thermal.ambient_c, def.thermal.ambient_c);
 }
 
+/// `o` printed by the dump visitor, one `key = value  # doc` line per key.
+template <class O, class Visit>
+std::string dump(O o, Visit visit) {
+  std::ostringstream out;
+  visit(o, OptionPrinter{out});
+  return out.str();
+}
+
+const auto kVisitSim = [](SimOptions& o, auto&& v) { visit_options(o, v); };
+const auto kVisitSynthetic = [](SyntheticWorkloadOptions& o, auto&& v) {
+  visit_options(o, v);
+};
+
 TEST(OptionsIo, DumpedDefaultsParseBackToEmptyConfigDefaults) {
-  const Config dumped = Config::from_string(default_options_text());
+  const std::string text = default_options_text();
+  const Config dumped = Config::from_string(text);
   const SimOptions a = sim_options_from_config(dumped);
   const SimOptions b = sim_options_from_config(Config{});
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.error_scale, b.error_scale);
-  EXPECT_EQ(a.pretrain_cycles, b.pretrain_cycles);
-  EXPECT_EQ(a.warmup_cycles, b.warmup_cycles);
-  EXPECT_EQ(a.controller.step_cycles, b.controller.step_cycles);
-  EXPECT_EQ(a.noc.mesh_width, b.noc.mesh_width);
-  EXPECT_EQ(a.noc.mesh_height, b.noc.mesh_height);
-  EXPECT_EQ(a.noc.vcs_per_port, b.noc.vcs_per_port);
+  // Every declared key prints the same value for both.
+  EXPECT_EQ(dump(a, kVisitSim), dump(b, kVisitSim));
+  EXPECT_EQ(dump(options_from_config<SyntheticWorkloadOptions>(dumped),
+                 kVisitSynthetic),
+            dump(SyntheticWorkloadOptions{}, kVisitSynthetic));
   EXPECT_EQ(dumped.get_int("budget_pct"),
             static_cast<std::int64_t>(kDefaultBudgetPct));
   // The dumped selector and the empty one name the same traffic.
   const MeshTopology topo(a.noc);
   EXPECT_EQ(make_workload_traffic(a.workload, topo, dumped, 1, 100)->name(),
             make_workload_traffic(b.workload, topo, Config{}, 1, 100)->name());
-  // Every dumped key is one a run reads: the dump is itself a valid config.
+  // Every live dumped key is one a run reads: the dump is itself a valid
+  // config.
   EXPECT_TRUE(dumped.unread_keys().empty());
+
+  // Every declared key is shown; the generator keys commented out.
+  const auto shown = [&text](const OptionSpec& s, const auto&) {
+    const std::string line = std::string(s.key) + " = ";
+    EXPECT_TRUE(text.rfind(line, 0) == 0 ||
+                text.find("\n" + line) != std::string::npos ||
+                text.find("\n# " + line) != std::string::npos)
+        << s.key;
+  };
+  SimOptions sim;
+  visit_options(sim, shown);
+  SyntheticWorkloadOptions synthetic;
+  visit_options(synthetic, shown);
+  DnnWorkloadOptions dnn;
+  visit_options(dnn, shown);
+  RpcWorkloadOptions rpc;
+  visit_options(rpc, shown);
+  NackStormWorkloadOptions storm;
+  visit_options(storm, shown, 64);
+}
+
+/// A value that differs from `def` and lies inside `s`'s range.
+template <class T>
+T in_range_non_default(const OptionSpec& s, const T& def) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return !def;
+  } else if constexpr (std::is_enum_v<T>) {
+    for (const Spelling<T>& sp : kSpellings<T>) {
+      if (sp.value != def) return sp.value;
+    }
+    return def;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return def + "x";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (!s.hi) return def + 1;
+    return def < *s.hi ? (def + *s.hi) / 2 : (*s.lo + def) / 2;
+  } else if constexpr (std::is_integral_v<T>) {
+    return !s.hi || def + 1 <= *s.hi ? def + 1 : def - 1;
+  } else {
+    return parse_hard_faults("link:1:E@5, router:2");
+  }
+}
+
+/// Config text one step past each of `s`'s bounds.
+template <class T>
+std::vector<std::string> past_bounds(const OptionSpec& s) {
+  std::vector<std::string> out;
+  if constexpr (std::is_floating_point_v<T>) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    if (s.lo)
+      out.push_back(format_option(s.lo_open ? *s.lo : std::nextafter(*s.lo, -kInf)));
+    if (s.hi) out.push_back(format_option(std::nextafter(*s.hi, kInf)));
+  } else {
+    if (s.lo) out.push_back(std::to_string(static_cast<std::int64_t>(*s.lo) - 1));
+    if (s.hi) out.push_back(std::to_string(static_cast<std::int64_t>(*s.hi) + 1));
+  }
+  return out;
+}
+
+/// For every key `visit` declares on O: a non-default in-range value lands
+/// in its own field and no other, as the dump shows, and each bound stepped
+/// one past throws ConfigError naming the key and the value.
+template <class O, class Visit, class Parse>
+void expect_every_key_parses_in_range(Visit visit, Parse parse) {
+  O defaults;
+  visit(defaults, [&](const OptionSpec& s, const auto& def) {
+    using T = std::decay_t<decltype(def)>;
+    SCOPED_TRACE(s.key);
+    const std::string text = format_option(in_range_non_default(s, def));
+    ASSERT_NE(text, format_option(def));
+    Config cfg;
+    cfg.set(s.key, text);
+    const O parsed = parse(cfg);
+    EXPECT_TRUE(cfg.unread_keys().empty());
+    const std::string shown = dump(parsed, visit);
+    EXPECT_EQ(Config::from_string(shown).get_string(s.key), text);
+    std::istringstream got(shown), want(dump(defaults, visit));
+    int changed = 0;
+    for (std::string a, b; std::getline(got, a) && std::getline(want, b);)
+      changed += a != b;
+    EXPECT_EQ(changed, 1) << "the key's value reached another field";
+
+    if constexpr (!std::is_arithmetic_v<T> || std::is_same_v<T, bool>) {
+      EXPECT_FALSE(s.lo || s.hi) << "a range on a non-numeric key";
+    }
+    for (const std::string& past : past_bounds<T>(s)) {
+      Config bad;
+      bad.set(s.key, past);
+      try {
+        parse(bad);
+        ADD_FAILURE() << "accepted " << past;
+      } catch (const ConfigError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("'") + s.key + "'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'" + past + "'"), std::string::npos) << what;
+      }
+    }
+  });
+}
+
+TEST(OptionsIo, EveryDeclaredKeyParsesInRangeAndRejectsPastItsBounds) {
+  expect_every_key_parses_in_range<SimOptions>(kVisitSim,
+                                               sim_options_from_config);
+  expect_every_key_parses_in_range<SyntheticWorkloadOptions>(
+      kVisitSynthetic, options_from_config<SyntheticWorkloadOptions>);
+  expect_every_key_parses_in_range<DnnWorkloadOptions>(
+      [](DnnWorkloadOptions& o, auto&& v) { visit_options(o, v); },
+      options_from_config<DnnWorkloadOptions>);
+  expect_every_key_parses_in_range<RpcWorkloadOptions>(
+      [](RpcWorkloadOptions& o, auto&& v) { visit_options(o, v); },
+      options_from_config<RpcWorkloadOptions>);
+  expect_every_key_parses_in_range<NackStormWorkloadOptions>(
+      [](NackStormWorkloadOptions& o, auto&& v) { visit_options(o, v, 64); },
+      [](const Config& cfg) {
+        return options_from_config<NackStormWorkloadOptions>(cfg, 64);
+      });
+}
+
+TEST(OptionsIo, RetiredKeysAreNotRead) {
+  // Keys no config, bench, example or doc set; their fields keep their
+  // defaults and stay settable from C++.
+  for (const char* key :
+       {"ctrl.core_base_w", "ctrl.core_per_flit_w", "ctrl.faults_enabled",
+        "ctrl.feature_ema_alpha", "ctrl.reward_energy_weight", "ctrl.voltage",
+        "noc.e2e_ack_cycles_per_hop", "noc.e2e_ack_fixed_cycles",
+        "noc.local_vc_depth", "noc.ni_queue_limit", "power.leak_temp_coeff",
+        "power.leak_w_at_ref", "thermal.r_ambient", "thermal.r_lateral",
+        "thresholds.low", "thresholds.medium", "thresholds.high",
+        "varius.droop_len", "varius.droop_rate", "varius.droop_scale",
+        "varius.nominal_delay", "varius.sigma", "varius.temp_coeff",
+        "varius.util_coeff"}) {
+    const Config cfg = Config::from_string(std::string(key) + " = 1\n");
+    sim_options_from_config(cfg);
+    EXPECT_EQ(cfg.unread_keys(), (std::vector<std::string>{key}));
+  }
 }
 
 TEST(OptionsIo, LegacyStepCyclesAliasIsNotRead) {
@@ -57,66 +210,6 @@ TEST(OptionsIo, PolicySpellings) {
   EXPECT_EQ(policy_from_string("rl"), PolicyKind::kRl);
   EXPECT_EQ(policy_from_string("Oracle"), PolicyKind::kOracle);
   EXPECT_THROW(policy_from_string("magic"), ConfigError);
-}
-
-TEST(OptionsIo, FullOverrideSet) {
-  const Config cfg = Config::from_string(R"(
-    policy = dt
-    seed = 99
-    jobs = 6
-    sim_threads = 4
-    audit = true
-    audit_interval = 32
-    error_scale = 2.5
-    pretrain_cycles = 1234
-    warmup_cycles = 567
-    freeze_rl_on_measure = false
-    per_port_state = true
-    rl_shared_table = false
-    rl.alpha = 0.3
-    rl.gamma = 0.7
-    rl.epsilon = 0.05
-    ctrl.step_cycles = 250
-    ctrl.voltage = 0.9
-    ctrl.faults_enabled = false
-    varius.sigma = 0.06
-    varius.droop_rate = 0.0
-    thermal.ambient_c = 55
-    power.leak_w_at_ref = 0.02
-    thresholds.low = 0.005
-    noc.mesh_width = 4
-    noc.mesh_height = 6
-    noc.vcs_per_port = 2
-    noc.routing = yx
-  )");
-  const SimOptions opt = sim_options_from_config(cfg);
-  EXPECT_EQ(opt.policy, PolicyKind::kDecisionTree);
-  EXPECT_EQ(opt.seed, 99u);
-  EXPECT_EQ(opt.jobs, 6u);
-  EXPECT_EQ(opt.sim_threads, 4u);
-  EXPECT_TRUE(opt.audit);
-  EXPECT_EQ(opt.audit_interval, 32u);
-  EXPECT_DOUBLE_EQ(opt.error_scale, 2.5);
-  EXPECT_EQ(opt.pretrain_cycles, 1234u);
-  EXPECT_EQ(opt.warmup_cycles, 567u);
-  EXPECT_FALSE(opt.freeze_rl_on_measure);
-  EXPECT_TRUE(opt.per_port_state);
-  EXPECT_FALSE(opt.rl_shared_table);
-  EXPECT_DOUBLE_EQ(opt.rl.alpha, 0.3);
-  EXPECT_DOUBLE_EQ(opt.rl.gamma, 0.7);
-  EXPECT_DOUBLE_EQ(opt.rl.epsilon, 0.05);
-  EXPECT_EQ(opt.controller.step_cycles, 250u);
-  EXPECT_DOUBLE_EQ(opt.controller.voltage, 0.9);
-  EXPECT_FALSE(opt.controller.faults_enabled);
-  EXPECT_DOUBLE_EQ(opt.varius.sigma, 0.06);
-  EXPECT_DOUBLE_EQ(opt.varius.droop_rate, 0.0);
-  EXPECT_DOUBLE_EQ(opt.thermal.ambient_c, 55.0);
-  EXPECT_DOUBLE_EQ(opt.power.leak_w_at_ref, 0.02);
-  EXPECT_DOUBLE_EQ(opt.thresholds.low, 0.005);
-  EXPECT_EQ(opt.noc.mesh_width, 4);
-  EXPECT_EQ(opt.noc.mesh_height, 6);
-  EXPECT_EQ(opt.noc.vcs_per_port, 2);
-  EXPECT_EQ(opt.noc.routing, RoutingAlgorithm::kYX);
 }
 
 TEST(OptionsIo, AuditKeysRoundTrip) {

@@ -218,7 +218,12 @@ TEST(ParallelStep, TraceStreamIdenticalAcrossShardCounts) {
   // phase) — including the ring's drop accounting.
   EventTracer serial_tracer(4096);
   const auto serial = run_fault_heavy(1, /*seed=*/29, &serial_tracer);
+#ifdef RLFTNOC_TELEMETRY_DISABLED
+  // Compiled-out hooks record nothing: every stream below is equally empty.
+  ASSERT_EQ(serial_tracer.size(), 0u);
+#else
   ASSERT_GT(serial_tracer.size(), 0u);
+#endif
 
   for (const unsigned t : {2u, 4u}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "noc/network.h"
 #include "noc/ni.h"
+#include "sim/options_io.h"
 #include "traffic/traffic.h"
 
 namespace rlftnoc {
@@ -17,9 +18,9 @@ const MeshTopology kTopo(6, 6);
 TEST(Routing, NameRoundTrip) {
   for (const RoutingAlgorithm a :
        {RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kWestFirst}) {
-    EXPECT_EQ(routing_from_name(routing_name(a)), a);
+    EXPECT_EQ(parse_spelling<RoutingAlgorithm>(spelling(a)), a);
   }
-  EXPECT_THROW(routing_from_name("spiral"), std::invalid_argument);
+  EXPECT_FALSE(parse_spelling<RoutingAlgorithm>("spiral"));
 }
 
 TEST(Routing, SelfRouteIsLocal) {
@@ -86,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, RoutingMinimality,
                                            RoutingAlgorithm::kYX,
                                            RoutingAlgorithm::kWestFirst),
                          [](const auto& info) {
-                           return std::string(routing_name(info.param));
+                           return std::string(spelling(info.param));
                          });
 
 TEST(Routing, WestFirstNeverTurnsIntoWest) {
@@ -136,7 +137,7 @@ TEST_P(RoutingNetworkSweep, DeliversUnderLoadAndFaults) {
     for (auto& p : batch) net.ni(p.src).enqueue_packet(std::move(p));
     net.step();
     ASSERT_LT(net.now(), 500000u) << "possible deadlock under "
-                                  << routing_name(GetParam());
+                                  << spelling(GetParam());
   }
   EXPECT_EQ(net.metrics().packets_delivered, 3000u);
 }
@@ -146,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, RoutingNetworkSweep,
                                            RoutingAlgorithm::kYX,
                                            RoutingAlgorithm::kWestFirst),
                          [](const auto& info) {
-                           return std::string(routing_name(info.param));
+                           return std::string(spelling(info.param));
                          });
 
 TEST(Routing, WestFirstAvoidsCongestedCandidate) {
@@ -179,10 +180,10 @@ TEST(Routing, WestFirstAvoidsCongestedCandidate) {
 
 TEST(Routing, ConfigParsesRouting) {
   const Config cfg = Config::from_string("noc.routing = westfirst\n");
-  const NocConfig noc = NocConfig::from_config(cfg);
-  EXPECT_EQ(noc.routing, RoutingAlgorithm::kWestFirst);
+  EXPECT_EQ(sim_options_from_config(cfg).noc.routing,
+            RoutingAlgorithm::kWestFirst);
   const Config bad = Config::from_string("noc.routing = zigzag\n");
-  EXPECT_THROW(NocConfig::from_config(bad), std::invalid_argument);
+  EXPECT_THROW(sim_options_from_config(bad), ConfigError);
 }
 
 }  // namespace

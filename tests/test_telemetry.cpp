@@ -475,6 +475,16 @@ TEST(SimulatorTelemetry, TracedRunExportsLoadableFileSet) {
   EXPECT_EQ(manifest.at("schema").str, "rlftnoc-telemetry-manifest-v1");
   EXPECT_EQ(manifest.at("measure").at("end_cycle").number,
             static_cast<double>(sim.network().now()));
+  // The option list is the declared table minus thread counts and output
+  // paths, which never change what a run computes.
+  const Json& options = manifest.at("options");
+  EXPECT_EQ(options.at("noc.topology").str, "mesh");
+  EXPECT_EQ(options.at("error_scale").str, "3");
+  EXPECT_TRUE(options.has("hard_faults"));
+  for (const char* omitted :
+       {"jobs", "sim_threads", "telemetry.dir", "record_workload"}) {
+    EXPECT_FALSE(options.has(omitted)) << omitted;
+  }
 
   // The metrics TSV has the documented header and one row per slot/sample.
   const std::string metrics = read_file(

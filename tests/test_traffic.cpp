@@ -47,8 +47,8 @@ TEST(Patterns, BitReverseStaysInRange) {
 }
 
 TEST(Patterns, NamesAreDistinct) {
-  EXPECT_STRNE(traffic_pattern_name(TrafficPattern::kUniform),
-               traffic_pattern_name(TrafficPattern::kTornado));
+  EXPECT_STRNE(spelling(TrafficPattern::kUniform),
+               spelling(TrafficPattern::kTornado));
 }
 
 TEST(SyntheticTraffic, RespectsPacketBudget) {

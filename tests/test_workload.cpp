@@ -253,11 +253,11 @@ TEST(WorkloadGenerators, OptionsComeFromConfig) {
   cfg.set("wl.clients", "2");
   cfg.set("wl.requests", "4");
   cfg.set("wl.attackers", "5");
-  EXPECT_EQ(dnn_workload_options_from_config(cfg).layers, 3);
-  EXPECT_EQ(dnn_workload_options_from_config(cfg).fan_in, 1);
-  EXPECT_EQ(rpc_workload_options_from_config(cfg).clients, 2);
-  EXPECT_EQ(rpc_workload_options_from_config(cfg).requests_per_client, 4);
-  EXPECT_EQ(nack_storm_workload_options_from_config(cfg).attackers, 5);
+  EXPECT_EQ(options_from_config<DnnWorkloadOptions>(cfg).layers, 3);
+  EXPECT_EQ(options_from_config<DnnWorkloadOptions>(cfg).fan_in, 1);
+  EXPECT_EQ(options_from_config<RpcWorkloadOptions>(cfg).clients, 2);
+  EXPECT_EQ(options_from_config<RpcWorkloadOptions>(cfg).requests_per_client, 4);
+  EXPECT_EQ(options_from_config<NackStormWorkloadOptions>(cfg, 64).attackers, 5);
 }
 
 // ---------------------------------------------------------------------------

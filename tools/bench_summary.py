@@ -6,9 +6,8 @@ Inputs are the JSON files produced by run_benches.sh:
   BENCH_campaign.json   wall-time / simulated-cycles-per-second from
                         bench_campaign (schema rlftnoc-bench-campaign-v1)
   BENCH_scaling.json    per-(mesh, sim_threads) throughput matrix from
-                        bench_scaling (schema rlftnoc-bench-scaling-v1 or
-                        -v2; v2 adds the 64x64 cell, wall_seconds_serial
-                        and the per-phase wall-time breakdown)
+                        bench_scaling (schema rlftnoc-bench-scaling-v2,
+                        with the per-phase wall-time breakdown per cell)
 
 Usage:
   bench_summary.py MICROPERF_JSON CAMPAIGN_JSON
@@ -73,15 +72,9 @@ def load_campaign(path):
 
 
 def load_scaling(path):
-    """Accepts both the v1 and v2 schemas so --check-against keeps working
-    across the bump: old baselines stay loadable, and the consumers below
-    only touch v2-only fields when they are present."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") not in (
-        "rlftnoc-bench-scaling-v1",
-        "rlftnoc-bench-scaling-v2",
-    ):
+    if doc.get("schema") != "rlftnoc-bench-scaling-v2":
         sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
     return doc
 
@@ -257,23 +250,18 @@ def print_scaling(scaling):
         f"scaling (hardware threads on producing machine: "
         f"{scaling['hardware_threads']})"
     )
-    have_phases = any("phase_seconds" in c for c in scaling["cells"])
-    header = f"{'mesh':>8}  {'sim_threads':>11}  {'cycles/s':>10}  {'speedup':>7}"
-    if have_phases:
-        header += f"  {'serial':>7}  {'receive':>7}  {'execute':>7}  {'merge':>7}"
-    print(header)
+    print(
+        f"{'mesh':>8}  {'sim_threads':>11}  {'cycles/s':>10}  {'speedup':>7}"
+        f"  {'serial':>7}  {'receive':>7}  {'execute':>7}  {'merge':>7}"
+    )
     for c in scaling["cells"]:
-        row = (
+        ph = c["phase_seconds"]
+        print(
             f"{c['mesh']:>5}x{c['mesh']:<3} {c['sim_threads']:>11} "
             f"{c['cycles_per_second']:>11.0f}  {c['speedup_vs_serial']:>6.2f}x"
+            f"  {ph['serial']:>6.3f}s {ph['receive']:>6.3f}s "
+            f"{ph['execute']:>6.3f}s {ph['merge']:>6.3f}s"
         )
-        ph = c.get("phase_seconds")
-        if ph is not None:
-            row += (
-                f"  {ph['serial']:>6.3f}s {ph['receive']:>6.3f}s "
-                f"{ph['execute']:>6.3f}s {ph['merge']:>6.3f}s"
-            )
-        print(row)
 
 
 def check_scaling(scaling, floor):
