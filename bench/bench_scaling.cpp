@@ -20,6 +20,14 @@
 // wall-time breakdown (serial window / fused receive / execute / merge)
 // from Network::set_phase_timing so a scaling regression names the phase
 // that regressed.
+//
+// Each cell runs kRepetitions times. `wall_seconds` (and the throughput and
+// speedup derived from it) is the median run, also written as
+// `wall_seconds_median`; `wall_seconds_min` and `wall_spread` ((max - min)
+// / median) are added fields, so one noisy run can neither make nor break a
+// cell. `phase_seconds` comes from the median run. Every repetition must
+// match its cell's first run, as every threaded cell must match serial.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -37,6 +45,7 @@ using namespace rlftnoc;
 
 constexpr std::uint64_t kSeed = 17;
 constexpr unsigned kThreadSweep[] = {1, 2, 4, 8};
+constexpr int kRepetitions = 5;
 
 struct MeshCase {
   int width;
@@ -51,12 +60,19 @@ constexpr MeshCase kMeshes[] = {{16, 8000}, {32, 4000}, {64, 2000}};
 struct Cell {
   int mesh = 0;
   unsigned sim_threads = 0;
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;         ///< median of kRepetitions runs
+  double wall_seconds_min = 0.0;
+  double wall_spread = 0.0;          ///< (max - min) / median
   double wall_seconds_serial = 0.0;  ///< the mesh's sim_threads=1 wall time
   std::uint64_t simulated_cycles = 0;
   double cycles_per_second = 0.0;
   double speedup_vs_serial = 0.0;
-  Network::PhaseTimings phases;  ///< per-phase wall-time breakdown
+  Network::PhaseTimings phases;  ///< the median run's per-phase breakdown
+};
+
+struct Run {
+  double wall_seconds = 0.0;
+  Network::PhaseTimings phases;
 };
 
 SimResult run_cell(const MeshCase& mc, unsigned sim_threads,
@@ -105,7 +121,31 @@ int main(int argc, char** argv) {
       Cell c;
       c.mesh = mc.width;
       c.sim_threads = t;
-      const SimResult r = run_cell(mc, t, c.wall_seconds, c.phases);
+      std::vector<Run> runs(kRepetitions);
+      SimResult r;
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        const SimResult rk = run_cell(mc, t, runs[k].wall_seconds, runs[k].phases);
+        if (k == 0) {
+          r = rk;
+        } else if (rk != r) {
+          identical = false;
+          std::fprintf(stderr,
+                       "[bench_scaling] DIVERGENCE: %dx%d sim_threads=%u "
+                       "repetition %zu differs from the first\n",
+                       mc.width, mc.width, t, k);
+        }
+      }
+      std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+        return a.wall_seconds < b.wall_seconds;
+      });
+      const Run& median = runs[runs.size() / 2];
+      c.wall_seconds = median.wall_seconds;
+      c.phases = median.phases;
+      c.wall_seconds_min = runs.front().wall_seconds;
+      c.wall_spread = median.wall_seconds > 0.0
+                          ? (runs.back().wall_seconds - runs.front().wall_seconds) /
+                                median.wall_seconds
+                          : 0.0;
       c.simulated_cycles = r.total_cycles;
       c.cycles_per_second =
           c.wall_seconds > 0.0
@@ -131,12 +171,14 @@ int main(int argc, char** argv) {
         }
       }
       c.wall_seconds_serial = serial_wall;
-      std::printf("%3dx%-3d sim_threads=%u  %9llu cycles  %7.3f s  "
+      std::printf("%3dx%-3d sim_threads=%u  %9llu cycles  %7.3f s "
+                  "(min %.3f, spread %4.1f%%)  "
                   "%10.0f cycles/s  speedup %.2fx  "
                   "[ser %.3f rx %.3f ex %.3f mg %.3f]\n",
                   c.mesh, c.mesh, c.sim_threads,
                   static_cast<unsigned long long>(c.simulated_cycles),
-                  c.wall_seconds, c.cycles_per_second, c.speedup_vs_serial,
+                  c.wall_seconds, c.wall_seconds_min, 100.0 * c.wall_spread,
+                  c.cycles_per_second, c.speedup_vs_serial,
                   c.phases.serial_seconds, c.phases.receive_seconds,
                   c.phases.execute_seconds, c.phases.merge_seconds);
       cells.push_back(c);
@@ -160,6 +202,10 @@ int main(int argc, char** argv) {
     out << "    {\"mesh\": " << c.mesh
         << ", \"sim_threads\": " << c.sim_threads
         << ", \"wall_seconds\": " << c.wall_seconds
+        << ", \"repetitions\": " << kRepetitions
+        << ", \"wall_seconds_median\": " << c.wall_seconds
+        << ", \"wall_seconds_min\": " << c.wall_seconds_min
+        << ", \"wall_spread\": " << c.wall_spread
         << ", \"wall_seconds_serial\": " << c.wall_seconds_serial
         << ", \"simulated_cycles\": " << c.simulated_cycles
         << ", \"cycles_per_second\": " << c.cycles_per_second

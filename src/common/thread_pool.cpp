@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <stdexcept>
 #include <utility>
 
 namespace rlftnoc {
@@ -8,9 +9,16 @@ namespace {
 // Spinning only ever helps when another core can make progress meanwhile.
 bool spin_waits_useful() { return std::thread::hardware_concurrency() > 1; }
 constexpr int kSpinIterations = 2048;
+
+/// Packs a block's claim cursor: next index low, end high.
+constexpr std::uint64_t cursor_word(std::uint64_t next, std::uint64_t end) {
+  return end << 32 | next;
+}
 }  // namespace
 
-PhasePool::PhasePool(unsigned helpers) {
+PhasePool::PhasePool(unsigned helpers)
+    : executors_(std::size_t{helpers} + 1),
+      cursors_(std::make_unique<Cursor[]>(executors_)) {
   // Workers start from the epoch as of construction, not as of their own
   // (possibly late) first instruction: a phase published before a worker
   // got scheduled must still be seen as new, or a pool whose first run()
@@ -18,7 +26,8 @@ PhasePool::PhasePool(unsigned helpers) {
   const std::uint32_t start = epoch_.load(std::memory_order_relaxed);
   workers_.reserve(helpers);
   for (unsigned i = 0; i < helpers; ++i)
-    workers_.emplace_back([this, start] { worker_loop(start); });
+    workers_.emplace_back(
+        [this, start, self = std::size_t{i} + 1] { worker_loop(start, self); });
 }
 
 PhasePool::~PhasePool() {
@@ -36,20 +45,32 @@ void PhasePool::run_impl(std::size_t tasks, TaskFn fn, void* ctx) {
     rethrow_any_error();
     return;
   }
+  // Cursor halves and done_ are 32-bit; the headroom above 2^31 absorbs
+  // the failed claims that overshoot an exhausted block's end.
+  if (tasks >= (std::size_t{1} << 31))
+    throw std::length_error("PhasePool::run: 2^31 or more tasks");
   ++dispatches_;
 
-  // Publish the phase: descriptor first, then the dispenser (release), then
-  // the epoch (release + wake). A straggler that claims a task through the
-  // dispenser alone still acquires the descriptor through next_.
+  // Publish the phase: descriptor first, then every block cursor (release),
+  // then the epoch (release + wake). A straggler that claims a task through
+  // a cursor alone still acquires the descriptor through that cursor. The
+  // blocks are an even split: the first (tasks % E) take one extra index.
   fn_.store(fn, std::memory_order_relaxed);
   ctx_.store(ctx, std::memory_order_relaxed);
   tasks_.store(tasks, std::memory_order_relaxed);
   done_.store(0, std::memory_order_relaxed);
-  next_.store(0, std::memory_order_release);
+  const std::size_t base = tasks / executors_;
+  const std::size_t extra = tasks % executors_;
+  std::size_t lo = 0;
+  for (std::size_t b = 0; b < executors_; ++b) {
+    const std::size_t end = lo + base + (b < extra ? 1 : 0);
+    cursors_[b].word.store(cursor_word(lo, end), std::memory_order_release);
+    lo = end;
+  }
   epoch_.fetch_add(1, std::memory_order_release);
   epoch_.notify_all();
 
-  drain_tasks();  // the caller is an executor too
+  drain_tasks(0);  // the caller is executor 0
 
   const auto want = static_cast<std::uint32_t>(tasks);
   const bool spin = spin_waits_useful();
@@ -90,22 +111,35 @@ void PhasePool::run_task(TaskFn fn, void* ctx, std::size_t index) {
   }
 }
 
-void PhasePool::drain_tasks() {
-  for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_acq_rel);
-    const std::size_t n = tasks_.load(std::memory_order_acquire);
-    if (i >= n) return;
-    run_task(fn_.load(std::memory_order_acquire),
-             ctx_.load(std::memory_order_acquire), i);
-    // The finishing increment wakes the caller; intermediate ones stay
-    // syscall-free.
-    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        static_cast<std::uint32_t>(n))
-      done_.notify_all();
+void PhasePool::drain_tasks(std::size_t self) {
+  // Own block first, then the others in ring order.
+  for (std::size_t k = 0; k < executors_; ++k) {
+    const std::size_t b = self + k < executors_ ? self + k : self + k - executors_;
+    std::atomic<std::uint64_t>& cursor = cursors_[b].word;
+    // A plain load skips an exhausted block without taking its line for
+    // writing. It may be stale only for a straggler, which re-drains after
+    // it sees the new epoch; the caller always sees its own resets.
+    const std::uint64_t peek = cursor.load(std::memory_order_relaxed);
+    if (static_cast<std::uint32_t>(peek) >= (peek >> 32)) continue;
+    for (;;) {
+      const std::uint64_t w = cursor.fetch_add(1, std::memory_order_acq_rel);
+      const auto i = static_cast<std::uint32_t>(w);
+      if (i >= (w >> 32)) break;
+      // A claimed index pins its phase: that phase cannot complete, and so
+      // no later one can be published, until this task is counted done.
+      const std::size_t n = tasks_.load(std::memory_order_acquire);
+      run_task(fn_.load(std::memory_order_acquire),
+               ctx_.load(std::memory_order_acquire), i);
+      // The finishing increment wakes the caller; intermediate ones stay
+      // syscall-free.
+      if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          static_cast<std::uint32_t>(n))
+        done_.notify_all();
+    }
   }
 }
 
-void PhasePool::worker_loop(std::uint32_t seen) {
+void PhasePool::worker_loop(std::uint32_t seen, std::size_t self) {
   for (;;) {
     // The stop check must sit between loading `seen` and waiting on it. A
     // worker that loads the destructor's final epoch bump would otherwise
@@ -118,7 +152,7 @@ void PhasePool::worker_loop(std::uint32_t seen) {
     epoch_.wait(seen, std::memory_order_acquire);
     if (stop_.load(std::memory_order_acquire)) return;
     seen = epoch_.load(std::memory_order_acquire);
-    drain_tasks();
+    drain_tasks(self);
   }
 }
 

@@ -26,21 +26,30 @@ inline unsigned resolve_thread_count(unsigned requested) noexcept {
 /// Low-latency fork/join executor.
 ///
 /// Persistent workers park on a C++20 atomic wait; each run() publishes a
-/// phase by bumping an epoch counter. Tasks are claimed in ascending index
-/// order with a fetch_add dispenser and the caller participates, so a phase
-/// with T tasks over W+1 threads costs one release-store plus W futex wakes
-/// (none when a worker is still spinning) — cheap enough for the network
-/// stepper's per-cycle phase barriers, and trivially adequate for the
-/// campaign runner's multi-second (benchmark, policy) jobs.
+/// phase by bumping an epoch counter. There are E = helpers + 1 executors:
+/// the caller is executor 0 and helper k is executor k + 1. A phase's task
+/// indices are split evenly into E contiguous blocks, block e owned by
+/// executor e. Each executor drains its own block first, in ascending
+/// order, then steals from blocks e+1, e+2, ... (mod E) through the same
+/// per-block cursors. So a task index maps to the same executor — and the
+/// same core — from phase to phase whenever the load is even, and a slow or
+/// late executor's block is still finished by the others.
+///
+/// A phase with T tasks costs E cursor stores, one release epoch bump and W
+/// futex wakes (none when a worker is still spinning) — cheap enough for
+/// the network stepper's per-cycle phase barriers, and trivially adequate
+/// for the campaign runner's multi-second (benchmark, policy) jobs.
 ///
 /// Contract: run() may only be called from one thread at a time; the
 /// callable must tolerate concurrent invocations for distinct indices.
+/// Which executor runs an index is a scheduling choice, never a guarantee.
 /// run() returns after every index in [0, tasks) has completed; the first
 /// exception thrown by any task is rethrown, after the remaining tasks ran.
 class PhasePool {
  public:
-  /// Spawns `helpers` worker threads (the caller is the +1th executor).
-  /// 0 helpers is valid: run() then executes everything inline.
+  /// Spawns `helpers` worker threads (the caller is executor 0, helper k is
+  /// executor k + 1). 0 helpers is valid: run() then executes everything
+  /// inline.
   explicit PhasePool(unsigned helpers);
   ~PhasePool();
 
@@ -76,29 +85,46 @@ class PhasePool {
   void run_impl(std::size_t tasks, TaskFn fn, void* ctx);
   /// Runs one task, capturing (not propagating) anything it throws.
   void run_task(TaskFn fn, void* ctx, std::size_t index);
-  /// Claims and runs tasks until the dispenser is exhausted.
-  void drain_tasks();
+  /// Claims and runs tasks as executor `self`: its own block first, then
+  /// the others', until every block is exhausted.
+  void drain_tasks(std::size_t self);
   /// `seen` is the last epoch this worker has handled.
-  void worker_loop(std::uint32_t seen);
+  void worker_loop(std::uint32_t seen, std::size_t self);
   /// Rethrows (and clears) the first captured task exception, if any.
   void rethrow_any_error();
 
-  // Phase descriptor: written by run_impl before the epoch is published;
-  // workers read it only after observing the new epoch (or after an
-  // acquire-load of next_, for stragglers conscripted mid-phase). Atomics
-  // because a straggler from phase N may legally claim a task of phase N+1.
+  /// One block's claim cursor: the next unclaimed index in the low 32 bits
+  /// and the block's end in the high 32. Claiming is one fetch_add of the
+  /// whole word, so a claim reads its index and its bound from the same
+  /// phase: an executor still probing a block of phase N after phase N+1
+  /// was published either sees N's exhausted word or claims a real N+1
+  /// index, never an index of one phase checked against another's bound.
+  /// One cache line each, so owners claiming from their own blocks never
+  /// share a line.
+  struct alignas(64) Cursor {
+    std::atomic<std::uint64_t> word{0};
+  };
+
+  // Phase descriptor: written by run_impl before the cursors are reset;
+  // workers read it only after observing the new epoch or after claiming
+  // an index through a cursor (stragglers conscripted mid-phase), both
+  // acquire operations that follow the release resets. Atomics because a
+  // straggler from phase N may legally claim a task of phase N+1.
   std::atomic<TaskFn> fn_{nullptr};
   std::atomic<void*> ctx_{nullptr};
   std::atomic<std::size_t> tasks_{0};
-  std::atomic<std::size_t> next_{0};  ///< task dispenser
+  std::size_t executors_;  ///< helpers + 1; set before any worker starts
+  std::unique_ptr<Cursor[]> cursors_;  ///< one per executor, by block
   // The two atomics threads block on are 32-bit so std::atomic::wait takes
   // libstdc++'s direct-futex path: the futex syscall operates on the atomic
   // itself, with the kernel's atomic value-recheck closing the wait/notify
   // race. 64-bit atomics would go through the proxied waiter pool (a hashed
   // shared version counter), adding an indirection we don't need. done_ is
   // bounded by tasks-per-phase; epoch_ wraps harmlessly because a parked
-  // worker re-reads it fresh after every wake.
-  std::atomic<std::uint32_t> done_{0};   ///< tasks completed this phase
+  // worker re-reads it fresh after every wake. done_ is bumped once per task
+  // by every executor, so it gets its own line, away from the descriptor
+  // every claim reads.
+  alignas(64) std::atomic<std::uint32_t> done_{0};  ///< tasks completed this phase
   std::atomic<std::uint32_t> epoch_{0};
   std::uint64_t dispatches_ = 0;   ///< published phases (see dispatches())
   std::uint64_t inline_runs_ = 0;  ///< caller-only run() calls

@@ -131,13 +131,6 @@ struct FeatureSnapshot {
     s.push_back(dead_count());  // 0..5 dead outgoing links, exact
   }
 
-  /// Allocating convenience wrapper over discretize_into.
-  DiscreteState discretize(bool per_port = false) const {
-    DiscreteState s;
-    discretize_into(s, per_port);
-    return s;
-  }
-
  private:
   int dead_count() const {
     int n = 0;

@@ -18,7 +18,7 @@ constexpr std::uint64_t kMinBusyVisitsForPool = 8;
 /// Minimum mesh size before the flags phase itself is worth pooling.
 constexpr std::size_t kMinNodesForPooledFlags = 256;
 /// Tiles per thread when stepping in parallel. More tiles than threads lets
-/// PhasePool's dispenser even out the load (XY traffic concentrates in the
+/// PhasePool's stealing even out the load (XY traffic concentrates in the
 /// middle of a mesh), at a small per-tile cost. Serial stepping keeps one
 /// tile. Purely a performance knob — results are identical for any tiling.
 constexpr std::size_t kTilesPerThread = 4;
@@ -258,24 +258,6 @@ void Network::corrupt_on_wire(NodeId node, Port p, Flit& flit, bool relaxed,
       RLFTNOC_TRACE(tracer_, TraceEventKind::kFaultInjected, now_, node,
                     static_cast<std::int8_t>(port_index(p)), res.bits_flipped);
     }
-  }
-}
-
-void Network::add_path_latency(NodeId src, NodeId dst, double latency_cycles) {
-  // Walk the active routing policy's committed path and credit every
-  // traversed router. Each hop is one LUT load plus an add; the hop bound
-  // keeps a (transiently) inconsistent post-fault LUT from hanging the walk.
-  NodeId cur = src;
-  latency_window_[static_cast<std::size_t>(cur)].add(latency_cycles);
-  int hops = 0;
-  const int max_hops = cfg_.num_nodes();
-  while (cur != dst && hops++ < max_hops) {
-    const std::uint8_t r = topo_.route_raw(cur, dst);
-    if (r == Topology::kUnreachable || static_cast<Port>(r) == Port::kLocal)
-      return;
-    cur = topo_.neighbor(cur, static_cast<Port>(r));
-    if (cur == kInvalidNode) return;
-    latency_window_[static_cast<std::size_t>(cur)].add(latency_cycles);
   }
 }
 
@@ -538,7 +520,8 @@ void Network::merge_effects(Cycle now) {
   //  * e2e events — `e2e_seq_` is assigned here, so the tie-break stream is
   //    the canonical order for any shard count,
   //  * latency samples / path credits — replayed through the global
-  //    accumulators in delivery order (FP addition order preserved),
+  //    accumulators in delivery order (FP addition order preserved); the
+  //    NI already walked each credit's path, so this is adds only,
   //  * counters — plain sums (order-free, merged in one pass).
   // Kinds with nothing staged anywhere skip their shard sweep entirely —
   // the common near-quiescent case pays a few emptiness checks only.
@@ -586,15 +569,18 @@ void Network::merge_effects(Cycle now) {
                                   fx.e2e[k].ok, e2e_seq_++});
   }
   if (any_path) {
+    const auto credit = [this](const StepEffects& fx, std::size_t k) {
+      const StepEffects::StagedPathCredit& c = fx.path_credits[k];
+      for (std::uint32_t j = c.first; j < c.last; ++j)
+        latency_window_[static_cast<std::size_t>(fx.path_nodes[j])].add(
+            c.latency);
+    };
     for (const StepEffects& fx : fx_)
-      for (std::size_t k = 0; k < fx.split.path_credits; ++k)
-        add_path_latency(fx.path_credits[k].src, fx.path_credits[k].dst,
-                         fx.path_credits[k].latency);
+      for (std::size_t k = 0; k < fx.split.path_credits; ++k) credit(fx, k);
     for (const StepEffects& fx : fx_)
       for (std::size_t k = fx.split.path_credits; k < fx.path_credits.size();
            ++k)
-        add_path_latency(fx.path_credits[k].src, fx.path_credits[k].dst,
-                         fx.path_credits[k].latency);
+        credit(fx, k);
   }
   if (any_lat) {
     for (const StepEffects& fx : fx_)

@@ -206,12 +206,10 @@ class Network {
     resolution_listener_ = l;
   }
 
-  /// Credits a delivered packet's end-to-end latency to every router on its
-  /// X-Y path (the paper's per-router "E2E_Latency(i)" reward term).
-  void add_path_latency(NodeId src, NodeId dst, double latency_cycles);
-
-  /// Window accumulator of latencies credited to `node` (reset each control
-  /// time-step by the fault-tolerant controller).
+  /// Window accumulator of the per-hop latencies credited to `node` by the
+  /// packets delivered along paths through it (the paper's per-router
+  /// "E2E_Latency(i)" reward term; reset each control time-step by the
+  /// fault-tolerant controller).
   StatAccumulator& router_latency_window(NodeId node) {
     RLFTNOC_CHECK(valid_node(node), "router_latency_window(%d): out of range",
                   node);
@@ -220,7 +218,8 @@ class Network {
 
   /// Configures deterministic intra-run parallelism for step(): the mesh is
   /// partitioned into min(nodes, 4 x threads) contiguous tiles ("shards"),
-  /// claimed dynamically by min(threads, tiles) executors, and each phase
+  /// claimed owner-first by min(threads, tiles) executors (each takes its
+  /// own contiguous block of tiles, then steals), and each phase
   /// runs data-parallel across them, with cross-shard effects staged and
   /// merged in canonical node order — results are bit-identical for any
   /// value. `threads` <= 1 steps serially on the calling thread with one

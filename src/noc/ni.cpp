@@ -143,9 +143,15 @@ void NetworkInterface::finalize_packet(Cycle now, PacketId id, const Assembly& a
         static_cast<double>(now - a.packet_inject_cycle));
     // Credit the path with the *per-hop* latency: dividing by path length
     // removes the path-length mix from the reward's variance while keeping
-    // the congestion / retransmission signal intact.
+    // the congestion / retransmission signal intact. The path is walked
+    // here, in the parallel phase: the route LUT only changes in the serial
+    // fault window at the top of a step.
+    std::vector<NodeId>& path = fx_->path_nodes;
+    const auto first = static_cast<std::uint32_t>(path.size());
+    net_->topology().for_each_path_node(
+        a.src, id_, [&path](NodeId n) { path.push_back(n); });
     fx_->path_credits.push_back(StepEffects::StagedPathCredit{
-        a.src, id_,
+        first, static_cast<std::uint32_t>(path.size()),
         static_cast<double>(now - a.packet_inject_cycle) / (hops + 1)});
     fx_->e2e.push_back(
         StepEffects::StagedE2e{response_at, a.src, id, /*ok=*/true});

@@ -4,10 +4,10 @@
 // receive and execute phases data-parallel across them. Everything a node
 // touches that is *not* owned by its own shard-local slice of the network —
 // global NetworkMetrics counters, floating-point latency accumulators, e2e
-// response scheduling, per-path latency credits, and trace events — is
-// captured here instead of applied in place, then merged after the phase
-// barrier in canonical shard order (= ascending node order, the exact order
-// the serial stepper used). Link-level ACKs need no staging: the router that
+// response scheduling, per-path latency credits (paths already walked) and
+// trace events — is captured here instead of applied in place, then merged
+// after the phase barrier in canonical shard order (= ascending node order,
+// the exact order the serial stepper used). Link-level ACKs need no staging: the router that
 // produced them in receive pushes them itself in execute (Router::execute).
 //
 // Merge-order invariant: shards are contiguous ascending node ranges and a
@@ -43,15 +43,19 @@ struct alignas(64) StepEffects {
     bool ok;
   };
 
-  /// Deferred Network::add_path_latency — walks routers outside the shard.
+  /// A delivered packet's per-hop latency, owed to every router on its path
+  /// (most outside the shard). The delivering NI walks the route LUT and
+  /// appends the path to `path_nodes`; [first, last) is this credit's part.
+  /// The merge only replays the latency-window adds.
   struct StagedPathCredit {
-    NodeId src;
-    NodeId dst;
+    std::uint32_t first;
+    std::uint32_t last;
     double latency;
   };
 
   std::vector<StagedE2e> e2e;
   std::vector<StagedPathCredit> path_credits;
+  std::vector<NodeId> path_nodes;  ///< concatenated credit paths
   /// End-to-end latency samples in delivery order; replayed through the
   /// global StatAccumulator + Histogram so FP accumulation order matches
   /// the serial stepper exactly.
@@ -107,7 +111,7 @@ struct alignas(64) StepEffects {
 
   /// True when nothing is staged (auditor invariant between steps).
   bool empty() const noexcept {
-    return e2e.empty() && path_credits.empty() &&
+    return e2e.empty() && path_credits.empty() && path_nodes.empty() &&
            latency_samples.empty() && packets_injected == 0 &&
            packets_delivered == 0 && flits_delivered == 0 &&
            retx_flits_hop == 0 && dup_flits == 0 &&
@@ -120,6 +124,7 @@ struct alignas(64) StepEffects {
   void clear_posts() noexcept {
     e2e.clear();
     path_credits.clear();
+    path_nodes.clear();
     latency_samples.clear();
     split = PhaseSplit{};
     packets_injected = 0;

@@ -115,6 +115,25 @@ class Topology {
                      static_cast<std::size_t>(dst)];
   }
 
+  /// Calls visit(node) for every router on the committed route from `src`
+  /// to `dst`, both ends included, in path order. Each hop is one LUT load;
+  /// the walk stops early at an unreachable entry, and the hop bound keeps
+  /// a (transiently) inconsistent post-fault LUT from looping forever.
+  template <typename F>
+  void for_each_path_node(NodeId src, NodeId dst, F&& visit) const {
+    NodeId cur = src;
+    visit(cur);
+    int hops = 0;
+    const int max_hops = num_nodes();
+    while (cur != dst && hops++ < max_hops) {
+      const std::uint8_t r = route_raw(cur, dst);
+      if (r == kUnreachable || static_cast<Port>(r) == Port::kLocal) return;
+      cur = neighbor(cur, static_cast<Port>(r));
+      if (cur == kInvalidNode) return;
+      visit(cur);
+    }
+  }
+
   /// Next-hop port from `cur` toward `dst` (kLocal when cur == dst). Both
   /// ids must be valid and dst reachable from cur — a kInvalidNode (or any
   /// out-of-range id) here is a caller bug, not a routable state, and is

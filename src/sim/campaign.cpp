@@ -103,8 +103,8 @@ CampaignResults run_campaign(const SimOptions& base,
   for (auto& row : out.results) row.resize(policies.size());
 
   std::mutex progress_mu;
-  // Cell c is (benchmark c / P, policy c % P); the executor claims cells in
-  // ascending order, and each run writes only its own pre-sized slot.
+  // Cell c is (benchmark c / P, policy c % P). Which executor runs a cell,
+  // and when, does not matter: each run writes only its own pre-sized slot.
   auto run_one = [&](std::size_t cell) {
     const std::size_t b = cell / policies.size();
     const std::size_t p = cell % policies.size();

@@ -29,6 +29,8 @@ struct RouterTestPeer {
     return const_cast<LaneBytes*>(r.lanes_)->b.data();
   }
   static std::uint8_t& resend_ports(Router& r) { return r.resend_ports_; }
+  /// The staging buffer of the router's shard.
+  static StepEffects& effects(Router& r) { return *r.fx_; }
 };
 
 }  // namespace rlftnoc

@@ -307,6 +307,25 @@ TEST(Audit, StaleLaneByteTripsParallelStaging) {
   EXPECT_EQ(v->port, Port::kWest);
 }
 
+TEST(Audit, StrandedPathNodesTripParallelStaging) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+
+  // Path nodes the NI walked, still staged between steps: invariant 6 must
+  // count them like every other staged effect.
+  RouterTestPeer::effects(net.router(5)).path_nodes.push_back(5);
+
+  NetworkAuditor auditor;
+  const std::vector<AuditViolation> violations = auditor.run(net);
+  EXPECT_NE(find_violation(violations, "parallel-staging", "not drained"),
+            nullptr);
+
+  // One step merges and drains it.
+  net.step();
+  EXPECT_TRUE(RouterTestPeer::effects(net.router(5)).path_nodes.empty());
+  EXPECT_TRUE(auditor.run(net).empty());
+}
+
 TEST(Audit, DriftedArqPortWordTripsMaskConsistency) {
   const NocConfig cfg = tiny_mesh();
   Network net(cfg, /*seed=*/5);

@@ -16,15 +16,21 @@ FeatureSnapshot sample_snapshot() {
   return s;
 }
 
+DiscreteState binned(const FeatureSnapshot& s, bool per_port = false) {
+  DiscreteState d;
+  s.discretize_into(d, per_port);
+  return d;
+}
+
 TEST(Features, VectorSizes) {
   const FeatureSnapshot s = sample_snapshot();
   EXPECT_EQ(s.to_vector(false).size(),
             static_cast<std::size_t>(FeatureSnapshot::kNumFeaturesAggregated));
   EXPECT_EQ(s.to_vector(true).size(),
             static_cast<std::size_t>(FeatureSnapshot::kNumFeaturesPerPort));
-  EXPECT_EQ(s.discretize(false).size(),
+  EXPECT_EQ(binned(s, false).size(),
             static_cast<std::size_t>(FeatureSnapshot::kNumFeaturesAggregated));
-  EXPECT_EQ(s.discretize(true).size(),
+  EXPECT_EQ(binned(s, true).size(),
             static_cast<std::size_t>(FeatureSnapshot::kNumFeaturesPerPort));
 }
 
@@ -66,23 +72,25 @@ TEST(Features, FillVectorMatchesToVectorBothLayouts) {
   }
 }
 
-TEST(Features, DiscretizeIntoMatchesDiscretizeAndReusesCapacity) {
+TEST(Features, DiscretizeIntoReusesScratchAcrossLayouts) {
   FeatureSnapshot s = sample_snapshot();
   s.out_link_dead = {1.0, 0.0, 0.0, 1.0, 0.0};
   DiscreteState scratch;
   for (const bool per_port : {false, true}) {
     s.discretize_into(scratch, per_port);
-    EXPECT_EQ(scratch, s.discretize(per_port));
+    EXPECT_EQ(scratch, binned(s, per_port));
   }
   // Reuse with stale larger contents: clear-then-fill must leave exactly
-  // the new layout, not a mix.
+  // the new layout, not a mix, in the storage the scratch already holds.
+  const auto* storage = scratch.data();
   s.discretize_into(scratch, false);
-  EXPECT_EQ(scratch, s.discretize(false));
+  EXPECT_EQ(scratch, binned(s, false));
+  EXPECT_EQ(scratch.data(), storage);
 }
 
 TEST(Features, DiscretizationBins) {
   FeatureSnapshot s = sample_snapshot();
-  const DiscreteState d = s.discretize(false);
+  const DiscreteState d = binned(s, false);
   // buffer 0.35 in [0,1)/5 -> bin 1
   EXPECT_EQ(d[0], 1);
   // temp 83 in [50,100]/5 -> bin 3
@@ -96,31 +104,31 @@ TEST(Features, TemperatureBinSweep) {
   // count now sits behind it.
   FeatureSnapshot s;
   s.temperature_c = 49.0;
-  EXPECT_EQ(s.discretize()[7], 0);
+  EXPECT_EQ(binned(s)[7], 0);
   s.temperature_c = 65.0;
-  EXPECT_EQ(s.discretize()[7], 1);
+  EXPECT_EQ(binned(s)[7], 1);
   s.temperature_c = 75.0;
-  EXPECT_EQ(s.discretize()[7], 2);
+  EXPECT_EQ(binned(s)[7], 2);
   s.temperature_c = 85.0;
-  EXPECT_EQ(s.discretize()[7], 3);
+  EXPECT_EQ(binned(s)[7], 3);
   s.temperature_c = 99.0;
-  EXPECT_EQ(s.discretize()[7], 4);
+  EXPECT_EQ(binned(s)[7], 4);
   s.temperature_c = 140.0;
-  EXPECT_EQ(s.discretize()[7], 4);
+  EXPECT_EQ(binned(s)[7], 4);
 }
 
 TEST(Features, DeadLinkFeature) {
   FeatureSnapshot s = sample_snapshot();
   // Fault-free: the dead-link feature is exactly zero in both layouts.
   EXPECT_DOUBLE_EQ(s.to_vector(false).back(), 0.0);
-  EXPECT_EQ(s.discretize(false).back(), 0);
-  EXPECT_EQ(s.discretize(true).back(), 0);
+  EXPECT_EQ(binned(s, false).back(), 0);
+  EXPECT_EQ(binned(s, true).back(), 0);
 
   s.out_link_dead[port_index(Port::kEast)] = 1.0;
   s.out_link_dead[port_index(Port::kNorth)] = 1.0;
   EXPECT_DOUBLE_EQ(s.to_vector(false).back(), 2.0 / 5.0);  // dead fraction
-  EXPECT_EQ(s.discretize(false).back(), 2);                // dead count
-  const DiscreteState per_port = s.discretize(true);
+  EXPECT_EQ(binned(s, false).back(), 2);                // dead count
+  const DiscreteState per_port = binned(s, true);
   EXPECT_EQ(per_port[22 + static_cast<int>(port_index(Port::kEast))], 1);
   EXPECT_EQ(per_port[22 + static_cast<int>(port_index(Port::kWest))], 0);
 }
@@ -128,8 +136,8 @@ TEST(Features, DeadLinkFeature) {
 TEST(Features, IdenticalSnapshotsDiscretizeEqually) {
   const FeatureSnapshot a = sample_snapshot();
   const FeatureSnapshot b = sample_snapshot();
-  EXPECT_EQ(a.discretize(false), b.discretize(false));
-  EXPECT_EQ(a.discretize(true), b.discretize(true));
+  EXPECT_EQ(binned(a, false), binned(b, false));
+  EXPECT_EQ(binned(a, true), binned(b, true));
 }
 
 TEST(Features, SmallPerturbationWithinBinKeepsState) {
@@ -137,7 +145,7 @@ TEST(Features, SmallPerturbationWithinBinKeepsState) {
   FeatureSnapshot b = a;
   b.temperature_c += 0.5;
   b.buffer_util += 0.01;
-  EXPECT_EQ(a.discretize(), b.discretize());
+  EXPECT_EQ(binned(a), binned(b));
 }
 
 TEST(Thresholds, ClassifyBands) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "noc/network.h"
@@ -192,13 +193,26 @@ TEST(NetworkBasic, ChannelWiringConsistency) {
 }
 
 TEST(NetworkBasic, PathLatencyCreditsWholePath) {
+  // The delivering NI walks the route LUT once; the merge credits the
+  // per-hop latency to every router on the path and to no other.
   Network net(small_cfg(), 1);
-  net.add_path_latency(0, 3, 30.0);  // straight east path: 0,1,2,3
+  Rng rng(7);
+  net.ni(0).enqueue_packet(make_packet(1, 0, 3, 4, 0, rng));
+  run_until_drained(net, 500);
+  ASSERT_EQ(net.metrics().packets_delivered, 1u);
+  // Straight east path 0,1,2,3: three hops, four routers.
+  const double per_hop = net.metrics().packet_latency.mean() / 4.0;
   for (NodeId n : {0, 1, 2, 3}) {
     EXPECT_EQ(net.router_latency_window(n).count(), 1u);
-    EXPECT_DOUBLE_EQ(net.router_latency_window(n).mean(), 30.0);
+    EXPECT_EQ(net.router_latency_window(n).mean(), per_hop);
   }
-  EXPECT_EQ(net.router_latency_window(4).count(), 0u);
+  for (NodeId n = 4; n < 16; ++n)
+    EXPECT_EQ(net.router_latency_window(n).count(), 0u);
+
+  std::vector<NodeId> walked;
+  net.topology().for_each_path_node(
+      0, 3, [&walked](NodeId n) { walked.push_back(n); });
+  EXPECT_EQ(walked, (std::vector<NodeId>{0, 1, 2, 3}));
 }
 
 TEST(NetworkBasic, EnqueueRejectsWhenFull) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -385,6 +387,62 @@ TEST(ParallelStep, TorusRunBitIdenticalAcrossShardCounts) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
     const auto threaded = run_torus(t);
     expect_networks_identical(*serial, *threaded);
+  }
+}
+
+TEST(ParallelStep, PathLatencyWindowsBitIdenticalOnAdaptiveTorusWithMidRunKill) {
+  // The per-hop latency credits of the RL reward are walked by the
+  // delivering NI inside the parallel receive phase and replayed into the
+  // routers' windows at the merge. Every router's Welford sequence must
+  // match the serial one exactly — before and after a link dies mid-run and
+  // the route LUT is rebuilt around it.
+  const auto run = [](unsigned sim_threads) {
+    NocConfig cfg;
+    cfg.mesh_width = 12;
+    cfg.mesh_height = 12;
+    cfg.topology = TopologyKind::kTorus;
+    cfg.routing = RoutingAlgorithm::kAdaptive;
+    auto net = std::make_unique<Network>(cfg, /*seed=*/61);
+    net->set_sim_threads(sim_threads);
+    HardFault f;
+    f.kind = HardFault::Kind::kLink;
+    f.node = 65;
+    f.port = Port::kEast;
+    f.at_cycle = 150;
+    net->schedule_hard_faults({f});
+    Rng traffic_rng(61, "path-credit-traffic");
+    PacketId next_id = 1;
+    for (int i = 0; i < 1500; ++i) {
+      const auto src = static_cast<NodeId>(
+          traffic_rng.next_u64() %
+          static_cast<std::uint64_t>(cfg.num_nodes()));
+      const auto dst = static_cast<NodeId>(
+          traffic_rng.next_u64() %
+          static_cast<std::uint64_t>(cfg.num_nodes()));
+      if (src == dst) continue;
+      net->ni(src).enqueue_packet(make_packet(next_id++, src, dst,
+                                              cfg.flits_per_packet, 0,
+                                              net->payload_rng()));
+    }
+    for (Cycle c = 0; c < 20000 && !net->drained(); ++c) net->step();
+    return net;
+  };
+
+  const auto serial = run(1);
+  ASSERT_EQ(serial->hard_faults_applied(), 1u);
+  ASSERT_GT(serial->metrics().packets_delivered, 1000u);
+  for (const unsigned t : {3u, 4u}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(t));
+    const auto threaded = run(t);
+    expect_networks_identical(*serial, *threaded);
+    for (NodeId n = 0; n < serial->config().num_nodes(); ++n) {
+      SCOPED_TRACE("router " + std::to_string(n));
+      const StatAccumulator& a = serial->router_latency_window(n);
+      const StatAccumulator& b = threaded->router_latency_window(n);
+      ASSERT_EQ(a.count(), b.count());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean()),
+                std::bit_cast<std::uint64_t>(b.mean()));
+    }
   }
 }
 

@@ -143,7 +143,9 @@ TEST(RlPolicy, LearnsRewardingActionInFixedState) {
     last = rl.decide(0, s, reward);
   }
   rl.begin_phase(SimPhase::kMeasure);
-  EXPECT_EQ(rl.agent(0).greedy_action(s.discretize()), 1);
+  DiscreteState d;
+  s.discretize_into(d);
+  EXPECT_EQ(rl.agent(0).greedy_action(d), 1);
 }
 
 }  // namespace

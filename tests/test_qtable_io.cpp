@@ -114,12 +114,14 @@ TEST(QTableIo, PolicySaveLoadPreservesGreedyChoices) {
   fresh.load_tables(path);
   EXPECT_EQ(fresh.total_table_entries(), trained.total_table_entries());
   // Greedy decisions agree on every visited state.
+  DiscreteState d;
   for (int t = 50; t <= 100; t += 5) {
     FeatureSnapshot s;
     s.temperature_c = t;
     s.buffer_util = 0.2;
-    EXPECT_EQ(fresh.agent(0).greedy_action(s.discretize()),
-              trained.agent(0).greedy_action(s.discretize()));
+    s.discretize_into(d);
+    EXPECT_EQ(fresh.agent(0).greedy_action(d),
+              trained.agent(0).greedy_action(d));
   }
 }
 

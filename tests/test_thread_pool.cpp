@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +30,64 @@ TEST(PhasePool, RunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(kTasks);
   pool.run(kTasks, [&hits](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(PhasePool, EveryIndexOnceForEveryTaskAndHelperCount) {
+  // Block claiming must cover [0, tasks) exactly, including fewer tasks
+  // than executors (empty blocks) and counts that do not split evenly.
+  for (const unsigned helpers : {0u, 1u, 3u, 7u}) {
+    PhasePool pool(helpers);
+    for (std::size_t tasks = 0; tasks <= 40; ++tasks) {
+      SCOPED_TRACE("helpers=" + std::to_string(helpers) +
+                   " tasks=" + std::to_string(tasks));
+      std::vector<std::atomic<int>> hits(tasks);
+      pool.run(tasks, [&hits](std::size_t i) { ++hits[i]; });
+      for (std::size_t i = 0; i < tasks; ++i) EXPECT_EQ(hits[i].load(), 1);
+    }
+  }
+}
+
+TEST(PhasePool, IdleExecutorsStealFromABlockedOwner) {
+  // Task 0 opens the caller's block and will not return until every other
+  // task has run, so the rest of block 0 can only be finished by helpers
+  // stealing it. A pool that left each block to its owner would time out.
+  constexpr std::size_t kTasks = 64;  // 4 executors: block 0 is [0, 16)
+  PhasePool pool(3);
+  std::atomic<std::size_t> others_done{0};
+  std::vector<std::atomic<int>> hits(kTasks);
+  bool saw_all = false;
+  pool.run(kTasks, [&](std::size_t i) {
+    ++hits[i];
+    if (i != 0) {
+      ++others_done;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others_done.load() < kTasks - 1 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    saw_all = others_done.load() == kTasks - 1;
+  });
+  EXPECT_TRUE(saw_all);
+  for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(PhasePool, BackToBackPhasesWithChangingTaskCounts) {
+  // Straggler safety: an executor still probing phase N's cursors when
+  // phase N+1 (with different block bounds) is published must never run an
+  // index twice or skip one. Each phase counts into its own slots, checked
+  // before the next phase reuses them.
+  PhasePool pool(3);
+  std::vector<std::atomic<int>> hits(37);
+  for (int phase = 0; phase < 10000; ++phase) {
+    const std::size_t tasks = 2 + static_cast<std::size_t>(phase * 7 % 36);
+    pool.run(tasks, [&hits](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].exchange(0), i < tasks ? 1 : 0)
+          << "phase " << phase << " tasks " << tasks << " index " << i;
+    }
+  }
 }
 
 TEST(PhasePool, FirstRunUsesEveryHelper) {
@@ -146,7 +205,7 @@ TEST(PhasePool, EmptyAndSingleTaskRunsPublishNoPhase) {
 }
 
 TEST(PhasePool, ContentionStress) {
-  // TSan target: oversubscribed helpers racing the dispenser across many
+  // TSan target: oversubscribed helpers racing the cursors across many
   // back-to-back phases, mimicking the per-cycle barrier cadence.
   PhasePool pool(8);
   std::vector<std::uint64_t> slots(128, 0);
