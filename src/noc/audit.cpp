@@ -531,7 +531,7 @@ void NetworkAuditor::audit_parallel_staging(
 
   // Cross-cycle lookahead soundness: a shard whose wake stamp lies in the
   // future is one the stepper will skip wholesale. That elision is only the
-  // same bit-exact skip the per-node flags perform if every node of the
+  // same bit-exact skip the visit lists perform if every node of the
   // shard genuinely has no work — so audit exactly that predicate here,
   // between steps, where the network state is settled.
   if (net.wake_.size() != net.shards_.size()) {
@@ -542,7 +542,7 @@ void NetworkAuditor::audit_parallel_staging(
     return;
   }
   for (std::size_t s = 0; s < net.shards_.size(); ++s) {
-    if (net.wake_[s] <= net.now()) continue;  // awake: flags will decide
+    if (net.wake_[s] <= net.now()) continue;  // awake: its scan will decide
     for (NodeId node = net.shards_[s].lo; node < net.shards_[s].hi; ++node) {
       if (net.router_has_work(node) || net.ni_has_work(node)) {
         std::ostringstream os;

@@ -63,8 +63,8 @@ Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
     routers_.push_back(std::make_unique<Router>(node, &cfg_, this));
     nis_.push_back(std::make_unique<NetworkInterface>(node, &cfg_, this));
   }
-  skip_router_.assign(static_cast<std::size_t>(n), 0);
-  skip_ni_.assign(static_cast<std::size_t>(n), 0);
+  visit_router_.assign(static_cast<std::size_t>(n), 0);
+  visit_ni_.assign(static_cast<std::size_t>(n), 0);
 
   lanes_ = std::vector<LaneBytes>(static_cast<std::size_t>(n));
   bind_lane_bytes();
@@ -483,14 +483,15 @@ bool Network::router_has_work(NodeId node) const {
   // links, ejection credits. Maturity is ignored on purpose — an immature
   // entry just keeps the node un-skipped a cycle or two early, which is
   // conservative. Absent/killed lanes are unbound, so their bytes stay 0.
-  return (node_hot_[i] & node_hot::kRouterQuiescent) == 0 ||
+  // Non-short-circuit `|` keeps the visit-list scan free of branches.
+  return ((node_hot_[i] & node_hot::kRouterQuiescent) == 0) |
          lanes_[i].router_busy();
 }
 
 bool Network::ni_has_work(NodeId node) const {
   // Injection side busy, or ejection flits / injection credits waiting.
   const auto i = static_cast<std::size_t>(node);
-  return (node_hot_[i] & node_hot::kNiInjectionIdle) == 0 ||
+  return ((node_hot_[i] & node_hot::kNiInjectionIdle) == 0) |
          lanes_[i].ni_busy();
 }
 
@@ -526,17 +527,13 @@ void Network::merge_effects(Cycle now) {
   // Kinds with nothing staged anywhere skip their shard sweep entirely —
   // the common near-quiescent case pays a few emptiness checks only.
   bool any_e2e = false, any_path = false, any_lat = false;
-  bool any_rt = false, any_nt = false, any_counters = false;
+  bool any_rt = false, any_nt = false;
   for (const StepEffects& fx : fx_) {
     any_e2e |= !fx.e2e.empty();
     any_path |= !fx.path_credits.empty();
     any_lat |= !fx.latency_samples.empty();
     any_rt |= !fx.router_trace.empty();
     any_nt |= !fx.ni_trace.empty();
-    any_counters = any_counters ||
-                   (fx.packets_injected | fx.packets_delivered |
-                    fx.flits_delivered | fx.retx_flits_hop | fx.dup_flits |
-                    fx.crc_packet_failures) != 0;
   }
 
   if (any_rt || any_nt) {
@@ -599,7 +596,6 @@ void Network::merge_effects(Cycle now) {
   // Final pass runs unconditionally: clear_posts() must reset every shard's
   // split marks even on a trace-only merge, or a later merge could replay a
   // stale [0, split) range of an emptied vector.
-  (void)any_counters;
   for (StepEffects& fx : fx_) {
     staged_effects_merged_ += fx.e2e.size() + fx.path_credits.size();
     metrics_.packets_injected += fx.packets_injected;
@@ -630,7 +626,7 @@ void Network::step() {
 
   const Cycle t = now_;
   // End-to-end responses drain serially before the phases: delivery may
-  // refill an NI (reinject queue), which the skip flags must observe. This
+  // refill an NI (reinject queue), which the visit lists must observe. This
   // path keeps the direct metric/trace sinks — it never runs inside a
   // parallel phase. Delivery also wakes the source NI's shard: the e2e heap
   // is exactly the "earliest maturity" bound a fully-drained shard is
@@ -658,7 +654,7 @@ void Network::step() {
   // (NI::enqueue_packet -> wake_node), e2e delivery (the drain above),
   // hard-fault teardown (wake_all), and cross-shard pushes from awake
   // neighbours (the halo wake below). Until one fires, skipping the shard's
-  // visits wholesale is the same bit-exact elision the per-node flags
+  // visits wholesale is the same bit-exact elision the visit lists
   // perform — the skip counters are credited identically — so results are
   // unchanged for any sim_threads value.
   bool any_awake = false;
@@ -681,26 +677,32 @@ void Network::step() {
     return;
   }
 
-  // Fused dispatch A — per awake shard: idle-skip flags for the shard's
-  // nodes, then the receive phase (routers before NIs, ascending). Fusing
-  // is sound because the flag scan reads only state the receive phase
-  // leaves untouched across shards: receive pops are single-consumer on the
-  // popping node's own lanes, ACK responses wait in their router until its
-  // execute, and the only receive-side push (the NI's ejection credit) is
-  // node-local and ordered after its own shard's flags. So every flag
-  // computes the same value it would have under the old dedicated flags
-  // phase with a barrier.
+  // Fused dispatch A — per awake shard: one scan over the shard's
+  // nodes that builds its visit lists, then the receive phase over them
+  // (routers before NIs, ascending). Fusing is sound because the scan reads
+  // only state the receive phase leaves untouched across shards: receive
+  // pops are single-consumer on the popping node's own lanes, ACK responses
+  // wait in their router until its execute, and the only receive-side push
+  // (the NI's ejection credit) is node-local and ordered after its own
+  // shard's scan. So every list holds exactly the nodes a separate scan
+  // phase behind a barrier would have listed.
   //
   // Idle-skip itself: a node whose internal state is quiescent and whose
   // incoming lanes are all empty cannot change any state this cycle —
   // receive() would pop nothing and every execute() stage scans empty/idle
   // structures, with no RNG draws, counter updates or power events on those
-  // paths. Skipping the visit is therefore observationally equivalent
+  // paths. Leaving it off the lists is therefore observationally equivalent
   // (bit-identical), not an approximation. All cross-node signals travel
   // through delay lines with latency >= 1, so nothing pushed during this
   // cycle's phases could have made a skipped node busy at t.
   //
-  // Pooling for A is decided before the flags exist, from the previous
+  // The scan is branch-free: each node is written at its list's end, and
+  // the end advances only when the node is busy, so a list is its shard's
+  // busy nodes in ascending node order. Since the end never passes the
+  // node being written, a shard writes only its own slice [lo, hi) of each
+  // list.
+  //
+  // Pooling for A is decided before the lists exist, from the previous
   // cycle's (deterministic, thread-count-invariant) busy count — a pure
   // scheduling choice that cannot affect staging.
   const std::size_t n = routers_.size();
@@ -714,46 +716,45 @@ void Network::step() {
   }
 
   for_each_shard(pooled_a, [&](std::size_t s) {
-    if (wake_[s] > t) return;  // sleeping shard: no flags, no visits
     StepEffects& fx = fx_[s];
-    // Local tallies: the byte stores below may alias fx's counters, which
-    // would otherwise be reloaded and stored for every node.
-    std::uint64_t router_skipped = 0;
-    std::uint64_t ni_skipped = 0;
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      const std::uint8_t skip_r = router_has_work(node) ? 0 : 1;
-      const std::uint8_t skip_n = ni_has_work(node) ? 0 : 1;
-      skip_router_[i] = skip_r;
-      skip_ni_[i] = skip_n;
-      router_skipped += skip_r;
-      ni_skipped += skip_n;
+    if (wake_[s] > t) {  // sleeping shard: empty lists, no visits
+      fx.busy_routers = 0;
+      fx.busy_nis = 0;
+      return;
     }
-    const auto nodes = static_cast<std::uint64_t>(shards_[s].hi - shards_[s].lo);
-    fx.router_skipped += router_skipped;
-    fx.ni_skipped += ni_skipped;
-    fx.busy_visits += 2 * nodes - router_skipped - ni_skipped;
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      if (!skip_router_[i]) routers_[i]->receive(t);
+    const NodeId lo = shards_[s].lo;
+    const NodeId hi = shards_[s].hi;
+    NodeId* const vr = visit_router_.data() + lo;
+    NodeId* const vn = visit_ni_.data() + lo;
+    std::uint32_t nr = 0;
+    std::uint32_t nn = 0;
+    for (NodeId node = lo; node < hi; ++node) {
+      vr[nr] = node;
+      nr += router_has_work(node) ? 1 : 0;
+      vn[nn] = node;
+      nn += ni_has_work(node) ? 1 : 0;
     }
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      if (!skip_ni_[i]) nis_[i]->receive(t);
-    }
+    fx.busy_routers = nr;
+    fx.busy_nis = nn;
+    for (std::uint32_t k = 0; k < nr; ++k)
+      routers_[static_cast<std::size_t>(vr[k])]->receive(t);
+    for (std::uint32_t k = 0; k < nn; ++k)
+      nis_[static_cast<std::size_t>(vn[k])]->receive(t);
     fx.mark_receive_end();
   });
 
+  // Skip counters: every node of an awake shard not on a list. (Sleeping
+  // shards were credited whole above.)
   std::uint64_t busy = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    StepEffects& fx = fx_[s];
-    router_steps_skipped_ += fx.router_skipped;
-    ni_steps_skipped_ += fx.ni_skipped;
-    shard_busy_[s] = static_cast<std::uint32_t>(fx.busy_visits);
-    busy += fx.busy_visits;
-    fx.router_skipped = 0;
-    fx.ni_skipped = 0;
-    fx.busy_visits = 0;
+    const StepEffects& fx = fx_[s];
+    if (wake_[s] <= t) {
+      const auto len = static_cast<std::uint64_t>(shards_[s].hi - shards_[s].lo);
+      router_steps_skipped_ += len - fx.busy_routers;
+      ni_steps_skipped_ += len - fx.busy_nis;
+    }
+    shard_busy_[s] = fx.busy_routers + fx.busy_nis;
+    busy += shard_busy_[s];
   }
   prev_busy_ = busy;
 
@@ -764,28 +765,31 @@ void Network::step() {
         std::chrono::duration<double>(t2 - t1).count();
   }
 
-  // Dispatch B — the execute phase over the same skip flags. Each visited
-  // router and NI republishes its hot bit right after its own execute, while
-  // it is still in cache: a node's visits are the only thing that can change
-  // its router's quiescence or its NI's injection idleness mid-run (other
-  // nodes' visits only push onto its lanes), and serial mutators refresh
-  // explicitly. Whether it runs pooled or inline depends only on the
-  // deterministic busy count, never on timing. Nothing busy means nothing
-  // to execute and nothing staged — skip the dispatch.
+  // Dispatch B — the execute phase over the same visit lists (empty for a
+  // sleeping shard). Each visited router and NI republishes its hot bit
+  // right after its own execute, while it is still in cache: a node's
+  // visits are the only thing that can change its router's quiescence or
+  // its NI's injection idleness mid-run (other nodes' visits only push onto
+  // its lanes), and serial mutators refresh explicitly. Whether it runs
+  // pooled or inline depends only on the deterministic busy count, never on
+  // timing. Nothing busy means nothing to execute and nothing staged — skip
+  // the dispatch.
   if (busy > 0) {
     const bool pooled = busy >= kMinBusyVisitsForPool;
     for_each_shard(pooled, [&](std::size_t s) {
-      if (wake_[s] > t) return;
-      for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-        const auto i = static_cast<std::size_t>(node);
-        if (skip_router_[i]) continue;
+      const NodeId lo = shards_[s].lo;
+      const NodeId* const vr = visit_router_.data() + lo;
+      const NodeId* const vn = visit_ni_.data() + lo;
+      const std::uint32_t nr = fx_[s].busy_routers;
+      const std::uint32_t nn = fx_[s].busy_nis;
+      for (std::uint32_t k = 0; k < nr; ++k) {
+        const auto i = static_cast<std::size_t>(vr[k]);
         Router& r = *routers_[i];
         r.execute(t);
         set_hot_bit(i, node_hot::kRouterQuiescent, r.quiescent());
       }
-      for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-        const auto i = static_cast<std::size_t>(node);
-        if (skip_ni_[i]) continue;
+      for (std::uint32_t k = 0; k < nn; ++k) {
+        const auto i = static_cast<std::size_t>(vn[k]);
         NetworkInterface& ni = *nis_[i];
         ni.execute(t);
         set_hot_bit(i, node_hot::kNiInjectionIdle, ni.injection_idle());

@@ -403,10 +403,12 @@ class Network {
   EventTracer* tracer_ = nullptr;
   PacketResolutionListener* resolution_listener_ = nullptr;
 
-  /// Per-node skip flags, recomputed each step() (scratch, reused to avoid
-  /// per-cycle allocation).
-  std::vector<std::uint8_t> skip_router_;
-  std::vector<std::uint8_t> skip_ni_;
+  /// Per-cycle visit lists, n-sized and allocated once: a tile [lo, hi)
+  /// writes its busy routers, ascending, to visit_router_[lo, lo + nr) and
+  /// its busy NIs to visit_ni_[lo, lo + nn) (counts in its StepEffects), and
+  /// receive and execute walk only those. No tile touches another's slice.
+  std::vector<NodeId> visit_router_;
+  std::vector<NodeId> visit_ni_;
   std::uint64_t router_steps_skipped_ = 0;
   std::uint64_t ni_steps_skipped_ = 0;
 

@@ -95,12 +95,10 @@ struct alignas(64) StepEffects {
   std::uint64_t dup_flits = 0;
   std::uint64_t crc_packet_failures = 0;
 
-  // Idle-skip accounting for the flags phase.
-  std::uint64_t router_skipped = 0;
-  std::uint64_t ni_skipped = 0;
-  /// Router+NI visits this shard will actually perform this cycle (busy
-  /// nodes); summed at the flags merge to pick inline vs pooled execution.
-  std::uint64_t busy_visits = 0;
+  /// Lengths of this shard's visit lists this cycle: busy routers and busy
+  /// NIs (Network::step). Zero for a sleeping shard.
+  std::uint32_t busy_routers = 0;
+  std::uint32_t busy_nis = 0;
 
   /// Trace events staged by routers / NIs of this shard. Two streams
   /// because the serial stepper runs *all* routers before *all* NIs within

@@ -1,12 +1,15 @@
 #include "telemetry/export.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 namespace rlftnoc {
 namespace {
@@ -15,14 +18,69 @@ namespace {
 #define RLFTNOC_GIT_SHA "unknown"
 #endif
 
-/// Locale-independent shortest-ish double rendering (deterministic across
-/// jobs/threads; snprintf with %g never consults the global locale for the
-/// "C" classic formats we use).
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
+/// Formats into a fixed buffer on the caller's stack and hands the stream
+/// whole chunks, so a field costs a to_chars or a memcpy, not a std::string
+/// and a stream insertion. Doubles print like printf("%.9g") (std::to_chars
+/// general, precision 9: locale-independent and deterministic across
+/// jobs/threads); integers like ostream's default; strings and chars
+/// verbatim. The destructor writes out the rest.
+class ChunkWriter {
+ public:
+  explicit ChunkWriter(std::ostream& out) : out_(out) {}
+  ~ChunkWriter() { flush(); }
+  ChunkWriter(const ChunkWriter&) = delete;
+  ChunkWriter& operator=(const ChunkWriter&) = delete;
+
+  ChunkWriter& operator<<(std::string_view s) {
+    if (s.size() > kChunk - used_) {
+      flush();
+      if (s.size() > kChunk) {
+        out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+        return *this;
+      }
+    }
+    std::memcpy(buf_ + used_, s.data(), s.size());
+    used_ += s.size();
+    return *this;
+  }
+  ChunkWriter& operator<<(char c) {
+    if (used_ == kChunk) flush();
+    buf_[used_++] = c;
+    return *this;
+  }
+  ChunkWriter& operator<<(double v) {
+    if (kChunk - used_ < kMaxField) flush();
+    used_ = static_cast<std::size_t>(
+        std::to_chars(buf_ + used_, buf_ + kChunk, v,
+                      std::chars_format::general, 9)
+            .ptr -
+        buf_);
+    return *this;
+  }
+  template <typename I,
+            typename = std::enable_if_t<std::is_integral_v<I> &&
+                                        !std::is_same_v<I, char> &&
+                                        !std::is_same_v<I, bool>>>
+  ChunkWriter& operator<<(I v) {
+    if (kChunk - used_ < kMaxField) flush();
+    used_ = static_cast<std::size_t>(
+        std::to_chars(buf_ + used_, buf_ + kChunk, v).ptr - buf_);
+    return *this;
+  }
+
+  void flush() {
+    out_.write(buf_, static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = std::size_t{1} << 14;
+  static constexpr std::size_t kMaxField = 40;  // any %.9g double or integer
+
+  std::ostream& out_;
+  std::size_t used_ = 0;
+  char buf_[kChunk] = {};
+};
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -59,7 +117,7 @@ const char* phase_label(int phase) noexcept {
 /// Emits one trace event line; `first` tracks the JSON array comma state.
 class JsonEventSink {
  public:
-  explicit JsonEventSink(std::ostream& out) : out_(out) {}
+  explicit JsonEventSink(ChunkWriter& out) : out_(out) {}
 
   void meta_name(const char* what, int pid, int tid, const std::string& name) {
     sep();
@@ -94,7 +152,7 @@ class JsonEventSink {
     out_ << "{\"name\":\"" << json_escape(name)
          << "\",\"ph\":\"C\",\"ts\":" << ts
          << ",\"pid\":0,\"tid\":0,\"cat\":\"counter\",\"args\":{\"value\":"
-         << fmt_double(value) << "}}";
+         << value << "}}";
   }
 
  private:
@@ -102,7 +160,7 @@ class JsonEventSink {
     if (!first_) out_ << ",\n";
     first_ = false;
   }
-  std::ostream& out_;
+  ChunkWriter& out_;
   bool first_ = true;
 };
 
@@ -121,11 +179,12 @@ std::string sanitize_run_label(const std::string& raw) {
 
 const char* telemetry_git_sha() noexcept { return RLFTNOC_GIT_SHA; }
 
-void write_chrome_trace(std::ostream& out, const EventTracer& tracer,
+void write_chrome_trace(std::ostream& os, const EventTracer& tracer,
                         const TelemetryExportInfo& info) {
   const int num_nodes = info.mesh_width * info.mesh_height;
   const int sim_tid = num_nodes;  // global events (phases, audit context)
 
+  ChunkWriter out(os);
   out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{"
       << "\"generator\":\"rlftnoc\",\"git_sha\":\""
       << json_escape(telemetry_git_sha()) << "\",\"workload\":\""
@@ -185,7 +244,8 @@ void write_chrome_trace(std::ostream& out, const EventTracer& tracer,
   out << "\n]}\n";
 }
 
-void write_metrics_tsv(std::ostream& out, const MetricsRegistry& reg) {
+void write_metrics_tsv(std::ostream& os, const MetricsRegistry& reg) {
+  ChunkWriter out(os);
   out << "cycle\tmetric\trouter\tport\tvalue\n";
   if (!reg.has_series()) return;
   const TimeSeriesRing& ring = reg.series();
@@ -204,52 +264,53 @@ void write_metrics_tsv(std::ostream& out, const MetricsRegistry& reg) {
           port = static_cast<int>(off % kNumPorts);
         }
         out << stamp << '\t' << f.name << '\t' << router << '\t' << port
-            << '\t' << fmt_double(row[f.base + off]) << '\n';
+            << '\t' << row[f.base + off] << '\n';
       }
     }
   }
 }
 
-void write_histograms_tsv(std::ostream& out, const MetricsRegistry& reg) {
+void write_histograms_tsv(std::ostream& os, const MetricsRegistry& reg) {
+  ChunkWriter out(os);
   out << "metric\tbucket_lo\tbucket_hi\tcount\n";
   for (std::size_t h = 0; h < reg.histogram_count(); ++h) {
     const HistogramId id{static_cast<std::uint32_t>(h)};
     const std::string& name = reg.histogram_name(id);
     const Histogram& hist = reg.histogram(id);
     if (hist.underflow() > 0) {
-      out << name << "\t-inf\t" << fmt_double(hist.bucket_lo(0)) << '\t'
+      out << name << "\t-inf\t" << hist.bucket_lo(0) << '\t'
           << hist.underflow() << '\n';
     }
     for (std::size_t b = 0; b < hist.bucket_count(); ++b) {
       if (hist.bucket(b) == 0) continue;  // sparse: empty buckets are implied
-      out << name << '\t' << fmt_double(hist.bucket_lo(b)) << '\t'
-          << fmt_double(hist.bucket_lo(b + 1)) << '\t' << hist.bucket(b)
-          << '\n';
+      out << name << '\t' << hist.bucket_lo(b) << '\t' << hist.bucket_lo(b + 1)
+          << '\t' << hist.bucket(b) << '\n';
     }
     if (hist.overflow() > 0) {
-      out << name << '\t' << fmt_double(hist.bucket_lo(hist.bucket_count()))
-          << "\t+inf\t" << hist.overflow() << '\n';
+      out << name << '\t' << hist.bucket_lo(hist.bucket_count()) << "\t+inf\t"
+          << hist.overflow() << '\n';
     }
   }
 }
 
-void write_heatmap_tsv(std::ostream& out, const HeatmapGrid& grid) {
+void write_heatmap_tsv(std::ostream& os, const HeatmapGrid& grid) {
+  ChunkWriter out(os);
   out << "# " << grid.name << ": " << grid.width << " cols (x) x "
       << grid.height << " rows (y), row y=0 first\n";
   for (int y = 0; y < grid.height; ++y) {
     for (int x = 0; x < grid.width; ++x) {
       if (x > 0) out << '\t';
-      out << fmt_double(
-          grid.values[static_cast<std::size_t>(y) * grid.width + x]);
+      out << grid.values[static_cast<std::size_t>(y) * grid.width + x];
     }
     out << '\n';
   }
 }
 
-void write_manifest_json(std::ostream& out, const TelemetryExportInfo& info,
+void write_manifest_json(std::ostream& os, const TelemetryExportInfo& info,
                          const Telemetry& telemetry,
                          const std::vector<std::string>& files) {
   const MetricsRegistry& reg = telemetry.metrics();
+  ChunkWriter out(os);
   out << "{\n"
       << "  \"schema\": \"rlftnoc-telemetry-manifest-v1\",\n"
       << "  \"generator\": \"rlftnoc\",\n"

@@ -76,6 +76,11 @@ TEST(NetworkBasic, IdleSkipElidesQuiescentNodes) {
   const std::uint64_t skipped_r = net.router_steps_skipped() - before_r;
   EXPECT_LT(skipped_r, active_cycles * nodes);  // some work happened
   EXPECT_GT(skipped_r, 0u);                     // but idle corners were elided
+  // Exact elision: the totals pin which nodes were visited in every cycle,
+  // so a visit that is dropped, repeated or added changes them.
+  EXPECT_EQ(net.now(), 142u);
+  EXPECT_EQ(net.router_steps_skipped(), 2204u);
+  EXPECT_EQ(net.ni_steps_skipped(), 2260u);
 }
 
 TEST(NetworkBasic, SelfAddressedViaLocalPort) {

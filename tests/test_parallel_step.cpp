@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -693,6 +695,57 @@ TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(sim.network().helper_threads(), expected_helpers(t, 16));
     SyntheticTraffic gen(MeshTopology(small_mesh()), sim_traffic(), 13);
     const SimResult threaded = sim.run(gen);
+    EXPECT_EQ(serial, threaded);
+  }
+}
+
+TEST(ParallelStep, VisitCountersBitIdenticalOnUnevenTilesWithMidRunKill) {
+  // A lightly loaded 12x12 adaptive torus: at 3, 5 and 7 threads the 144
+  // nodes split into 12, 20 and 28 tiles, the last two uneven; most tiles
+  // sleep between packets and are woken by enqueues and halo pushes, and a
+  // link dies mid-run. Every thread count must elide exactly the serial
+  // run's visits and stage exactly its effects.
+  const auto run = [](unsigned sim_threads) {
+    SimOptions opt;
+    opt.seed = 29;
+    opt.noc.mesh_width = 12;
+    opt.noc.mesh_height = 12;
+    opt.noc.topology = TopologyKind::kTorus;
+    opt.noc.routing = RoutingAlgorithm::kAdaptive;
+    opt.policy = PolicyKind::kStaticArqEcc;
+    opt.sim_threads = sim_threads;
+    opt.pretrain_cycles = 0;
+    opt.warmup_cycles = 500;
+    opt.error_scale = 4.0;
+    HardFault kill;
+    kill.kind = HardFault::Kind::kLink;
+    kill.node = 65;
+    kill.port = Port::kEast;
+    kill.at_cycle = 1200;
+    opt.hard_faults = {kill};
+    SyntheticTraffic::Options traffic;
+    traffic.total_packets = 800;
+    traffic.injection_rate = 0.01;
+    auto sim = std::make_unique<Simulator>(opt);
+    SyntheticTraffic gen(MeshTopology(opt.noc), traffic, opt.seed);
+    return std::make_pair(sim->run(gen), std::move(sim));
+  };
+
+  const auto [serial, serial_sim] = run(1);
+  ASSERT_TRUE(serial.drained);
+  ASSERT_EQ(serial_sim->network().hard_faults_applied(), 1u);
+  const Network& a = serial_sim->network();
+  ASSERT_GT(a.router_steps_skipped(), 0u);
+  ASSERT_GT(a.ni_steps_skipped(), 0u);
+  for (const unsigned t : {3u, 5u, 7u}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(t));
+    const auto [threaded, threaded_sim] = run(t);
+    const Network& b = threaded_sim->network();
+    EXPECT_EQ(b.shard_count(), expected_tiles(t, 144));
+    EXPECT_GT(b.lookahead_shard_sleeps(), 0u);
+    EXPECT_EQ(a.router_steps_skipped(), b.router_steps_skipped());
+    EXPECT_EQ(a.ni_steps_skipped(), b.ni_steps_skipped());
+    EXPECT_EQ(a.staged_effects_merged(), b.staged_effects_merged());
     EXPECT_EQ(serial, threaded);
   }
 }

@@ -1,13 +1,17 @@
 // Telemetry subsystem contract: ring wraparound is counted (never silent),
-// exporter output is well-formed (a real JSON parse, not a substring check),
+// exporter output is well-formed (a real JSON parse, not a substring check)
+// and byte-stable (a faulted run's file set is pinned by hash),
 // runs without telemetry carry no collector, and a traced campaign stays
 // byte-identical for any --jobs value.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +19,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/rng.h"
 #include "sim/campaign.h"
 #include "sim/options_io.h"
 #include "sim/simulator.h"
@@ -493,6 +498,115 @@ TEST(SimulatorTelemetry, TracedRunExportsLoadableFileSet) {
   EXPECT_EQ(metrics.rfind("cycle\tmetric\trouter\tport\tvalue\n", 0), 0u);
   EXPECT_NE(metrics.find("router.mode"), std::string::npos);
   EXPECT_NE(metrics.find("net.packets_delivered"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Export bytes: pinned file hashes and the number format
+// ---------------------------------------------------------------------------
+
+/// Blanks the value of every "git_sha" key, the one build-dependent field of
+/// the exported files.
+std::string strip_git_sha(std::string s) {
+  const std::string key = "\"git_sha\":";
+  for (std::size_t at = s.find(key); at != std::string::npos;
+       at = s.find(key, at + key.size())) {
+    const std::size_t open = s.find('"', at + key.size());
+    const std::size_t close = s.find('"', open + 1);
+    s.erase(open + 1, close - open - 1);
+  }
+  return s;
+}
+
+TEST(TelemetryExport, FaultedTorusFileSetMatchesPinnedHashes) {
+  // configs/torus8_faults.cfg, shortened, under RL (mode slices and reward
+  // counters in the trace) with a third link struck mid-run. Every exported
+  // byte except the git sha is pinned, so a rewrite of the exporter must
+  // reproduce the files exactly.
+  const std::filesystem::path dir = fresh_dir("rlftnoc_tele_pinned");
+  Config cfg = Config::from_string(
+      "policy = rl\n"
+      "workload = uniform\n"
+      "injection_rate = 0.05\n"
+      "packets = 1500\n"
+      "seed = 23\n"
+      "pretrain_cycles = 2000\n"
+      "warmup_cycles = 500\n"
+      "error_scale = 3\n"
+      "noc.topology = torus\n"
+      "noc.routing = adaptive\n"
+      "noc.mesh_width = 8\n"
+      "noc.mesh_height = 8\n"
+      "hard_faults = link:27:E, link:10:N, link:36:E@1500\n"
+      "telemetry = true\n"
+      "metrics_interval = 250\n");
+  cfg.set("telemetry.dir", dir.string());
+  const SimOptions opt = sim_options_from_config(cfg);
+  const auto traffic = make_workload_traffic(opt.workload, MeshTopology(opt.noc),
+                                             cfg, opt.seed, kDefaultBudgetPct);
+  Simulator sim(opt);
+  const SimResult res = sim.run(*traffic);
+  ASSERT_TRUE(res.drained);
+
+  std::map<std::string, std::uint64_t> got;
+  for (const std::string& name : sim.telemetry_files())
+    got[name] = fnv1a64(strip_git_sha(read_file(dir / name)));
+  std::map<std::string, std::uint64_t> want = {
+      {"uniform_RL.heatmap.mode0_residency.tsv", 0x9f32bd0e7efdaa66ULL},
+      {"uniform_RL.heatmap.mode1_residency.tsv", 0x2dc4c7e304605bb9ULL},
+      {"uniform_RL.heatmap.mode2_residency.tsv", 0xb9a91f76b208beffULL},
+      {"uniform_RL.heatmap.mode3_residency.tsv", 0x593fefce1e45beebULL},
+      {"uniform_RL.heatmap.nack_rate.tsv", 0x4090f45b0ea7d693ULL},
+      {"uniform_RL.heatmap.temperature_c.tsv", 0x4dbfc53964713afaULL},
+      {"uniform_RL.hist.tsv", 0xebdd50c39bed41adULL},
+      {"uniform_RL.manifest.json", 0x7b47a297eefc5724ULL},
+      {"uniform_RL.metrics.tsv", 0x343d2f51ba4432daULL},
+      {"uniform_RL.trace.json", 0x834247159fafe2bfULL},
+  };
+#ifdef RLFTNOC_TELEMETRY_DISABLED
+  // Hooks compiled out: the trace has no events and the metrics that count
+  // them stay at zero.
+  want["uniform_RL.metrics.tsv"] = 0x49944713c66ffb2fULL;
+  want["uniform_RL.trace.json"] = 0xc5bbf9fcad8fdeeeULL;
+#endif
+  EXPECT_EQ(got, want);
+}
+
+TEST(TelemetryExport, NumbersMatchPrintfNineSignificantDigits) {
+  // Exported doubles read exactly like printf("%.9g"), including signed
+  // zeros, infinities, NaNs, subnormals and arbitrary bit patterns.
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1e9, 123456789.0, 1234567890.0, 1e-5,
+      1.5e-4, 99999999.95, 0.000123456789, 1e300, -2.5e-310,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest()};
+  Rng rng(5);
+  for (int i = 0; i < 4000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.next_u64()));
+    values.push_back(static_cast<double>(rng.next_u64() % 100000) / 64.0);
+  }
+  HeatmapGrid grid;
+  grid.name = "unit";
+  grid.width = 2;
+  grid.height = static_cast<int>(values.size() / 2);
+  grid.values = values;
+
+  std::string want = "# unit: 2 cols (x) x " + std::to_string(grid.height) +
+                     " rows (y), row y=0 first\n";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.9g", values[i]);
+    want += buf;
+    want += i % 2 == 0 ? '\t' : '\n';
+  }
+  std::ostringstream out;
+  write_heatmap_tsv(out, grid);
+  EXPECT_EQ(out.str(), want);
 }
 
 // ---------------------------------------------------------------------------
