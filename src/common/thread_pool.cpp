@@ -6,8 +6,6 @@
 namespace rlftnoc {
 
 namespace {
-// Spinning only ever helps when another core can make progress meanwhile.
-bool spin_waits_useful() { return std::thread::hardware_concurrency() > 1; }
 constexpr int kSpinIterations = 2048;
 
 /// Packs a block's claim cursor: next index low, end high.
@@ -18,7 +16,11 @@ constexpr std::uint64_t cursor_word(std::uint64_t next, std::uint64_t end) {
 
 PhasePool::PhasePool(unsigned helpers)
     : executors_(std::size_t{helpers} + 1),
-      cursors_(std::make_unique<Cursor[]>(executors_)) {
+      cursors_(std::make_unique<Cursor[]>(executors_)),
+      // Once per pool, not per dispatch: glibc answers
+      // hardware_concurrency() by opening and reading a sysfs file, a few
+      // microseconds per call.
+      spin_(std::thread::hardware_concurrency() > 1) {
   // Workers start from the epoch as of construction, not as of their own
   // (possibly late) first instruction: a phase published before a worker
   // got scheduled must still be seen as new, or a pool whose first run()
@@ -73,11 +75,10 @@ void PhasePool::run_impl(std::size_t tasks, TaskFn fn, void* ctx) {
   drain_tasks(0);  // the caller is executor 0
 
   const auto want = static_cast<std::uint32_t>(tasks);
-  const bool spin = spin_waits_useful();
   for (;;) {
     std::uint32_t d = done_.load(std::memory_order_acquire);
     if (d == want) break;
-    if (spin) {
+    if (spin_) {
       for (int s = 0; s < kSpinIterations; ++s) {
         d = done_.load(std::memory_order_acquire);
         if (d == want) break;

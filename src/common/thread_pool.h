@@ -115,6 +115,9 @@ class PhasePool {
   std::atomic<std::size_t> tasks_{0};
   std::size_t executors_;  ///< helpers + 1; set before any worker starts
   std::unique_ptr<Cursor[]> cursors_;  ///< one per executor, by block
+  /// The caller spins before it sleeps on done_: only ever useful when
+  /// another core can make progress meanwhile.
+  bool spin_;
   // The two atomics threads block on are 32-bit so std::atomic::wait takes
   // libstdc++'s direct-futex path: the futex syscall operates on the atomic
   // itself, with the kernel's atomic value-recheck closing the wait/notify

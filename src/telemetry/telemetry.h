@@ -5,7 +5,7 @@
 //  * MetricsRegistry — named counter/gauge families with global, per-router
 //    or per-router-per-port label scopes, plus whole-run histograms. Values
 //    live in one flat slot array; a periodic `sample()` snapshots every slot
-//    (counters as per-interval deltas, gauges as-is) into a preallocated
+//    (counters as per-interval deltas, gauges as-is) into a fixed-capacity
 //    TimeSeriesRing. Registration happens once at setup; `freeze()` sizes
 //    the buffers and further registration is rejected.
 //
@@ -15,6 +15,12 @@
 //    are overwritten and the drop is counted — never silently.
 //
 //  * Telemetry — the facade owning both, plus the sampling cadence.
+//
+// Both rings reserve their whole capacity up front but never initialise it:
+// the storage is allocated for overwrite, so the OS commits a page only when
+// the first row or event lands in it, and memory follows what a run holds
+// rather than the configured capacity. Every reader stays inside
+// [0, size()), i.e. touches only slots that were written.
 //
 // Exporters (Chrome trace-event JSON, metrics TSV, per-router heatmap
 // grids, run-manifest JSON) live in telemetry/export.h.
@@ -29,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -37,7 +44,8 @@
 
 namespace rlftnoc {
 
-/// Knobs for one run's telemetry (all sizes fixed up front — no growth).
+/// Knobs for one run's telemetry. The ring sizes are caps, fixed up front
+/// (no growth): resident memory follows the rows and events actually held.
 struct TelemetryOptions {
   bool enabled = false;
   /// Cycles between metric samples (one TimeSeriesRing row per sample).
@@ -55,20 +63,21 @@ struct TelemetryOptions {
 // --------------------------------------------------------------------------
 
 /// Fixed-capacity ring of (cycle, values[width]) sample rows. All storage is
-/// allocated at construction; push_row never allocates.
+/// allocated, uninitialised, at construction (pages commit as rows are first
+/// written); push_row never allocates.
 class TimeSeriesRing {
  public:
   TimeSeriesRing(std::size_t rows, std::size_t width)
       : rows_(rows ? rows : 1),
         width_(width),
-        stamps_(rows_, 0),
-        data_(rows_ * width_, 0.0) {}
+        stamps_(std::make_unique_for_overwrite<Cycle[]>(rows_)),
+        data_(std::make_unique_for_overwrite<double[]>(rows_ * width_)) {}
 
   /// Records one sample row; `values` must point at `width()` doubles.
   void push_row(Cycle stamp, const double* values) noexcept {
     const std::size_t slot = (head_ + count_) % rows_;
     stamps_[slot] = stamp;
-    double* dst = data_.data() + slot * width_;
+    double* dst = data_.get() + slot * width_;
     for (std::size_t i = 0; i < width_; ++i) dst[i] = values[i];
     if (count_ < rows_) {
       ++count_;
@@ -90,7 +99,7 @@ class TimeSeriesRing {
     return stamps_[(head_ + i) % rows_];
   }
   const double* row(std::size_t i) const noexcept {
-    return data_.data() + ((head_ + i) % rows_) * width_;
+    return data_.get() + ((head_ + i) % rows_) * width_;
   }
 
  private:
@@ -99,8 +108,8 @@ class TimeSeriesRing {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::uint64_t dropped_ = 0;
-  std::vector<Cycle> stamps_;
-  std::vector<double> data_;
+  std::unique_ptr<Cycle[]> stamps_;
+  std::unique_ptr<double[]> data_;
 };
 
 // --------------------------------------------------------------------------
@@ -253,45 +262,50 @@ inline constexpr std::size_t kNumTraceEventKinds = 12;
 
 const char* trace_event_name(TraceEventKind k) noexcept;
 
-/// One trace record. POD, fixed size, so the ring never allocates.
+/// One trace record. POD, fixed size, so the ring never allocates. No member
+/// initialisers: a trivial default constructor lets the ring allocate its
+/// slots without writing them (every record sets all fields).
 struct TraceEvent {
-  Cycle cycle = 0;
-  double value = 0.0;
-  std::int32_t arg = 0;
-  NodeId node = kInvalidNode;
-  TraceEventKind kind = TraceEventKind::kModeSwitch;
-  std::int8_t port = -1;  ///< port_index(), or -1 when not port-scoped
+  Cycle cycle;
+  double value;
+  std::int32_t arg;
+  NodeId node;
+  TraceEventKind kind;
+  std::int8_t port;  ///< port_index(), or -1 when not port-scoped
 };
+static_assert(std::is_trivially_default_constructible_v<TraceEvent>);
 
 class EventTracer {
  public:
   explicit EventTracer(std::size_t capacity)
-      : ring_(capacity ? capacity : 1) {}
+      : capacity_(capacity ? capacity : 1),
+        ring_(std::make_unique_for_overwrite<TraceEvent[]>(capacity_)) {}
 
   void record(TraceEventKind kind, Cycle cycle, NodeId node,
               std::int8_t port = -1, std::int32_t arg = 0,
               double value = 0.0) noexcept {
-    const std::size_t slot = (head_ + count_) % ring_.size();
+    const std::size_t slot = (head_ + count_) % capacity_;
     ring_[slot] = TraceEvent{cycle, value, arg, node, kind, port};
-    if (count_ < ring_.size()) {
+    if (count_ < capacity_) {
       ++count_;
     } else {
-      head_ = (head_ + 1) % ring_.size();
+      head_ = (head_ + 1) % capacity_;
       ++dropped_;
     }
   }
 
-  std::size_t capacity() const noexcept { return ring_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return count_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 
   /// Held event `i`, oldest-first (i in [0, size())).
   const TraceEvent& at(std::size_t i) const noexcept {
-    return ring_[(head_ + i) % ring_.size()];
+    return ring_[(head_ + i) % capacity_];
   }
 
  private:
-  std::vector<TraceEvent> ring_;
+  std::size_t capacity_;
+  std::unique_ptr<TraceEvent[]> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::uint64_t dropped_ = 0;

@@ -43,6 +43,11 @@ Workload make_dnn_workload(const MeshTopology& topo,
 
   Workload wl;
   wl.name = "dnn";
+  // At most fan_in edges into every consumer slot of every layer after the
+  // first (fewer where a layer wrap lands on the producer's own node).
+  wl.transfers.reserve(static_cast<std::size_t>(layers - 1) *
+                       static_cast<std::size_t>(per_layer) *
+                       static_cast<std::size_t>(fan_in));
   // incoming[j] = ids of the previous edge-layer's transfers into producer
   // slot j — the dependencies of everything that producer sends onward.
   std::vector<std::vector<std::uint64_t>> incoming(
@@ -94,6 +99,12 @@ Workload make_rpc_workload(const MeshTopology& topo,
 
   Workload wl;
   wl.name = "rpc";
+  // Per request: the request, a sub-request and a sub-response per backend,
+  // and the response.
+  const std::size_t backends =
+      servers > 1 ? static_cast<std::size_t>(fanout) : 0;
+  wl.transfers.reserve(static_cast<std::size_t>(clients) *
+                       static_cast<std::size_t>(requests) * (2 + 2 * backends));
   std::uint64_t next_id = 1;
   const auto add = [&](NodeId src, NodeId dst, int len, Cycle earliest,
                        std::vector<std::uint64_t> deps) {
@@ -159,6 +170,8 @@ Workload make_nack_storm_workload(const MeshTopology& topo,
 
   Workload wl;
   wl.name = "nackstorm";
+  wl.transfers.reserve(static_cast<std::size_t>(waves) * att.size() *
+                       static_cast<std::size_t>(burst));
   std::uint64_t next_id = 1;
   // prev[a * burst + p]: the wave-(w-1) transfer this attacker/slot chains on.
   std::vector<std::uint64_t> prev(att.size() * static_cast<std::size_t>(burst),

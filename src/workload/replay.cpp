@@ -1,7 +1,6 @@
 #include "workload/replay.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -19,29 +18,20 @@ WorkloadReplayTraffic::WorkloadReplayTraffic(Workload wl, int num_nodes,
       opt_(opt),
       rng_(seed, "workload-payload"),
       name_(wl_.name.empty() ? std::string("workload") : wl_.name) {
-  validate_workload(wl_, num_nodes);
+  WorkloadDependents graph = validate_workload(wl_, num_nodes);
   const std::size_t n = wl_.transfers.size();
   pending_deps_.assign(n, 0);
-  dependents_.assign(n, {});
-  emitted_.assign(n, 0);
   resolved_.assign(n, 0);
   emit_order_.reserve(n);
-
-  // Lookup-only id -> index map (validate_workload guarantees uniqueness
-  // and that every dep resolves).
-  std::unordered_map<std::uint64_t, std::uint32_t> index;
-  index.reserve(n * 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    index.emplace(wl_.transfers[i].id, static_cast<std::uint32_t>(i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const WorkloadTransfer& t = wl_.transfers[i];
-    if (!opt_.gate_on_deps) continue;
-    pending_deps_[i] = static_cast<std::uint32_t>(t.deps.size());
-    for (const std::uint64_t dep : t.deps) {
-      dependents_[index.find(dep)->second].push_back(
-          static_cast<std::uint32_t>(i));
+  if (opt_.gate_on_deps) {
+    dep_begin_ = std::move(graph.dep_begin);
+    dependents_ = std::move(graph.dependents);
+    for (std::size_t i = 0; i < n; ++i) {
+      pending_deps_[i] =
+          static_cast<std::uint32_t>(wl_.transfers[i].deps.size());
     }
+  } else {
+    dep_begin_.assign(n + 1, 0);  // open loop: nothing waits on anything
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (pending_deps_[i] == 0) {
@@ -66,7 +56,6 @@ void WorkloadReplayTraffic::tick(Cycle now, std::vector<Packet>& out) {
         wl_.transfers[static_cast<std::size_t>(idx)];
     const PacketId pid = static_cast<PacketId>(emit_order_.size()) + 1;
     emit_order_.push_back(idx);
-    emitted_[idx] = 1;
     ++emitted_count_;
     out.push_back(make_packet(pid, t.src, t.dst, t.len, now, rng_));
   }
@@ -94,7 +83,8 @@ void WorkloadReplayTraffic::resolve(std::uint32_t idx, Cycle rel_release,
   } else {
     ++abandoned_count_;
   }
-  for (const std::uint32_t d : dependents_[idx]) {
+  for (std::uint32_t k = dep_begin_[idx]; k < dep_begin_[idx + 1]; ++k) {
+    const std::uint32_t d = dependents_[k];
     RLFTNOC_CHECK(pending_deps_[d] > 0, "workload replay: dependent %u of %u already released",
                   d, idx);
     if (--pending_deps_[d] == 0) {

@@ -101,9 +101,12 @@ class WorkloadReplayTraffic final : public TrafficGenerator,
   bool started_ = false;
   Cycle base_ = 0;  ///< absolute cycle of the first tick
 
-  std::vector<std::uint32_t> pending_deps_;          ///< unresolved dep count
-  std::vector<std::vector<std::uint32_t>> dependents_;
-  std::vector<std::uint8_t> emitted_;
+  std::vector<std::uint32_t> pending_deps_;  ///< unresolved dep count
+  /// Transfers waiting on transfer i: dependents_[dep_begin_[i] ..
+  /// dep_begin_[i + 1]), ascending (validate_workload's flat graph; all
+  /// empty in open-loop mode).
+  std::vector<std::uint32_t> dep_begin_;
+  std::vector<std::uint32_t> dependents_;
   std::vector<std::uint8_t> resolved_;
   std::priority_queue<Armed, std::vector<Armed>, std::greater<>> armed_;
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
@@ -585,22 +586,28 @@ void write_workload_file(const std::string& path, const Workload& wl) {
   if (!out) throw WorkloadError("failed writing workload file: " + path);
 }
 
-void validate_workload(const Workload& wl, int num_nodes) {
+WorkloadDependents validate_workload(const Workload& wl, int num_nodes) {
   const std::size_t n = wl.transfers.size();
   // Lookup-only map (never iterated): id -> index in wl.transfers.
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(n * 2);
+  std::unordered_map<std::uint64_t, std::uint32_t> index;
+  index.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const WorkloadTransfer& t = wl.transfers[i];
     if (t.id == 0) {
       throw WorkloadError("workload transfer #" + std::to_string(i + 1) +
                           ": id 0 is reserved");
     }
-    if (!index.emplace(t.id, i).second) {
+    if (!index.emplace(t.id, static_cast<std::uint32_t>(i)).second) {
       throw WorkloadError("workload: duplicate transfer id " +
                           std::to_string(t.id));
     }
   }
+  // dep_from[e] = index of the transfer that dependency edge e waits on,
+  // edges in transfer order; dep_begin[j + 1] counts transfer j's dependents
+  // until the prefix sum below turns the counts into offsets.
+  WorkloadDependents graph;
+  graph.dep_begin.assign(n + 1, 0);
+  std::vector<std::uint32_t> dep_from;
   for (const WorkloadTransfer& t : wl.transfers) {
     if (t.src < 0 || t.src >= num_nodes) {
       throw WorkloadError("workload transfer id " + std::to_string(t.id) +
@@ -637,9 +644,26 @@ void validate_workload(const Workload& wl, int num_nodes) {
         throw WorkloadError("workload transfer id " + std::to_string(t.id) +
                             ": depends on itself");
       }
-      if (index.find(dep) == index.end()) {
+      const auto it = index.find(dep);
+      if (it == index.end()) {
         throw WorkloadError("workload transfer id " + std::to_string(t.id) +
                             ": unknown dependency id " + std::to_string(dep));
+      }
+      dep_from.push_back(it->second);
+      ++graph.dep_begin[it->second + 1];
+    }
+  }
+  std::partial_sum(graph.dep_begin.begin(), graph.dep_begin.end(),
+                   graph.dep_begin.begin());
+  // Filled in ascending transfer order, so each transfer's dependents ascend.
+  graph.dependents.resize(dep_from.size());
+  {
+    std::vector<std::uint32_t> fill(graph.dep_begin.begin(),
+                                    graph.dep_begin.end() - 1);
+    std::size_t e = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < wl.transfers[i].deps.size(); ++k) {
+        graph.dependents[fill[dep_from[e++]]++] = static_cast<std::uint32_t>(i);
       }
     }
   }
@@ -647,17 +671,9 @@ void validate_workload(const Workload& wl, int num_nodes) {
   // Cycle detection: Kahn's algorithm over the dependency DAG. Any transfer
   // left with unresolved in-degree sits on (or downstream of) a cycle.
   std::vector<std::uint32_t> indeg(n, 0);
-  std::vector<std::vector<std::uint32_t>> dependents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const WorkloadTransfer& t = wl.transfers[i];
-    indeg[i] = static_cast<std::uint32_t>(t.deps.size());
-    for (const std::uint64_t dep : t.deps) {
-      dependents[index.find(dep)->second].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  }
   std::vector<std::uint32_t> ready;
   for (std::size_t i = 0; i < n; ++i) {
+    indeg[i] = static_cast<std::uint32_t>(wl.transfers[i].deps.size());
     if (indeg[i] == 0) ready.push_back(static_cast<std::uint32_t>(i));
   }
   std::size_t processed = 0;
@@ -665,7 +681,8 @@ void validate_workload(const Workload& wl, int num_nodes) {
     const std::uint32_t i = ready.back();
     ready.pop_back();
     ++processed;
-    for (const std::uint32_t d : dependents[i]) {
+    for (std::uint32_t k = graph.dep_begin[i]; k < graph.dep_begin[i + 1]; ++k) {
+      const std::uint32_t d = graph.dependents[k];
       if (--indeg[d] == 0) ready.push_back(d);
     }
   }
@@ -686,6 +703,7 @@ void validate_workload(const Workload& wl, int num_nodes) {
     }
     throw WorkloadError(msg);
   }
+  return graph;
 }
 
 }  // namespace rlftnoc

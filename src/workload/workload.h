@@ -74,13 +74,23 @@ class WorkloadError : public std::runtime_error {
   explicit WorkloadError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Reverse dependency graph of a workload, flat (CSR): the indices into
+/// `transfers` of the transfers that list transfer i as a dependency are
+/// `dependents[dep_begin[i] .. dep_begin[i + 1])`, in ascending order (a
+/// transfer naming the same dependency twice appears twice).
+struct WorkloadDependents {
+  std::vector<std::uint32_t> dep_begin;   ///< transfers.size() + 1 offsets
+  std::vector<std::uint32_t> dependents;  ///< one entry per dependency edge
+};
+
 /// Static validation: duplicate / zero ids, node range (against `num_nodes`),
 /// self-transfers, lengths outside [1, kMaxPacketFlits] (the 16-bit flit
 /// header limit, so trace, JSON and .wkb input are bounded alike), unknown
 /// dependency ids, and dependency cycles (Kahn's algorithm; the error names
-/// transfers on a cycle). Throws WorkloadError; returns normally iff the workload is a
-/// well-formed DAG ready for replay.
-void validate_workload(const Workload& wl, int num_nodes);
+/// transfers on a cycle). Throws WorkloadError; returns normally iff the
+/// workload is a well-formed DAG ready for replay, handing back the reverse
+/// dependency graph it checked so replay resolves no id a second time.
+WorkloadDependents validate_workload(const Workload& wl, int num_nodes);
 
 /// Reads either encoding (binary when the stream starts with the magic,
 /// JSON otherwise). Throws WorkloadError with line/token context on parse

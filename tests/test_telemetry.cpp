@@ -27,6 +27,10 @@
 #include "telemetry/telemetry.h"
 #include "traffic/traffic.h"
 
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
 namespace rlftnoc {
 namespace {
 
@@ -290,6 +294,62 @@ TEST(MetricsRegistry, CountersSampleAsDeltasAndSurviveSourceResets) {
   EXPECT_EQ(ring.row(2)[0], 2.0);  // reset: the new cumulative IS the delta
   EXPECT_EQ(ring.row(0)[2], 42.0);  // gauge verbatim, slot [c, g(r0), g(r1)]
   EXPECT_EQ(ring.row(2)[2], 42.0);
+}
+
+#if defined(__linux__)
+/// Resident set of this process in bytes (second field of /proc/self/statm).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  std::size_t resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+#endif
+
+// Capacity is a cap, not a cost: ring storage is committed row by row and
+// event by event as the rings fill.
+TEST(TelemetryMemory, RingsCommitOnlyWhatTheyHold) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads /proc/self/statm";
+#elif defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer commits shadow memory for every byte "
+                  "written, several times what the rings hold";
+#else
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  // Each ring is sized past 64 MiB, twice glibc's 32 MiB mmap-threshold
+  // ceiling, so its storage is always fresh pages, whatever the heap held.
+  constexpr std::size_t kWidth = 4096;  // one 32 KiB row
+  constexpr std::size_t kRows = 80 * kMiB / (kWidth * sizeof(double));
+  constexpr std::size_t kEvents = 80 * kMiB / sizeof(TraceEvent);
+  std::vector<double> row(kWidth, 1.0);
+
+  const std::size_t base = resident_bytes();
+  TimeSeriesRing ring(kRows, kWidth);
+  EventTracer tracer(kEvents);
+  const std::size_t empty = resident_bytes();
+  EXPECT_LT(empty, base + 8 * kMiB)
+      << "constructing 160 MiB of rings committed "
+      << (empty - base) / kMiB << " MiB";
+
+  // 16 MiB of rows, then 16 MiB of events: growth follows the writes.
+  constexpr std::size_t kWrittenRows = 16 * kMiB / (kWidth * sizeof(double));
+  for (std::size_t r = 0; r < kWrittenRows; ++r) {
+    ring.push_row(static_cast<Cycle>(r), row.data());
+  }
+  const std::size_t with_rows = resident_bytes();
+  constexpr std::size_t kWrittenEvents = 16 * kMiB / sizeof(TraceEvent);
+  for (std::size_t e = 0; e < kWrittenEvents; ++e) {
+    tracer.record(TraceEventKind::kHopRetx, static_cast<Cycle>(e), 0);
+  }
+  const std::size_t with_events = resident_bytes();
+  ASSERT_EQ(ring.size(), kWrittenRows);
+  ASSERT_EQ(tracer.size(), kWrittenEvents);
+  EXPECT_GT(with_rows, empty + 15 * kMiB);
+  EXPECT_LT(with_rows, empty + 20 * kMiB);
+  EXPECT_GT(with_events, with_rows + 15 * kMiB);
+  EXPECT_LT(with_events, with_rows + 20 * kMiB);
+#endif
 }
 
 // ---------------------------------------------------------------------------

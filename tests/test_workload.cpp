@@ -4,14 +4,18 @@
 // bit-identical for any sim_threads / campaign jobs value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
+#include "common/rng.h"
 #include "noc/flit.h"
 #include "sim/campaign.h"
 #include "sim/options_io.h"
@@ -323,6 +327,79 @@ TEST(WorkloadReplay, OpenLoopModeIgnoresDeps) {
   gen.tick(0, out);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_TRUE(gen.exhausted());
+}
+
+// Same workload, same completion feed -> same release order. Pinned on an
+// rpc workload with fanout 3 plus one transfer that joins several chains,
+// under a scripted feed that resolves packets out of emission order and
+// abandons some of them.
+TEST(WorkloadReplay, ReleaseOrderUnderScriptedFeedIsPinned) {
+  NocConfig noc;
+  noc.mesh_width = 4;
+  noc.mesh_height = 4;
+  const MeshTopology topo(noc);
+  RpcWorkloadOptions opt;
+  opt.clients = 3;
+  opt.servers = 4;
+  opt.requests_per_client = 4;
+  opt.fanout = 3;
+  Workload wl = make_rpc_workload(topo, opt, /*seed=*/5);
+  ASSERT_EQ(wl.transfers.size(), 96u);
+  // The join waits on every client's last response and on the first
+  // sub-request.
+  const std::size_t per_client = wl.transfers.size() / 3;
+  std::vector<std::uint64_t> join_deps = {wl.transfers[1].id};
+  for (std::size_t c = 0; c < 3; ++c) {
+    join_deps.push_back(wl.transfers[(c + 1) * per_client - 1].id);
+  }
+  wl.transfers.push_back(transfer(1000, 0, 15, 1, 0, join_deps));
+  // Each transfer's length tags it: an emitted packet of n flits is transfer
+  // n - 1.
+  for (std::size_t i = 0; i < wl.transfers.size(); ++i) {
+    wl.transfers[i].len = static_cast<int>(i) + 1;
+  }
+
+  WorkloadReplayTraffic gen(wl, topo.num_nodes(), /*seed=*/1);
+  std::vector<Packet> out;
+  std::vector<std::pair<PacketId, std::size_t>> in_flight;  // (packet, index)
+  std::vector<Cycle> resolved_at(wl.transfers.size(),
+                                 std::numeric_limits<Cycle>::max());
+  std::string order;
+  Rng feed(11, "release-order-feed");
+  for (Cycle now = 0; !gen.exhausted() || !in_flight.empty(); ++now) {
+    ASSERT_LT(now, Cycle{100000}) << "replay stalled";
+    out.clear();
+    gen.tick(now, out);
+    for (const Packet& p : out) {
+      const std::size_t idx = p.flits.size() - 1;
+      order += std::to_string(now) + ":" +
+               std::to_string(wl.transfers[idx].id) + ",";
+      in_flight.emplace_back(p.id, idx);
+      if (wl.transfers[idx].id == 1000) {
+        for (std::size_t d = 0; d < wl.transfers.size(); ++d) {
+          if (std::count(join_deps.begin(), join_deps.end(),
+                         wl.transfers[d].id) != 0) {
+            EXPECT_LT(resolved_at[d], now) << "join released early";
+          }
+        }
+      }
+    }
+    // Up to two in-flight packets resolve per cycle, picked by the feed;
+    // one pick in five is abandoned rather than delivered.
+    for (int k = 0; k < 2 && !in_flight.empty(); ++k) {
+      const std::size_t j = feed.next_below(in_flight.size());
+      const auto [pid, idx] = in_flight[j];
+      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(j));
+      resolved_at[idx] = now;
+      if (feed.next_below(5) == 0) {
+        gen.on_packet_abandoned(now, pid);
+      } else {
+        gen.on_packet_delivered(now, wl.transfers[idx].src, pid);
+      }
+    }
+  }
+  EXPECT_EQ(gen.transfers_retired() + gen.transfers_abandoned(), 97u);
+  EXPECT_EQ(fnv1a64(order), 0xdf1fdffd6256f2f3ULL) << order;
 }
 
 TEST(WorkloadReplay, ConstructorValidates) {
