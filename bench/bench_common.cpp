@@ -1,9 +1,11 @@
 #include "bench_common.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/rng.h"
@@ -31,6 +33,31 @@ std::string out_path_arg(int argc, char** argv, const std::string& def) {
   return out;
 }
 
+namespace {
+
+/// The value of `--flag=N` as an integer in [0, max]. Anything else (empty,
+/// non-numeric, signed, trailing text, out of range) exits 2 naming the
+/// flag and its value.
+std::uint64_t parse_number(
+    const std::string& arg, std::size_t flag_len,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const char* first = arg.c_str() + flag_len;
+  const char* last = arg.c_str() + arg.size();
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (first == last || ec != std::errc() || end != last || v > max) {
+    std::fprintf(stderr,
+                 "invalid value '%s' for %.*s (expected an integer from 0 to "
+                 "%llu)\n",
+                 first, static_cast<int>(flag_len - 1), arg.c_str(),
+                 static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  return v;
+}
+
+}  // namespace
+
 BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -41,11 +68,12 @@ BenchArgs parse_args(int argc, char** argv) {
       args.full = true;
       args.scale_pct = 100;
     } else if (a.rfind("--scale=", 0) == 0) {
-      args.scale_pct = std::strtoull(a.c_str() + 8, nullptr, 10);
+      args.scale_pct = parse_number(a, 8);
     } else if (a.rfind("--seed=", 0) == 0) {
-      args.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
+      args.seed = parse_number(a, 7);
     } else if (a.rfind("--jobs=", 0) == 0) {
-      args.jobs = static_cast<unsigned>(std::strtoul(a.c_str() + 7, nullptr, 10));
+      args.jobs = static_cast<unsigned>(
+          parse_number(a, 7, std::numeric_limits<unsigned>::max()));
     } else if (a.rfind("--cache=", 0) == 0) {
       args.cache = a.substr(8);
     } else {

@@ -1,9 +1,9 @@
 // Shared harness for the benches.
 //
 // Every bench reads the wall clock through time_seconds(), the one
-// wall-clock lint exemption under bench/, and the pinned benches (bench_campaign,
-// bench_scaling, bench_router, bench_faults, bench_workload) take their
-// only knob, --out=PATH, through out_path_arg().
+// wall-clock lint exemption under bench/, and the pinned benches
+// (bench_scaling, bench_faults, bench_workload) take their only knob,
+// --out=PATH, through out_path_arg().
 //
 // Figures 6-10 are different views of one campaign (8 PARSEC-like
 // benchmarks x 4 policies). bench_paper_figures runs it once and caches the
@@ -17,6 +17,8 @@
 //                  threads, 1 = serial (default). Results are identical
 //                  for any value (per-run seed derivation).
 //   --cache=PATH   cache location (default ./campaign_results.tsv)
+// A numeric flag whose value is not a plain decimal integer in range exits
+// 2, naming the flag and the value.
 #pragma once
 
 #include <cstdio>

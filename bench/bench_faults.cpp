@@ -11,8 +11,9 @@
 // contract must hold under hard faults too, so any divergence is a hard
 // failure, exactly like bench_scaling.
 //
-// The configuration is pinned; --out=PATH is the only knob.
-// tools/bench_summary.py prints the sweep table from the JSON.
+// The configuration is pinned; --out=PATH is the only knob. The exit code
+// is the gate: 1 on a divergence, a cell with zero throughput or a cell
+// that did not drain.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -139,13 +140,15 @@ int main(int argc, char** argv) {
     cells.push_back(c);
   }
 
-  // Degradation sanity: every faulted cell must still move real traffic.
-  bool nonzero = true;
+  // Degradation sanity: every faulted cell must still move real traffic
+  // and drain.
+  bool healthy = true;
   for (const Cell& c : cells) {
-    if (c.r.packets_delivered == 0) {
-      nonzero = false;
-      std::fprintf(stderr,
-                   "[bench_faults] FAILURE: zero throughput at %d dead links\n",
+    if (c.r.packets_delivered == 0 || !c.r.drained) {
+      healthy = false;
+      std::fprintf(stderr, "[bench_faults] FAILURE: %s at %d dead links\n",
+                   c.r.packets_delivered == 0 ? "zero throughput"
+                                              : "did not drain",
                    c.links_killed);
     }
   }
@@ -185,5 +188,5 @@ int main(int argc, char** argv) {
   }
   out << "  ]\n}\n";
   std::fprintf(stderr, "[bench_faults] wrote %s\n", out_path.c_str());
-  return identical && nonzero ? 0 : 1;
+  return identical && healthy ? 0 : 1;
 }

@@ -1,7 +1,10 @@
 // Micro-performance benchmarks (google-benchmark): the hot inner kernels of
 // the simulator. Useful when hacking on the router datapath — a regression
-// here multiplies directly into campaign wall-time.
+// here multiplies directly into campaign wall-time. tools/bench_summary.py
+// gates the kernels in its GATED_KERNELS list against BENCH_microperf.json.
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "coding/crc.h"
 #include "coding/secded.h"
@@ -10,6 +13,7 @@
 #include "noc/network.h"
 #include "noc/ni.h"
 #include "rl/agent.h"
+#include "sim/simulator.h"
 #include "traffic/traffic.h"
 
 namespace rlftnoc {
@@ -112,6 +116,73 @@ void BM_NetworkCycleWithFaultsAndEcc(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NetworkCycleWithFaultsAndEcc);
+
+// Skip-sampled link error draws: `inject_gated` with a precompiled gate at
+// p = 0.01 (a typical elevated-error steady state), and the draw-free
+// never-gate every healthy link takes.
+void fault_injection_gated(benchmark::State& state, double p) {
+  VariusModel model;
+  LinkFaultInjector inj(&model, 17, "bench");
+  const std::uint64_t gate = Rng::bernoulli_gate(p);
+  BitVec128 payload(1, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(inj.inject_gated(payload, nullptr, p, gate));
+  }
+}
+
+void BM_FaultInjectionGated(benchmark::State& state) {
+  fault_injection_gated(state, 0.01);
+}
+BENCHMARK(BM_FaultInjectionGated);
+
+void BM_FaultInjectionNever(benchmark::State& state) {
+  fault_injection_gated(state, 0.0);
+}
+BENCHMARK(BM_FaultInjectionNever);
+
+// One FtController::control_step on a 16x16 mesh under the RL policy:
+// thermal step, feature build, VARIUS refresh and per-router Q-update.
+void BM_ControlStep(benchmark::State& state) {
+  SimOptions opt;
+  opt.seed = 17;
+  opt.policy = PolicyKind::kRl;
+  opt.noc.mesh_width = 16;
+  opt.noc.mesh_height = 16;
+  Simulator sim(opt);  // the constructor performs the first control step
+  FtController& ctl = sim.controller();
+  for (auto _ : state) ctl.control_step();
+}
+BENCHMARK(BM_ControlStep);
+
+// One serial run of a loaded 16x16 mesh under static ARQ+ECC (no RL
+// updates), i.e. the bench_scaling 16x16 sim_threads=1 cell: the router
+// datapath under realistic occupancy. Building and tearing down the
+// simulator stay outside the timed region.
+void BM_RouterStep16x16(benchmark::State& state) {
+  SimOptions opt;
+  opt.seed = 17;
+  opt.policy = PolicyKind::kStaticArqEcc;
+  opt.noc.mesh_width = 16;
+  opt.noc.mesh_height = 16;
+  opt.pretrain_cycles = 0;
+  opt.warmup_cycles = 0;
+  SyntheticTraffic::Options to;
+  to.injection_rate = 0.06;
+  to.total_packets = 8000;
+  std::optional<Simulator> sim;
+  std::optional<SyntheticTraffic> gen;
+  std::uint64_t cycles = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim.reset();
+    sim.emplace(opt);
+    gen.emplace(MeshTopology(opt.noc), to, opt.seed);
+    state.ResumeTiming();
+    cycles = sim->run(*gen).total_cycles;
+  }
+  state.counters["sim_cycles"] = static_cast<double>(cycles);
+}
+BENCHMARK(BM_RouterStep16x16)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rlftnoc

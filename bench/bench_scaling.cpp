@@ -8,7 +8,7 @@
 // the serial one — a mismatch is a hard failure, so the perf numbers can
 // never come from a run that silently diverged.
 //
-// The configuration is pinned (same spirit as bench_campaign): --out=PATH is
+// The configuration is pinned: --out=PATH is
 // the only knob, and the JSON (schema rlftnoc-bench-scaling-v2) records
 // hardware_threads so consumers can judge whether a speedup gate is
 // meaningful on the machine that produced it. tools/bench_summary.py

@@ -12,8 +12,9 @@
 // serial point, so bit-identity must hold for closed-loop traffic too and
 // any divergence is a hard failure, exactly like bench_faults.
 //
-// The configuration is pinned; --out=PATH is the only knob.
-// tools/bench_summary.py prints the comparison table from the JSON.
+// The configuration is pinned; --out=PATH is the only knob. The exit code
+// is the gate: 1 on a divergence, or on a cell that left transfers
+// unretired or did not drain.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -99,16 +100,18 @@ int main(int argc, char** argv) {
                        name);
         }
       }
-      // Every transfer must retire: a fault-free mesh never abandons, so an
-      // incomplete graph means the gating logic deadlocked.
-      if (c.retired != c.transfers) {
+      // Every transfer must retire and the run must drain: a fault-free mesh
+      // never abandons, so an incomplete graph means the gating logic
+      // deadlocked.
+      if (c.retired != c.transfers || !c.r.drained) {
         complete = false;
         std::fprintf(stderr,
                      "[bench_workload] FAILURE: %s %s retired %llu/%llu "
-                     "transfers\n",
+                     "transfers%s\n",
                      name, gated ? "gated" : "open",
                      static_cast<unsigned long long>(c.retired),
-                     static_cast<unsigned long long>(c.transfers));
+                     static_cast<unsigned long long>(c.transfers),
+                     c.r.drained ? "" : ", did not drain");
       }
       std::printf(
           "%-9s %-5s  transfers %4llu  retired %4llu  latency %7.2f  "

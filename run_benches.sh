@@ -1,44 +1,45 @@
 #!/bin/sh
 # Runs every bench binary (bench_paper_figures prints Table II and Figs.
-# 6-10 from one cached campaign), then the
-# perf-tracking benches, which emit BENCH_microperf.json, BENCH_campaign.json,
-# BENCH_scaling.json, BENCH_router.json, BENCH_faults.json and
-# BENCH_workload.json.
-# tools/bench_summary.py turns those into a summary table and (with --check)
-# a regression gate against the committed baseline.
+# 6-10 from one cached campaign and takes this script's arguments, e.g.
+# --scale=1 --jobs=4), then the perf harness: bench_microperf,
+# bench_scaling, bench_faults, bench_workload and the perfbench
+# parsec_campaign workload. Fresh results go to build/bench-out/; the
+# committed BENCH_microperf.json, BENCH_scaling.json and BENCH_perfbench.json
+# are never written. bench_faults and bench_workload gate by exit code, and
+# tools/bench_summary.py gates the rest against the committed baselines.
+# To refresh a baseline, copy the fresh file over it (README,
+# "Performance").
 set -e
 cd "$(dirname "$0")"
+echo "===== build/bench/bench_paper_figures ====="
+build/bench/bench_paper_figures "$@"
 for b in \
-  build/bench/bench_paper_figures \
   build/bench/bench_overheads \
   build/bench/bench_ablation_modes \
   build/bench/bench_ablation_rl \
   build/bench/bench_latency_throughput \
   build/bench/bench_mode_map; do
   echo "===== $b ====="
-  "$b" "$@"
+  "$b"
 done
+
+out=build/bench-out
+mkdir -p "$out"
 
 echo "===== build/bench/bench_microperf ====="
 build/bench/bench_microperf \
-  --benchmark_out=BENCH_microperf.json --benchmark_out_format=json
+  --benchmark_out="$out/BENCH_microperf.json" --benchmark_out_format=json
 
-echo "===== build/bench/bench_campaign ====="
-build/bench/bench_campaign --out=BENCH_campaign.json
+for b in bench_scaling bench_faults bench_workload; do
+  echo "===== build/bench/$b ====="
+  "build/bench/$b" --out="$out/BENCH_${b#bench_}.json"
+done
 
-echo "===== build/bench/bench_scaling ====="
-build/bench/bench_scaling --out=BENCH_scaling.json
-
-echo "===== build/bench/bench_router ====="
-build/bench/bench_router --out=BENCH_router.json
-
-echo "===== build/bench/bench_faults ====="
-build/bench/bench_faults --out=BENCH_faults.json
-
-echo "===== build/bench/bench_workload ====="
-build/bench/bench_workload --out=BENCH_workload.json
+echo "===== perfbench parsec_campaign ====="
+python3 perfbench/run.py --workload parsec_campaign --seed 11 --seconds 25 \
+  --trace 0 > "$out/parsec_campaign.txt"
 
 echo "===== perf summary ====="
-python3 tools/bench_summary.py BENCH_microperf.json BENCH_campaign.json \
-  --scaling BENCH_scaling.json --router BENCH_router.json \
-  --faults BENCH_faults.json --workload BENCH_workload.json
+python3 tools/bench_summary.py "$out/BENCH_microperf.json" \
+  --scaling "$out/BENCH_scaling.json" \
+  --perfbench "$out/parsec_campaign.txt" --baseline .

@@ -145,11 +145,6 @@ class Topology {
     return static_cast<Port>(r);
   }
 
-  /// Legacy name for route() from the mesh-only era; same contract.
-  Port xy_route(NodeId cur, NodeId dst) const noexcept {
-    return route(cur, dst);
-  }
-
   /// True when `dst` is reachable from `cur` on the alive subgraph under
   /// the active routing policy (cur == dst counts as reachable when the
   /// router is alive).

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace rlftnoc::bench {
 namespace {
@@ -87,6 +89,36 @@ TEST(BenchCache, ReusesCacheOnlyWhenHashMatches) {
   EXPECT_NE(first, expect_other);
 
   std::remove(args.cache.c_str());
+}
+
+BenchArgs parse(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& f : flags) argv.push_back(f.data());
+  return parse_args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchArgs, ParsesNumericFlags) {
+  const BenchArgs a = parse({"--scale=3", "--seed=0", "--jobs=4"});
+  EXPECT_EQ(a.scale_pct, 3u);
+  EXPECT_EQ(a.seed, 0u);
+  EXPECT_EQ(a.jobs, 4u);
+  EXPECT_EQ(parse({"--seed=18446744073709551615"}).seed, UINT64_MAX);
+}
+
+// A malformed number exits 2 naming the flag and its value, instead of
+// running with whatever strtoull made of it (0, a wrapped negative or a
+// saturated huge value).
+TEST(BenchArgsDeathTest, RejectsMalformedNumbers) {
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse({"--scale=abc"}), exit2, "'abc' for --scale");
+  EXPECT_EXIT(parse({"--jobs=abc"}), exit2, "'abc' for --jobs");
+  EXPECT_EXIT(parse({"--seed=-5"}), exit2, "'-5' for --seed");
+  EXPECT_EXIT(parse({"--scale=1234567890123456789012345"}), exit2,
+              "'1234567890123456789012345' for --scale");
+  EXPECT_EXIT(parse({"--jobs=4294967296"}), exit2, "'4294967296' for --jobs");
+  EXPECT_EXIT(parse({"--scale=3x"}), exit2, "'3x' for --scale");
+  EXPECT_EXIT(parse({"--seed="}), exit2, "'' for --seed");
 }
 
 }  // namespace

@@ -65,20 +65,20 @@ TEST(Topology, DistanceProperties) {
 TEST(Topology, RouteToSelfIsLocal) {
   const MeshTopology t(4, 4);
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
-    EXPECT_EQ(t.xy_route(n, n), Port::kLocal);
+    EXPECT_EQ(t.route(n, n), Port::kLocal);
   }
 }
 
 TEST(Topology, XyRoutesXFirst) {
   const MeshTopology t(4, 4);
   // From (0,0) to (2,3): must go East until x matches.
-  EXPECT_EQ(t.xy_route(t.node(0, 0), t.node(2, 3)), Port::kEast);
-  EXPECT_EQ(t.xy_route(t.node(2, 0), t.node(2, 3)), Port::kNorth);
-  EXPECT_EQ(t.xy_route(t.node(3, 3), t.node(2, 3)), Port::kWest);
-  EXPECT_EQ(t.xy_route(t.node(2, 3), t.node(2, 1)), Port::kSouth);
+  EXPECT_EQ(t.route(t.node(0, 0), t.node(2, 3)), Port::kEast);
+  EXPECT_EQ(t.route(t.node(2, 0), t.node(2, 3)), Port::kNorth);
+  EXPECT_EQ(t.route(t.node(3, 3), t.node(2, 3)), Port::kWest);
+  EXPECT_EQ(t.route(t.node(2, 3), t.node(2, 1)), Port::kSouth);
 }
 
-/// Property sweep: following xy_route from any source reaches any
+/// Property sweep: following route() from any source reaches any
 /// destination in exactly Manhattan-distance hops (minimal + deadlock-free).
 class XyRouteSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -91,7 +91,7 @@ TEST_P(XyRouteSweep, ReachesDestinationMinimally) {
       NodeId cur = src;
       int hops = 0;
       while (cur != dst) {
-        const Port p = t.xy_route(cur, dst);
+        const Port p = t.route(cur, dst);
         ASSERT_NE(p, Port::kLocal);
         cur = t.neighbor(cur, p);
         ASSERT_NE(cur, kInvalidNode);
@@ -193,9 +193,9 @@ TEST(TopologyDeathTest, RouteRejectsOutOfRangeNodes) {
   // Out-of-range ids (including kInvalidNode) are a caller bug: route()
   // must refuse loudly instead of indexing the LUT out of bounds.
   const MeshTopology t(4, 4);
-  EXPECT_DEATH(t.xy_route(kInvalidNode, 0), "RLFTNOC_CHECK failed");
-  EXPECT_DEATH(t.xy_route(0, t.num_nodes()), "RLFTNOC_CHECK failed");
-  EXPECT_DEATH(t.xy_route(-2, 3), "RLFTNOC_CHECK failed");
+  EXPECT_DEATH(t.route(kInvalidNode, 0), "RLFTNOC_CHECK failed");
+  EXPECT_DEATH(t.route(0, t.num_nodes()), "RLFTNOC_CHECK failed");
+  EXPECT_DEATH(t.route(-2, 3), "RLFTNOC_CHECK failed");
 }
 
 TEST(TopologyDeathTest, RouteRejectsUnreachableDestination) {
