@@ -155,9 +155,10 @@ void BM_ControlStep(benchmark::State& state) {
 BENCHMARK(BM_ControlStep);
 
 // One serial run of a loaded 16x16 mesh under static ARQ+ECC (no RL
-// updates), i.e. the bench_scaling 16x16 sim_threads=1 cell: the router
-// datapath under realistic occupancy. Building and tearing down the
-// simulator stay outside the timed region.
+// updates), the bench_scaling 16x16 sim_threads=1 workload at 8,000 packets
+// (the budget BENCH_microperf.json's baseline was measured at; the scaling
+// cell itself runs longer): the router datapath under realistic occupancy.
+// Building and tearing down the simulator stay outside the timed region.
 void BM_RouterStep16x16(benchmark::State& state) {
   SimOptions opt;
   opt.seed = 17;

@@ -7,7 +7,9 @@
 // keeps one flat power-of-two array: pushes and pops are an index mask and a
 // move, and the only allocation ever performed is a capacity doubling (which
 // stops once the buffer has seen its high-water mark, so a warmed-up
-// simulation allocates nothing per cycle).
+// simulation allocates nothing per cycle). The first allocation holds
+// kFirstCapacity entries, so a user whose protocol bounds its occupancy
+// (the delay lines, see noc/channel.h) starts at that bound.
 //
 // Requirements on T: default-constructible and move-assignable (the backing
 // store is value-initialized up front and entries are moved in and out).
@@ -18,6 +20,7 @@
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -26,8 +29,11 @@
 
 namespace rlftnoc {
 
-template <typename T>
+template <typename T, std::size_t kFirstCapacity = 8>
 class RingBuffer {
+  static_assert(std::has_single_bit(kFirstCapacity),
+                "RingBuffer: first capacity must be a power of two");
+
  public:
   RingBuffer() = default;
   /// Preallocates room for at least `min_capacity` entries.
@@ -95,6 +101,13 @@ class RingBuffer {
     size_ = 0;
   }
 
+  /// Empties the buffer and frees its backing store (capacity() == 0).
+  void release() noexcept {
+    buf_ = std::vector<T>();
+    head_ = 0;
+    size_ = 0;
+  }
+
   /// Visits every entry oldest-first.
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -127,16 +140,14 @@ class RingBuffer {
   }
 
  private:
-  static constexpr std::size_t kInitialCapacity = 8;
-
   static std::size_t round_up_pow2(std::size_t n) noexcept {
-    std::size_t cap = kInitialCapacity;
+    std::size_t cap = kFirstCapacity;
     while (cap < n) cap <<= 1;
     return cap;
   }
 
   std::size_t next_capacity() const noexcept {
-    return buf_.empty() ? kInitialCapacity : buf_.size() * 2;
+    return buf_.empty() ? kFirstCapacity : buf_.size() * 2;
   }
 
   // Valid only while buf_ is non-empty (capacity is a power of two); every

@@ -67,6 +67,7 @@ std::vector<AuditViolation> NetworkAuditor::run(const Network& net) {
   audit_ni_state(net, out);
   audit_parallel_staging(net, out);
   audit_mask_consistency(net, out);
+  audit_sizing(net, out);
   if (out.empty()) ++clean_passes_;
   return out;
 }
@@ -730,6 +731,54 @@ void NetworkAuditor::audit_mask_consistency(
                     r.retained_ports_);
     if (resend != r.resend_ports_)
       word_mismatch(Port::kLocal, "arq resend-ports", resend, r.resend_ports_);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 8. Sizing: lanes within their in-flight bound, ARQ memory only where a
+//    live protected link can use it.
+// ---------------------------------------------------------------------------
+void NetworkAuditor::audit_sizing(const Network& net,
+                                  std::vector<AuditViolation>& out) const {
+  const NocConfig& cfg = net.config();
+  const auto fail = [&](NodeId node, Port p, const std::string& detail) {
+    out.push_back(make_violation("sizing", net.now(), node, p, detail));
+  };
+  const auto check_lane = [&](NodeId node, Port p, const char* what,
+                              const DelayLine<Flit>& lane) {
+    if (lane.size() <= kMaxFlitsInFlight) return;
+    std::ostringstream os;
+    os << what << " flit lane holds " << lane.size() << " entries, bound "
+       << kMaxFlitsInFlight;
+    fail(node, p, os.str());
+  };
+  for (NodeId node = 0; node < cfg.num_nodes(); ++node) {
+    const auto i = static_cast<std::size_t>(node);
+    check_lane(node, Port::kLocal, "injection", net.inj_[i].flits);
+    check_lane(node, Port::kLocal, "ejection", net.ej_[i].flits);
+    const Router& r = net.router(node);
+    for (const Port p : kAllPorts) {
+      const std::size_t idx = net.link_index(node, p);
+      const bool live = p != Port::kLocal && net.out_alive_[idx] != 0;
+      if (live) check_lane(node, p, "outgoing", net.out_ch_[idx].flits);
+      const Router::OutputPort& op = r.output_[port_index(p)];
+      const std::size_t want =
+          live ? static_cast<std::size_t>(cfg.retention_depth) : 0;
+      if (op.retention.capacity() != want) {
+        std::ostringstream os;
+        os << "retention ring sized for " << op.retention.capacity()
+           << " entries, want " << want
+           << (live ? " (live mesh link)" : " (no live protected link)");
+        fail(node, p, os.str());
+      }
+      if (!live && (op.retx_queue.capacity() != 0 || op.dup_queue.capacity() != 0)) {
+        std::ostringstream os;
+        os << "resend/duplicate queues hold " << op.retx_queue.capacity()
+           << "/" << op.dup_queue.capacity()
+           << " slots on a port with no live protected link";
+        fail(node, p, os.str());
+      }
+    }
   }
 }
 

@@ -51,6 +51,12 @@
 //     buffered-flit counter) re-derives exactly from the live FIFO / state /
 //     credit / allocation / retention / resend-queue data it summarizes. A
 //     drifted word would silently change arbitration or idle-skip.
+//  8. Sizing: every live flit lane holds at most kMaxFlitsInFlight entries,
+//     the slots its ring starts with (noc/channel.h), so the datapath never
+//     grows one. ARQ rings (retention, resend and duplicate queues) hold no
+//     memory on the Local port or on a mesh port without a live link —
+//     including one whose link was killed — and a live mesh port's
+//     retention ring is sized to retention_depth.
 //
 // Violations are reported with the offending cycle / router / port so a
 // failure in a million-cycle campaign points straight at the broken state.
@@ -122,6 +128,7 @@ class NetworkAuditor {
                               std::vector<AuditViolation>& out) const;
   void audit_mask_consistency(const Network& net,
                               std::vector<AuditViolation>& out) const;
+  void audit_sizing(const Network& net, std::vector<AuditViolation>& out) const;
 
   std::uint64_t clean_passes_ = 0;
 };

@@ -10,9 +10,14 @@
 // its consumer node (noc/node_hot.h): the byte is 1 exactly while the line
 // holds an entry, mature or not, so the stepper finds the lanes with work by
 // reading bytes instead of walking lines.
+//
+// Sizing: a line's ring starts with kMaxFlitsInFlight slots, the bound a flit
+// lane can reach (below), and doubles only if a line ever needs more — a
+// burst of credits returned by hard-fault teardown, say.
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -23,6 +28,13 @@
 #include "noc/flit.h"
 
 namespace rlftnoc {
+
+/// Most flits a flit lane holds between steps. A port puts at most one flit
+/// on the wire per cycle (busy_until), a flit stays on it at most 1 (link)
+/// + 1 (SECDED codec) + 2 (mode-3 stretch) = 4 cycles, and the consumer pops
+/// it in the cycle it matures; so after a step only flits pushed in the last
+/// four cycles remain. The auditor checks the bound (noc/audit.h).
+inline constexpr std::size_t kMaxFlitsInFlight = 4;
 
 /// FIFO with per-entry maturity stamps.
 template <typename T>
@@ -72,6 +84,8 @@ class DelayLine {
 
   bool empty() const noexcept { return entries_.empty(); }
   std::size_t size() const noexcept { return entries_.size(); }
+  /// Allocated slots (0 until the first push).
+  std::size_t capacity() const noexcept { return entries_.capacity(); }
 
   /// Discards everything in flight (hard-fault teardown of a dead link /
   /// router). Returns the number of entries dropped so the caller can keep
@@ -97,7 +111,7 @@ class DelayLine {
   };
   Cycle latency_;
   std::uint8_t* occ_ = nullptr;  ///< consumer's occupancy byte; null = unbound
-  RingBuffer<Entry> entries_;
+  RingBuffer<Entry, kMaxFlitsInFlight> entries_;
 };
 
 /// Credit returned upstream when a flit vacates an input VC buffer slot.

@@ -6,9 +6,11 @@
 // arrival, every re-send and every mode-2 duplicate resolves its entry by
 // FlitId.
 //
-// Layout: one preallocated power-of-two ring, oldest entry first. Entries
-// are appended at transmission, so they are held in ascending link sequence
-// number (the auditor checks this). Under go-back-N the receiver answers in
+// Layout: one preallocated power-of-two ring, oldest entry first, on each
+// mesh output port with a live link; the Local port and a port whose link is
+// absent or dead hold none (reset(0)). Entries are appended at transmission,
+// so they are held in ascending link sequence number (the auditor checks
+// this). Under go-back-N the receiver answers in
 // lsn order, so an ACK almost always resolves the oldest entry: lookup scans
 // from the front and the first probe hits, touching one cache line. Erasing
 // the oldest entry just advances the head; erasing from the middle (an ACK
@@ -39,13 +41,18 @@ class RetentionTable {
  public:
   RetentionTable() = default;
 
-  /// Sizes the table for at most `capacity` live entries. Discards contents.
+  /// Sizes the table for at most `capacity` live entries (0 frees the ring:
+  /// a port with no live protected link keeps none). Discards contents.
   void reset(std::size_t capacity) {
-    RLFTNOC_CHECK(capacity > 0, "RetentionTable: zero capacity");
-    const std::size_t slots = std::bit_ceil(capacity);
-    if (slots != mask_ + 1 || ring_ == nullptr)
-      ring_ = std::make_unique<ArqRetention[]>(slots);
-    mask_ = slots - 1;
+    if (capacity == 0) {
+      ring_.reset();
+      mask_ = 0;
+    } else {
+      const std::size_t slots = std::bit_ceil(capacity);
+      if (slots != mask_ + 1 || ring_ == nullptr)
+        ring_ = std::make_unique<ArqRetention[]>(slots);
+      mask_ = slots - 1;
+    }
     capacity_ = capacity;
     head_ = 0;
     size_ = 0;

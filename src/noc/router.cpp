@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <new>
+#include <type_traits>
 
 #include "common/check.h"
 #include "coding/secded.h"
@@ -19,34 +22,54 @@ int port_dim(Port p) noexcept {
 }
 }  // namespace
 
+void Router::ArenaFree::operator()(std::byte* block) const noexcept {
+  ::operator delete(block, std::align_val_t{alignof(FlitFifo::Slot)});
+}
+
 Router::Router(NodeId id, const NocConfig* cfg, Network* net)
     : id_(id), cfg_(cfg), net_(net), dateline_(cfg->dateline_vcs()),
       vcs_(cfg->vcs_per_port) {
-  // Every input-VC FIFO is a fixed window of one arena: vc_depth rounded up
-  // to a power of two slots per VC, one cache line per slot. Credits bound
-  // occupancy by vc_depth, so the datapath never allocates.
+  // One arena for every per-VC structure, sized by the configuration:
+  // vc_depth rounded up to a power of two flit slots per input VC (one cache
+  // line per slot), then the input-VC descriptors, then the output-VC credit
+  // records. Credits bound occupancy by vc_depth, so the datapath never
+  // allocates. The arena frees its objects without running destructors.
+  static_assert(std::is_trivially_destructible_v<FlitFifo::Slot> &&
+                std::is_trivially_destructible_v<InputVc> &&
+                std::is_trivially_destructible_v<OutputVc>);
   const std::uint32_t fifo_slots =
       std::bit_ceil(static_cast<std::uint32_t>(cfg_->vc_depth));
-  const std::size_t input_vcs = kNumPorts * static_cast<std::size_t>(vcs_);
-  arena_ = std::make_unique<FlitFifo::Slot[]>(input_vcs * fifo_slots);
-  for (std::size_t b = 0; b < input_vcs; ++b)
-    input_[b].fifo.bind(&arena_[b * fifo_slots], fifo_slots);
+  const std::size_t port_vcs = kNumPorts * static_cast<std::size_t>(vcs_);
+  const std::size_t slot_bytes = port_vcs * fifo_slots * sizeof(FlitFifo::Slot);
+  const std::size_t ivc_bytes = port_vcs * sizeof(InputVc);
+  arena_.reset(static_cast<std::byte*>(
+      ::operator new(slot_bytes + ivc_bytes + port_vcs * sizeof(OutputVc),
+                     std::align_val_t{alignof(FlitFifo::Slot)})));
+  std::byte* block = arena_.get();
+  auto* slots = new (block) FlitFifo::Slot[port_vcs * fifo_slots]();
+  input_ = new (block + slot_bytes) InputVc[port_vcs]();
+  auto* out_vcs = new (block + slot_bytes + ivc_bytes) OutputVc[port_vcs]();
+  for (std::size_t b = 0; b < port_vcs; ++b)
+    input_[b].fifo.bind(&slots[b * fifo_slots], fifo_slots);
   // One response per protected flit a receive pops: usually at most one per
   // mesh lane; a burst beyond this grows the vector once and it stays warm.
-  pending_acks_.reserve(4 * kMeshPorts.size());
+  pending_acks_.reserve(kMeshPorts.size());
 
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     auto& op = output_[p];
+    op.vcs = &out_vcs[p * static_cast<std::size_t>(vcs_)];
     // Credits mirror the downstream buffer: router input VCs for mesh ports,
     // the deeper NI ejection buffer for the Local port.
-    const int depth = (static_cast<Port>(p) == Port::kLocal) ? cfg_->local_vc_depth
-                                                             : cfg_->vc_depth;
+    const auto port = static_cast<Port>(p);
+    const int depth = (port == Port::kLocal) ? cfg_->local_vc_depth : cfg_->vc_depth;
     for (int v = 0; v < vcs_; ++v) op.vcs[static_cast<std::size_t>(v)].credits = depth;
-    // Pre-size the ARQ structures to their protocol bound (retention_depth
-    // entries) so the per-cycle datapath never allocates.
-    op.retention.reset(static_cast<std::size_t>(cfg_->retention_depth));
-    op.retx_queue.reserve(static_cast<std::size_t>(cfg_->retention_depth));
-    op.dup_queue.reserve(static_cast<std::size_t>(cfg_->retention_depth));
+    // A mesh port with a live link pre-sizes its retention ring and resend
+    // queue to the protocol bound (retention_depth entries) so the per-cycle
+    // datapath never allocates; no other port can ever retain a flit.
+    if (port != Port::kLocal && net_->topology().link_alive(id_, port)) {
+      op.retention.reset(static_cast<std::size_t>(cfg_->retention_depth));
+      op.retx_queue.reserve(static_cast<std::size_t>(cfg_->retention_depth));
+    }
     // Reset value of the packed per-output words: every VC unallocated and
     // fully credited (depth >= 1 is enforced by NocConfig::validate).
     free_vc_mask_[p] = port_bits(0);
@@ -574,9 +597,9 @@ void Router::purge_dead_output(Cycle now, Port p, std::vector<LostFlit>& lost) {
   op.retention.for_each([&](FlitId, const ArqRetention& r) {
     lost.push_back(LostFlit{r.clean.packet_id, r.clean.src, r.clean.dst});
   });
-  op.retention.reset(static_cast<std::size_t>(cfg_->retention_depth));
-  op.retx_queue.clear();
-  op.dup_queue.clear();
+  op.retention.reset(0);
+  op.retx_queue.release();
+  op.dup_queue.release();
   arq_sync(pi);
   op.busy_until = 0;
 
@@ -704,9 +727,9 @@ void Router::purge_for_router_kill(std::vector<LostFlit>& lost) {
     op.retention.for_each([&](FlitId, const ArqRetention& r) {
       lost.push_back(LostFlit{r.clean.packet_id, r.clean.src, r.clean.dst});
     });
-    op.retention.reset(static_cast<std::size_t>(cfg_->retention_depth));
-    op.retx_queue.clear();
-    op.dup_queue.clear();
+    op.retention.reset(0);
+    op.retx_queue.release();
+    op.dup_queue.release();
     op.busy_until = 0;
     const int depth = (static_cast<Port>(pi) == Port::kLocal)
                           ? cfg_->local_vc_depth

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -241,8 +242,11 @@ class Router {
     int credits = 0;
   };
 
+  /// One output port. The ARQ structures hold memory only on a mesh port
+  /// with a live link: the constructor sizes them there, purge_dead_output
+  /// frees them, and the Local port never retains (auditor invariant 8).
   struct OutputPort {
-    std::array<OutputVc, kMaxVcsPerPort> vcs{};  ///< first vcs_per_port used
+    OutputVc* vcs = nullptr;  ///< vcs_per_port credit records, in the arena
     Cycle busy_until = 0;  ///< first cycle the channel is free again
     RetentionTable retention;  ///< in-flight clean copies, in send order
     RingBuffer<FlitId> retx_queue;  ///< NACK-triggered resends
@@ -250,7 +254,8 @@ class Router {
       Cycle earliest = 0;
       FlitId id = 0;
     };
-    RingBuffer<PendingDup> dup_queue;  ///< mode-2 proactive duplicates
+    /// Mode-2 proactive duplicates; allocated on the port's first one.
+    RingBuffer<PendingDup> dup_queue;
     std::uint64_t next_lsn = 0;        ///< link sequence stamp for new flits
     int sa_rr = 0;                     ///< round-robin pointer for SA
     int va_rr = 0;                     ///< rotating start for output-VC scan
@@ -399,13 +404,21 @@ class Router {
   OpMode mode_ = OpMode::kMode0;
   bool dateline_ = false;  ///< torus DOR: stamp/partition VCs by dateline class
 
-  /// Input VCs indexed by ivc_bit (port-major, vcs_per_port per port);
-  /// their FIFOs are views into arena_.
-  std::array<InputVc, kNumPorts * kMaxVcsPerPort> input_{};
-  std::unique_ptr<FlitFifo::Slot[]> arena_;  ///< every input-VC flit slot
+  /// Returns the arena to the aligned operator new it came from.
+  struct ArenaFree {
+    void operator()(std::byte* block) const noexcept;
+  };
+  /// Every per-VC structure of the router in one cache-line-aligned block
+  /// sized by the NocConfig (kNumPorts x vcs_per_port of each): the input-VC
+  /// flit slots, the input-VC descriptors, then the output-VC credit
+  /// records that OutputPort::vcs point into.
+  std::unique_ptr<std::byte[], ArenaFree> arena_;
+  /// Input VCs indexed by ivc_bit (port-major, vcs_per_port per port), in
+  /// arena_; their FIFOs are views into its flit slots.
+  InputVc* input_ = nullptr;
   std::array<OutputPort, kNumPorts> output_;
   /// Responses of this visit's receive, awaiting the execute push; empty
-  /// between steps (auditor invariant 6).
+  /// between steps (auditor invariant 6). Reserved for one per mesh port.
   std::vector<PendingAck> pending_acks_;
   std::array<InputArq, kNumPorts> input_arq_;
   RouterCounters counters_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,9 +46,11 @@ Workload make_dnn_workload(const MeshTopology& topo,
   wl.name = "dnn";
   // At most fan_in edges into every consumer slot of every layer after the
   // first (fewer where a layer wrap lands on the producer's own node).
-  wl.transfers.reserve(static_cast<std::size_t>(layers - 1) *
-                       static_cast<std::size_t>(per_layer) *
-                       static_cast<std::size_t>(fan_in));
+  // Each waits on at most fan_in ids.
+  const std::size_t max_transfers = static_cast<std::size_t>(layers - 1) *
+                                    static_cast<std::size_t>(per_layer) *
+                                    static_cast<std::size_t>(fan_in);
+  wl.reserve(max_transfers, max_transfers * static_cast<std::size_t>(fan_in));
   // incoming[j] = ids of the previous edge-layer's transfers into producer
   // slot j — the dependencies of everything that producer sends onward.
   std::vector<std::vector<std::uint64_t>> incoming(
@@ -69,8 +72,7 @@ Workload make_dnn_workload(const MeshTopology& topo,
         t.dst = dst;
         t.len = len;
         t.earliest_cycle = static_cast<Cycle>(l) * opt.layer_spacing;
-        t.deps = incoming[static_cast<std::size_t>(pslot)];
-        wl.transfers.push_back(std::move(t));
+        wl.add(t, incoming[static_cast<std::size_t>(pslot)]);
         next_incoming[static_cast<std::size_t>(j)].push_back(next_id - 1);
       }
     }
@@ -103,21 +105,26 @@ Workload make_rpc_workload(const MeshTopology& topo,
   // and the response.
   const std::size_t backends =
       servers > 1 ? static_cast<std::size_t>(fanout) : 0;
-  wl.transfers.reserve(static_cast<std::size_t>(clients) *
-                       static_cast<std::size_t>(requests) * (2 + 2 * backends));
+  // One dependency id per transfer, except none for a client's first
+  // request and one per backend for a response.
+  const std::size_t per_request = 2 + 2 * backends;
+  const std::size_t total = static_cast<std::size_t>(clients) *
+                            static_cast<std::size_t>(requests) * per_request;
+  wl.reserve(total, total + static_cast<std::size_t>(clients) *
+                                static_cast<std::size_t>(requests) * backends);
   std::uint64_t next_id = 1;
   const auto add = [&](NodeId src, NodeId dst, int len, Cycle earliest,
-                       std::vector<std::uint64_t> deps) {
+                       std::span<const std::uint64_t> deps) {
     WorkloadTransfer t;
     t.id = next_id++;
     t.src = src;
     t.dst = dst;
     t.len = len;
     t.earliest_cycle = earliest;
-    t.deps = std::move(deps);
-    wl.transfers.push_back(std::move(t));
-    return next_id - 1;
+    wl.add(t, deps);
+    return t.id;
   };
+  std::vector<std::uint64_t> resp_deps;
 
   for (int c = 0; c < clients; ++c) {
     std::uint64_t prev_response = 0;
@@ -126,21 +133,21 @@ Workload make_rpc_workload(const MeshTopology& topo,
       const int fe_slot = (c + k) % servers;
       const NodeId frontend = server_node(fe_slot);
       const Cycle earliest = static_cast<Cycle>(k) * opt.request_spacing;
-      std::vector<std::uint64_t> req_deps;
-      if (prev_response != 0) req_deps.push_back(prev_response);
       const std::uint64_t req =
-          add(cli, frontend, req_len, earliest, std::move(req_deps));
-      std::vector<std::uint64_t> resp_deps;
+          add(cli, frontend, req_len, earliest,
+              std::span(&prev_response, prev_response != 0 ? 1 : 0));
+      resp_deps.clear();
       for (int f = 0; f < fanout && servers > 1; ++f) {
         int be_slot = (fe_slot + 1 + f) % servers;
         if (be_slot == fe_slot) be_slot = (be_slot + 1) % servers;
         const NodeId backend = server_node(be_slot);
         const std::uint64_t sub =
-            add(frontend, backend, req_len, earliest, {req});
-        resp_deps.push_back(add(backend, frontend, resp_len, earliest, {sub}));
+            add(frontend, backend, req_len, earliest, std::span(&req, 1));
+        resp_deps.push_back(
+            add(backend, frontend, resp_len, earliest, std::span(&sub, 1)));
       }
       if (resp_deps.empty()) resp_deps.push_back(req);
-      prev_response = add(frontend, cli, resp_len, earliest, std::move(resp_deps));
+      prev_response = add(frontend, cli, resp_len, earliest, resp_deps);
     }
   }
   return wl;
@@ -170,8 +177,9 @@ Workload make_nack_storm_workload(const MeshTopology& topo,
 
   Workload wl;
   wl.name = "nackstorm";
-  wl.transfers.reserve(static_cast<std::size_t>(waves) * att.size() *
-                       static_cast<std::size_t>(burst));
+  const std::size_t per_wave = att.size() * static_cast<std::size_t>(burst);
+  wl.reserve(static_cast<std::size_t>(waves) * per_wave,
+             static_cast<std::size_t>(waves - 1) * per_wave);
   std::uint64_t next_id = 1;
   // prev[a * burst + p]: the wave-(w-1) transfer this attacker/slot chains on.
   std::vector<std::uint64_t> prev(att.size() * static_cast<std::size_t>(burst),
@@ -187,9 +195,8 @@ Workload make_nack_storm_workload(const MeshTopology& topo,
         t.earliest_cycle = 0;  // release is completion-driven, not timed
         const std::size_t slot = a * static_cast<std::size_t>(burst) +
                                  static_cast<std::size_t>(p);
-        if (prev[slot] != 0) t.deps.push_back(prev[slot]);
+        wl.add(t, std::span(&prev[slot], prev[slot] != 0 ? 1 : 0));
         prev[slot] = t.id;
-        wl.transfers.push_back(std::move(t));
       }
     }
   }

@@ -1,6 +1,9 @@
 #include "workload/recorder.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
+#include <span>
 
 #include "common/check.h"
 #include "noc/flit.h"
@@ -31,7 +34,7 @@ void WorkloadRecorder::note_packet(Cycle now, const Packet& p) {
   RLFTNOC_CHECK(p.src >= 0 && p.dst >= 0, "recorder: packet %llu has invalid endpoints",
                 static_cast<unsigned long long>(p.id));
   WorkloadTransfer t;
-  t.id = static_cast<std::uint64_t>(transfers_.size()) + 1;
+  t.id = static_cast<std::uint64_t>(wl_.transfers.size()) + 1;
   t.src = p.src;
   t.dst = p.dst;
   t.len = static_cast<int>(p.flits.size());
@@ -45,13 +48,13 @@ void WorkloadRecorder::note_packet(Cycle now, const Packet& p) {
       last_completed_into_[static_cast<std::size_t>(p.src)];
   const std::uint64_t program_order =
       last_completed_from_[static_cast<std::size_t>(p.src)];
-  if (resp_to != 0) t.deps.push_back(resp_to);
-  if (program_order != 0 && program_order != resp_to) {
-    t.deps.push_back(program_order);
-  }
-  std::sort(t.deps.begin(), t.deps.end());
+  std::array<std::uint64_t, 2> deps{};
+  std::size_t ndeps = 0;
+  if (resp_to != 0) deps[ndeps++] = resp_to;
+  if (program_order != 0 && program_order != resp_to) deps[ndeps++] = program_order;
+  std::sort(deps.begin(), deps.begin() + static_cast<std::ptrdiff_t>(ndeps));
   pid_to_tid_.emplace(p.id, t.id);
-  transfers_.push_back(std::move(t));
+  wl_.add(t, std::span(deps.data(), ndeps));
   resolved_.push_back(0);
 }
 
@@ -63,7 +66,7 @@ void WorkloadRecorder::on_packet_delivered(Cycle /*now*/, NodeId /*src*/,
   std::uint8_t& done = resolved_[static_cast<std::size_t>(tid - 1)];
   if (done != 0) return;
   done = 1;
-  const WorkloadTransfer& t = transfers_[static_cast<std::size_t>(tid - 1)];
+  const WorkloadTransfer& t = wl_.transfers[static_cast<std::size_t>(tid - 1)];
   grow_anchor(last_completed_from_, t.src);
   grow_anchor(last_completed_into_, t.dst);
   last_completed_from_[static_cast<std::size_t>(t.src)] = tid;
@@ -79,9 +82,8 @@ void WorkloadRecorder::on_packet_abandoned(Cycle /*now*/, PacketId id) {
 }
 
 Workload WorkloadRecorder::finish() const {
-  Workload wl;
+  Workload wl = wl_;
   wl.name = inner_.name();
-  wl.transfers = transfers_;
   return wl;
 }
 

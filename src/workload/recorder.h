@@ -58,7 +58,7 @@ class WorkloadRecorder final : public TrafficGenerator,
   /// flow takes it once after the run completes.
   Workload finish() const;
 
-  std::size_t transfers_recorded() const noexcept { return transfers_.size(); }
+  std::size_t transfers_recorded() const noexcept { return wl_.transfers.size(); }
 
  private:
   void note_packet(Cycle now, const Packet& p);
@@ -67,8 +67,8 @@ class WorkloadRecorder final : public TrafficGenerator,
   bool started_ = false;
   Cycle base_ = 0;  ///< absolute cycle of the first tick
 
-  std::vector<WorkloadTransfer> transfers_;
-  std::vector<std::uint8_t> resolved_;  ///< parallel to transfers_
+  Workload wl_;  ///< everything recorded so far (named by finish())
+  std::vector<std::uint8_t> resolved_;  ///< parallel to wl_.transfers
   /// Lookup-only: live packet id -> transfer id (1-based index).
   std::unordered_map<PacketId, std::uint64_t> pid_to_tid_;
   /// Per-node dependency anchors (0 = none yet): the most recent *completed*

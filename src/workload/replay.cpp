@@ -27,8 +27,7 @@ WorkloadReplayTraffic::WorkloadReplayTraffic(Workload wl, int num_nodes,
     dep_begin_ = std::move(graph.dep_begin);
     dependents_ = std::move(graph.dependents);
     for (std::size_t i = 0; i < n; ++i) {
-      pending_deps_[i] =
-          static_cast<std::uint32_t>(wl_.transfers[i].deps.size());
+      pending_deps_[i] = static_cast<std::uint32_t>(wl_.deps(i).size());
     }
   } else {
     dep_begin_.assign(n + 1, 0);  // open loop: nothing waits on anything

@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -47,7 +48,7 @@ class JsonReader {
         } else if (key == "name") {
           wl.name = parse_string("name value");
         } else if (key == "transfers") {
-          parse_transfers(wl.transfers);
+          parse_transfers(wl);
           saw_transfers = true;
         } else {
           fail("unknown top-level key \"" + key + "\"");
@@ -64,16 +65,19 @@ class JsonReader {
   }
 
  private:
-  void parse_transfers(std::vector<WorkloadTransfer>& out) {
+  void parse_transfers(Workload& wl) {
     expect('[');
     if (try_consume(']')) return;
     for (;;) {
-      out.push_back(parse_transfer(out.size() + 1));
+      deps_.clear();
+      const WorkloadTransfer t = parse_transfer(wl.transfers.size() + 1);
+      wl.add(t, deps_);
       if (try_consume(']')) break;
       expect(',');
     }
   }
 
+  /// Parses one transfer object; its "deps" ids go to deps_.
   WorkloadTransfer parse_transfer(std::size_t ordinal) {
     WorkloadTransfer t;
     bool saw_id = false;
@@ -105,7 +109,7 @@ class JsonReader {
           expect('[');
           if (!try_consume(']')) {
             for (;;) {
-              t.deps.push_back(parse_u64("deps entry"));
+              deps_.push_back(parse_u64("deps entry"));
               if (try_consume(']')) break;
               expect(',');
             }
@@ -295,6 +299,7 @@ class JsonReader {
   const std::string& s_;
   std::size_t pos_ = 0;
   int line_ = 1;
+  std::vector<std::uint64_t> deps_;  ///< scratch: the current transfer's deps
 };
 
 void append_escaped(std::string& out, const std::string& s) {
@@ -352,7 +357,8 @@ class BinaryReader {
     const std::uint64_t name_len = get_u64("name length");
     wl.name = get_bytes(name_len, "name");
     const std::uint64_t count = get_u64("transfer count");
-    wl.transfers.reserve(sane_count(count, "transfer count"));
+    wl.reserve(sane_count(count, "transfer count"), 0);
+    std::vector<std::uint64_t> deps;
     for (std::uint64_t i = 0; i < count; ++i) {
       WorkloadTransfer t;
       t.id = get_u64("transfer id");
@@ -361,11 +367,9 @@ class BinaryReader {
       t.len = static_cast<int>(get_u32("len"));
       t.earliest_cycle = get_u64("earliest_cycle");
       const std::uint64_t ndeps = get_u64("dep count");
-      t.deps.reserve(sane_count(ndeps, "dep count"));
-      for (std::uint64_t d = 0; d < ndeps; ++d) {
-        t.deps.push_back(get_u64("dep id"));
-      }
-      wl.transfers.push_back(std::move(t));
+      deps.resize(sane_count(ndeps, "dep count"));
+      for (std::uint64_t& d : deps) d = get_u64("dep id");
+      wl.add(t, deps);
     }
     if (pos_ != s_.size()) {
       throw WorkloadError("workload binary: " +
@@ -433,14 +437,16 @@ std::string workload_to_binary(const Workload& wl) {
   put_u64(out, wl.name.size());
   out += wl.name;
   put_u64(out, wl.transfers.size());
-  for (const WorkloadTransfer& t : wl.transfers) {
+  for (std::size_t i = 0; i < wl.transfers.size(); ++i) {
+    const WorkloadTransfer& t = wl.transfers[i];
     put_u64(out, t.id);
     put_u32(out, static_cast<std::uint32_t>(t.src));
     put_u32(out, static_cast<std::uint32_t>(t.dst));
     put_u32(out, static_cast<std::uint32_t>(t.len));
     put_u64(out, t.earliest_cycle);
-    put_u64(out, t.deps.size());
-    for (const std::uint64_t d : t.deps) put_u64(out, d);
+    const std::span<const std::uint64_t> deps = wl.deps(i);
+    put_u64(out, deps.size());
+    for (const std::uint64_t d : deps) put_u64(out, d);
   }
   return out;
 }
@@ -468,9 +474,10 @@ std::string workload_to_json(const Workload& wl) {
       out += ", \"len\": " + std::to_string(t.len);
       out += ", \"earliest_cycle\": " + std::to_string(t.earliest_cycle);
       out += ", \"deps\": [";
-      for (std::size_t d = 0; d < t.deps.size(); ++d) {
+      const std::span<const std::uint64_t> deps = wl.deps(i);
+      for (std::size_t d = 0; d < deps.size(); ++d) {
         if (d != 0) out += ", ";
-        out += std::to_string(t.deps[d]);
+        out += std::to_string(deps[d]);
       }
       out += "]}";
       out += (i + 1 == wl.transfers.size()) ? "\n" : ",\n";
@@ -556,7 +563,7 @@ Workload read_trace(std::istream& in) {
     if (t.earliest_cycle < prev) throw fail("cycles not sorted");
     if (t.len < 1) throw fail("non-positive packet length");
     prev = t.earliest_cycle;
-    wl.transfers.push_back(std::move(t));
+    wl.add(t);
   }
   return wl;
 }
@@ -586,8 +593,29 @@ void write_workload_file(const std::string& path, const Workload& wl) {
   if (!out) throw WorkloadError("failed writing workload file: " + path);
 }
 
+void Workload::add(const WorkloadTransfer& t, std::span<const std::uint64_t> deps) {
+  if (deps.size() > std::numeric_limits<std::uint32_t>::max() - dep_ids.size()) {
+    throw WorkloadError("workload: more than 2^32 - 1 dependency ids");
+  }
+  transfers.push_back(t);
+  dep_ids.insert(dep_ids.end(), deps.begin(), deps.end());
+  dep_begin.push_back(static_cast<std::uint32_t>(dep_ids.size()));
+}
+
+void Workload::reserve(std::size_t n, std::size_t edges) {
+  transfers.reserve(n);
+  dep_begin.reserve(n + 1);
+  dep_ids.reserve(edges);
+}
+
 WorkloadDependents validate_workload(const Workload& wl, int num_nodes) {
   const std::size_t n = wl.transfers.size();
+  if (wl.dep_begin.size() != n + 1 || wl.dep_begin.front() != 0 ||
+      wl.dep_begin.back() != wl.dep_ids.size() ||
+      !std::is_sorted(wl.dep_begin.begin(), wl.dep_begin.end())) {
+    throw WorkloadError("workload: dependency lists out of step with its " +
+                        std::to_string(n) + " transfers");
+  }
   // Lookup-only map (never iterated): id -> index in wl.transfers.
   std::unordered_map<std::uint64_t, std::uint32_t> index;
   index.reserve(n);
@@ -608,7 +636,8 @@ WorkloadDependents validate_workload(const Workload& wl, int num_nodes) {
   WorkloadDependents graph;
   graph.dep_begin.assign(n + 1, 0);
   std::vector<std::uint32_t> dep_from;
-  for (const WorkloadTransfer& t : wl.transfers) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const WorkloadTransfer& t = wl.transfers[i];
     if (t.src < 0 || t.src >= num_nodes) {
       throw WorkloadError("workload transfer id " + std::to_string(t.id) +
                           ": src " + std::to_string(t.src) +
@@ -639,7 +668,7 @@ WorkloadDependents validate_workload(const Workload& wl, int num_nodes) {
                           std::to_string(kMaxPacketFlits) + " (got " +
                           std::to_string(t.len) + ")");
     }
-    for (const std::uint64_t dep : t.deps) {
+    for (const std::uint64_t dep : wl.deps(i)) {
       if (dep == t.id) {
         throw WorkloadError("workload transfer id " + std::to_string(t.id) +
                             ": depends on itself");
@@ -662,7 +691,7 @@ WorkloadDependents validate_workload(const Workload& wl, int num_nodes) {
                                     graph.dep_begin.end() - 1);
     std::size_t e = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = 0; k < wl.transfers[i].deps.size(); ++k) {
+      for (std::size_t k = 0; k < wl.deps(i).size(); ++k) {
         graph.dependents[fill[dep_from[e++]]++] = static_cast<std::uint32_t>(i);
       }
     }
@@ -673,7 +702,7 @@ WorkloadDependents validate_workload(const Workload& wl, int num_nodes) {
   std::vector<std::uint32_t> indeg(n, 0);
   std::vector<std::uint32_t> ready;
   for (std::size_t i = 0; i < n; ++i) {
-    indeg[i] = static_cast<std::uint32_t>(wl.transfers[i].deps.size());
+    indeg[i] = static_cast<std::uint32_t>(wl.deps(i).size());
     if (indeg[i] == 0) ready.push_back(static_cast<std::uint32_t>(i));
   }
   std::size_t processed = 0;

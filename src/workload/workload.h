@@ -25,8 +25,10 @@
 // paper replays. read_trace turns it into a dependency-free workload.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -40,30 +42,42 @@ inline constexpr const char* kWorkloadSchema = "rlftnoc-workload-v1";
 inline constexpr const char* kWorkloadBinaryMagic = "RLWKBIN1";
 
 /// One transfer in the workload graph. Ids are arbitrary non-zero u64 values,
-/// unique within a workload; `deps` lists ids that must complete end-to-end
-/// before this transfer becomes eligible for injection.
+/// unique within a workload. The ids it depends on live in the owning
+/// Workload (Workload::deps).
 struct WorkloadTransfer {
   std::uint64_t id = 0;
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   int len = 1;                  ///< flits, >= 1
   Cycle earliest_cycle = 0;     ///< relative to the injection-window start
-  std::vector<std::uint64_t> deps;
 
-  friend bool operator==(const WorkloadTransfer& a,
-                         const WorkloadTransfer& b) noexcept {
-    return a.id == b.id && a.src == b.src && a.dst == b.dst && a.len == b.len &&
-           a.earliest_cycle == b.earliest_cycle && a.deps == b.deps;
-  }
+  friend bool operator==(const WorkloadTransfer&,
+                         const WorkloadTransfer&) noexcept = default;
 };
 
+/// A workload: its transfers plus their dependency lists, stored flat (CSR)
+/// so a graph of N transfers costs two arrays rather than N heap vectors.
+/// Append transfers through add(), which keeps the two in step;
+/// validate_workload rejects a workload whose arrays disagree.
 struct Workload {
   std::string name;
   std::vector<WorkloadTransfer> transfers;
+  /// Transfer i must wait for the transfers whose ids are
+  /// dep_ids[dep_begin[i] .. dep_begin[i + 1]) to complete end-to-end.
+  std::vector<std::uint32_t> dep_begin{0};
+  std::vector<std::uint64_t> dep_ids;
 
-  friend bool operator==(const Workload& a, const Workload& b) noexcept {
-    return a.name == b.name && a.transfers == b.transfers;
+  /// Appends `t`, which depends on the transfers named in `deps`.
+  void add(const WorkloadTransfer& t, std::span<const std::uint64_t> deps = {});
+  /// Pre-sizes for `n` transfers with `edges` dependency ids in total.
+  void reserve(std::size_t n, std::size_t edges);
+
+  /// Dependency ids of transfer `i`, in the order they were added.
+  std::span<const std::uint64_t> deps(std::size_t i) const noexcept {
+    return {dep_ids.data() + dep_begin[i], dep_begin[i + 1] - dep_begin[i]};
   }
+
+  friend bool operator==(const Workload&, const Workload&) noexcept = default;
 };
 
 /// Parse / validation failure. Messages carry the 1-based JSON line and the
@@ -83,7 +97,8 @@ struct WorkloadDependents {
   std::vector<std::uint32_t> dependents;  ///< one entry per dependency edge
 };
 
-/// Static validation: duplicate / zero ids, node range (against `num_nodes`),
+/// Static validation: dependency arrays out of step with the transfers,
+/// duplicate / zero ids, node range (against `num_nodes`),
 /// self-transfers, lengths outside [1, kMaxPacketFlits] (the 16-bit flit
 /// header limit, so trace, JSON and .wkb input are bounded alike), unknown
 /// dependency ids, and dependency cycles (Kahn's algorithm; the error names

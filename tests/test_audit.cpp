@@ -360,6 +360,63 @@ TEST(Audit, StaleBoundEndpointTripsParallelStaging) {
   EXPECT_EQ(v->port, Port::kEast);
 }
 
+/// The "sizing" violations of one audit pass.
+std::vector<AuditViolation> sizing_violations(const Network& net) {
+  NetworkAuditor auditor;
+  std::vector<AuditViolation> v = auditor.run(net);
+  std::erase_if(v, [](const AuditViolation& a) { return a.invariant != "sizing"; });
+  return v;
+}
+
+TEST(Audit, ArqRingOnLocalPortTripsSizing) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+  // The NI wiring carries no link-layer ARQ, so no router keeps a retention
+  // ring, resend queue or duplicate queue on its Local port.
+  for (const AuditViolation& v : sizing_violations(net)) ADD_FAILURE() << v.to_string();
+
+  RouterTestPeer::retention(net.router(6), Port::kLocal)
+      .reset(static_cast<std::size_t>(cfg.retention_depth));
+  const std::vector<AuditViolation> violations = sizing_violations(net);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].node, 6);
+  EXPECT_EQ(violations[0].port, Port::kLocal);
+  EXPECT_NE(violations[0].detail.find("retention ring"), std::string::npos);
+}
+
+TEST(Audit, ArqRingOnDeadLinkTripsSizing) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+  // Edge ports never had a link; 5:E and 6:W lose theirs, and
+  // purge_dead_output frees both ends' rings.
+  net.schedule_hard_faults(parse_hard_faults("link:5:E@0"));
+  ASSERT_EQ(net.out_channel(5, Port::kEast), nullptr);
+  for (const AuditViolation& v : sizing_violations(net)) ADD_FAILURE() << v.to_string();
+
+  RouterTestPeer::retention(net.router(6), Port::kWest)
+      .reset(static_cast<std::size_t>(cfg.retention_depth));
+  const std::vector<AuditViolation> violations = sizing_violations(net);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].node, 6);
+  EXPECT_EQ(violations[0].port, Port::kWest);
+  EXPECT_NE(violations[0].detail.find("no live protected link"), std::string::npos);
+}
+
+TEST(Audit, OverfullFlitLaneTripsSizing) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+  // One flit more on router 1's east wire than a port can have in flight.
+  ChannelPair* ch = RouterTestPeer::out_link(net.router(1), Port::kEast);
+  ASSERT_NE(ch, nullptr);
+  for (std::size_t i = 0; i <= kMaxFlitsInFlight; ++i) ch->flits.push(net.now(), Flit{});
+
+  const std::vector<AuditViolation> violations = sizing_violations(net);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].node, 1);
+  EXPECT_EQ(violations[0].port, Port::kEast);
+  EXPECT_NE(violations[0].detail.find("holds 5 entries"), std::string::npos);
+}
+
 TEST(Audit, CheckOrThrowReportsLocation) {
   const NocConfig cfg = tiny_mesh();
   Network net(cfg, /*seed=*/5);

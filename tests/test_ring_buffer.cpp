@@ -59,6 +59,24 @@ TEST(RingBuffer, WraparoundMatchesDequeReference) {
   EXPECT_LE(rb.capacity(), 8u);
 }
 
+TEST(RingBuffer, FirstCapacityThenDoublingAndRelease) {
+  // A ring whose user knows its bound starts there (the delay lines start
+  // at kMaxFlitsInFlight) and still doubles past it; release() frees it.
+  RingBuffer<int, 4> rb;
+  rb.push_back(0);
+  EXPECT_EQ(rb.capacity(), 4u);
+  for (int i = 1; i < 5; ++i) rb.push_back(i);
+  EXPECT_EQ(rb.capacity(), 8u);
+  EXPECT_EQ(rb.front(), 0);
+  EXPECT_EQ(rb.back(), 4);
+  rb.release();
+  EXPECT_TRUE(rb.empty());
+  EXPECT_EQ(rb.capacity(), 0u);
+  rb.push_back(7);
+  EXPECT_EQ(rb.capacity(), 4u);
+  EXPECT_EQ(rb.front(), 7);
+}
+
 TEST(RingBuffer, GrowthPreservesOrderAcrossWrap) {
   RingBuffer<int> rb;
   // Misalign head so the pre-growth contents straddle the wrap point.
@@ -294,6 +312,14 @@ TEST(RetentionTable, ResetDiscardsContents) {
   // Full capacity usable after reset.
   for (FlitId id = 0; id < 4; ++id) t.insert(make_entry(id, id));
   EXPECT_EQ(t.size(), 4u);
+  // reset(0) frees the ring (a port without a live link); it can be sized again.
+  t.reset(0);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.capacity(), 0u);
+  EXPECT_EQ(t.find(2), nullptr);
+  t.reset(4);
+  t.insert(make_entry(9, 0));
+  EXPECT_NE(t.find(9), nullptr);
 }
 
 }  // namespace

@@ -30,25 +30,38 @@
 namespace rlftnoc {
 namespace {
 
-WorkloadTransfer transfer(std::uint64_t id, NodeId src, NodeId dst, int len = 1,
-                          Cycle earliest = 0,
-                          std::vector<std::uint64_t> deps = {}) {
+/// One transfer plus the ids it depends on, for building test workloads.
+struct TransferSpec {
   WorkloadTransfer t;
-  t.id = id;
-  t.src = src;
-  t.dst = dst;
-  t.len = len;
-  t.earliest_cycle = earliest;
-  t.deps = std::move(deps);
-  return t;
+  std::vector<std::uint64_t> deps;
+};
+
+TransferSpec transfer(std::uint64_t id, NodeId src, NodeId dst, int len = 1,
+                      Cycle earliest = 0, std::vector<std::uint64_t> deps = {}) {
+  TransferSpec s;
+  s.t.id = id;
+  s.t.src = src;
+  s.t.dst = dst;
+  s.t.len = len;
+  s.t.earliest_cycle = earliest;
+  s.deps = std::move(deps);
+  return s;
+}
+
+/// Replaces the transfers (and dependency lists) of `wl` with `specs`.
+void set_transfers(Workload& wl, std::initializer_list<TransferSpec> specs) {
+  wl.transfers.clear();
+  wl.dep_begin.assign(1, 0);
+  wl.dep_ids.clear();
+  for (const TransferSpec& s : specs) wl.add(s.t, s.deps);
 }
 
 Workload sample_workload() {
   Workload wl;
   wl.name = "sample \"quoted\"\n";
-  wl.transfers = {transfer(1, 0, 1, 4, 0),
-                  transfer(2, 1, 2, 1, 5, {1}),
-                  transfer(7, 2, 3, 2, 0, {1, 2})};
+  set_transfers(wl, {transfer(1, 0, 1, 4, 0),
+                     transfer(2, 1, 2, 1, 5, {1}),
+                     transfer(7, 2, 3, 2, 0, {1, 2})});
   return wl;
 }
 
@@ -187,38 +200,47 @@ TEST(WorkloadValidate, AcceptsWellFormedDag) {
 
 TEST(WorkloadValidate, ReportsOffendingTransferIds) {
   Workload wl;
-  wl.transfers = {transfer(1, 0, 1), transfer(1, 1, 2)};
+  set_transfers(wl, {transfer(1, 0, 1), transfer(1, 1, 2)});
   std::string msg =
       expect_workload_error([&] { validate_workload(wl, 4); });
   EXPECT_NE(msg.find("duplicate transfer id 1"), std::string::npos) << msg;
 
-  wl.transfers = {transfer(0, 0, 1)};
+  set_transfers(wl, {transfer(0, 0, 1)});
   msg = expect_workload_error([&] { validate_workload(wl, 4); });
   EXPECT_NE(msg.find("id 0 is reserved"), std::string::npos) << msg;
 
-  wl.transfers = {transfer(3, 0, 9)};
+  set_transfers(wl, {transfer(3, 0, 9)});
   msg = expect_workload_error([&] { validate_workload(wl, 4); });
   EXPECT_NE(msg.find("transfer id 3"), std::string::npos) << msg;
   EXPECT_NE(msg.find("dst 9"), std::string::npos) << msg;
 
-  wl.transfers = {transfer(4, 2, 2)};
+  set_transfers(wl, {transfer(4, 2, 2)});
   msg = expect_workload_error([&] { validate_workload(wl, 4); });
   EXPECT_NE(msg.find("self-transfer"), std::string::npos) << msg;
 
-  wl.transfers = {transfer(5, 0, 1, 0)};
+  set_transfers(wl, {transfer(5, 0, 1, 0)});
   msg = expect_workload_error([&] { validate_workload(wl, 4); });
   EXPECT_NE(msg.find("len must be >= 1"), std::string::npos) << msg;
 
-  wl.transfers = {transfer(6, 0, 1, 1, 0, {99})};
+  set_transfers(wl, {transfer(6, 0, 1, 1, 0, {99})});
   msg = expect_workload_error([&] { validate_workload(wl, 4); });
   EXPECT_NE(msg.find("unknown dependency id 99"), std::string::npos) << msg;
 }
 
+TEST(WorkloadValidate, RejectsDependencyListsOutOfStep) {
+  // A transfer appended behind add()'s back has no dependency offsets.
+  Workload wl = sample_workload();
+  wl.transfers.push_back(transfer(9, 0, 1).t);
+  const std::string msg =
+      expect_workload_error([&] { validate_workload(wl, 4); });
+  EXPECT_NE(msg.find("out of step with its 4 transfers"), std::string::npos) << msg;
+}
+
 TEST(WorkloadValidate, DetectsDependencyCycles) {
   Workload wl;
-  wl.transfers = {transfer(10, 0, 1, 1, 0, {11}),
-                  transfer(11, 1, 2, 1, 0, {10}),
-                  transfer(12, 2, 3, 1, 0, {10})};
+  set_transfers(wl, {transfer(10, 0, 1, 1, 0, {11}),
+                     transfer(11, 1, 2, 1, 0, {10}),
+                     transfer(12, 2, 3, 1, 0, {10})});
   const std::string msg =
       expect_workload_error([&] { validate_workload(wl, 4); });
   // Both cycle members and the downstream transfer are stuck; ids sorted.
@@ -271,7 +293,7 @@ TEST(WorkloadGenerators, OptionsComeFromConfig) {
 TEST(WorkloadReplay, HoldsTransfersUntilDepsComplete) {
   Workload wl;
   wl.name = "gate";
-  wl.transfers = {transfer(1, 0, 1, 2, 0), transfer(2, 1, 2, 3, 0, {1})};
+  set_transfers(wl, {transfer(1, 0, 1, 2, 0), transfer(2, 1, 2, 3, 0, {1})});
   WorkloadReplayTraffic gen(wl, 4, /*seed=*/3);
   EXPECT_EQ(gen.deps_blocked(), 1u);
 
@@ -305,7 +327,7 @@ TEST(WorkloadReplay, HoldsTransfersUntilDepsComplete) {
 
 TEST(WorkloadReplay, AbandonedDependencyReleasesDependents) {
   Workload wl;
-  wl.transfers = {transfer(1, 0, 1, 1, 0), transfer(2, 1, 2, 1, 0, {1})};
+  set_transfers(wl, {transfer(1, 0, 1, 1, 0), transfer(2, 1, 2, 1, 0, {1})});
   WorkloadReplayTraffic gen(wl, 4, /*seed=*/3);
   std::vector<Packet> out;
   gen.tick(0, out);
@@ -318,7 +340,7 @@ TEST(WorkloadReplay, AbandonedDependencyReleasesDependents) {
 
 TEST(WorkloadReplay, OpenLoopModeIgnoresDeps) {
   Workload wl;
-  wl.transfers = {transfer(1, 0, 1, 1, 0), transfer(2, 1, 2, 1, 0, {1})};
+  set_transfers(wl, {transfer(1, 0, 1, 1, 0), transfer(2, 1, 2, 1, 0, {1})});
   WorkloadReplayTraffic::Options ro;
   ro.gate_on_deps = false;
   WorkloadReplayTraffic gen(wl, 4, /*seed=*/3, ro);
@@ -352,7 +374,7 @@ TEST(WorkloadReplay, ReleaseOrderUnderScriptedFeedIsPinned) {
   for (std::size_t c = 0; c < 3; ++c) {
     join_deps.push_back(wl.transfers[(c + 1) * per_client - 1].id);
   }
-  wl.transfers.push_back(transfer(1000, 0, 15, 1, 0, join_deps));
+  wl.add(transfer(1000, 0, 15, 1, 0).t, join_deps);
   // Each transfer's length tags it: an emitted packet of n flits is transfer
   // n - 1.
   for (std::size_t i = 0; i < wl.transfers.size(); ++i) {
@@ -404,7 +426,7 @@ TEST(WorkloadReplay, ReleaseOrderUnderScriptedFeedIsPinned) {
 
 TEST(WorkloadReplay, ConstructorValidates) {
   Workload wl;
-  wl.transfers = {transfer(1, 0, 1, 1, 0, {2}), transfer(2, 1, 2, 1, 0, {1})};
+  set_transfers(wl, {transfer(1, 0, 1, 1, 0, {2}), transfer(2, 1, 2, 1, 0, {1})});
   EXPECT_THROW(WorkloadReplayTraffic(wl, 4, 3), WorkloadError);
 }
 
@@ -421,8 +443,8 @@ TEST(Trace, RoundTripThroughText) {
   // Import numbers transfers 1..N in file order, with no deps.
   Workload want;
   want.name = "trace";
-  want.transfers = {transfer(1, 1, 2, 4, 0), transfer(2, 3, 4, 1, 5),
-                    transfer(3, 0, 7, 4, 5), transfer(4, 6, 1, 2, 12)};
+  set_transfers(want, {transfer(1, 1, 2, 4, 0), transfer(2, 3, 4, 1, 5),
+                       transfer(3, 0, 7, 4, 5), transfer(4, 6, 1, 2, 12)});
   std::ostringstream text;
   for (const WorkloadTransfer& t : want.transfers)
     text << t.earliest_cycle << ' ' << t.src << ' ' << t.dst << ' ' << t.len << '\n';
@@ -468,9 +490,9 @@ TEST(Workload, PacketLengthBoundedByFlitHeaderWidth) {
   // length the 16-bit flit header fields cannot carry is rejected.
   Workload wl;
   wl.name = "long";
-  wl.transfers = {transfer(1, 0, 1, kMaxPacketFlits)};
+  set_transfers(wl, {transfer(1, 0, 1, kMaxPacketFlits)});
   EXPECT_NO_THROW(validate_workload(wl, 4));
-  wl.transfers = {transfer(2, 0, 1, kMaxPacketFlits + 1)};
+  set_transfers(wl, {transfer(2, 0, 1, kMaxPacketFlits + 1)});
   const std::string msg = expect_workload_error([&] { validate_workload(wl, 4); });
   EXPECT_NE(msg.find("len must be <= 65535"), std::string::npos) << msg;
   EXPECT_THROW(validate_workload(trace_from("0 0 1 70000\n"), 4), WorkloadError);
