@@ -9,7 +9,6 @@
 // *.metrics.tsv with an ASCII sparkline of each metric over time, and every
 // *.heatmap.*.tsv as a preformatted grid.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,38 +23,29 @@ using namespace rlftnoc;
 
 namespace {
 
-void markdown_table(const CampaignResults& res, const char* title,
-                    const MetricFn& metric, bool higher_is_better) {
-  std::printf("\n## %s\n\n", title);
+void markdown_table(const CampaignResults& res, const PaperFigure& f) {
+  std::printf("\n## Fig. %d — %s\n\n", f.number, f.title);
   std::printf("| benchmark |");
   for (const PolicyKind p : res.policies) std::printf(" %s |", policy_name(p));
   std::printf("\n|---|");
   for (std::size_t i = 0; i < res.policies.size(); ++i) std::printf("---|");
   std::printf("\n");
 
-  std::vector<double> geo(res.policies.size(), 0.0);
-  std::size_t counted = 0;
   for (std::size_t b = 0; b < res.benchmarks.size(); ++b) {
-    const double base = metric(res.at(b, 0));
+    const double base = f.metric(res.at(b, 0));
     if (base <= 0.0) continue;
-    ++counted;
     std::printf("| %s |", res.benchmarks[b].c_str());
-    for (std::size_t p = 0; p < res.policies.size(); ++p) {
-      const double norm = metric(res.at(b, p)) / base;
-      geo[p] += std::log(std::max(norm, 1e-12));
-      std::printf(" %.3f |", norm);
-    }
+    for (std::size_t p = 0; p < res.policies.size(); ++p)
+      std::printf(" %.3f |", f.metric(res.at(b, p)) / base);
     std::printf("\n");
   }
   std::printf("| **geomean** |");
-  for (std::size_t p = 0; p < res.policies.size(); ++p) {
-    std::printf(" **%.3f** |",
-                counted ? std::exp(geo[p] / static_cast<double>(counted)) : 0.0);
-  }
+  for (std::size_t p = 0; p < res.policies.size(); ++p)
+    std::printf(" **%.3f** |", normalized_geomean(res, f.metric, p));
   std::printf("\n");
   std::printf("\n*(normalized to %s; %s is better)*\n",
               policy_name(res.policies.front()),
-              higher_is_better ? "higher" : "lower");
+              f.higher_is_better() ? "higher" : "lower");
 }
 
 /// One metric's per-sample aggregate (mean over routers/ports per cycle).
@@ -205,18 +195,7 @@ int main(int argc, char** argv) {
   std::printf("\n%zu benchmarks x %zu policies (source: %s)\n",
               res.benchmarks.size(), res.policies.size(), path.c_str());
 
-  markdown_table(res, "Fig. 6 — fault-caused retransmitted flits",
-                 [](const SimResult& r) {
-                   return static_cast<double>(r.retx_flits_e2e + r.retx_flits_hop);
-                 },
-                 false);
-  markdown_table(res, "Fig. 7 — execution time", metric_exec_speedup_inverse,
-                 false);
-  markdown_table(res, "Fig. 8 — average end-to-end latency", metric_latency,
-                 false);
-  markdown_table(res, "Fig. 9 — energy efficiency", metric_energy_efficiency,
-                 true);
-  markdown_table(res, "Fig. 10 — dynamic power", metric_dynamic_power, false);
+  for (const PaperFigure& f : kPaperFigures) markdown_table(res, f);
 
   std::printf("\n## Raw per-run data\n\n");
   std::printf("| benchmark | policy | exec (cyc) | latency | fault retx | dup "

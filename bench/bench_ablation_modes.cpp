@@ -4,11 +4,10 @@
 // flit. This regenerates the crossover table that calibrates the oracle /
 // DT thresholds (ErrorLevelThresholds).
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
-#include "noc/network.h"
-#include "noc/ni.h"
-#include "traffic/traffic.h"
+#include "bench_common.h"
 
 using namespace rlftnoc;
 
@@ -22,36 +21,24 @@ struct Cell {
 };
 
 Cell run(OpMode mode, double p_error, double injection_rate) {
-  NocConfig cfg;
-  Network net(cfg, 1);
-  for (NodeId r = 0; r < cfg.num_nodes(); ++r) {
-    net.router(r).set_mode(mode);
-    for (const Port pt : kAllPorts) {
-      if (pt != Port::kLocal && net.out_channel(r, pt) != nullptr)
-        net.set_link_error_prob(r, pt, LinkErrorProb{p_error, 1e-12});
-    }
-  }
-  SyntheticTraffic::Options o;
-  o.injection_rate = injection_rate;
-  o.total_packets = 3000;
-  SyntheticTraffic gen(MeshTopology(cfg), o, 7);
-  std::vector<Packet> batch;
+  bench::ForcedModeRun run;
+  run.mode = mode;
+  run.p_error = p_error;
+  run.traffic.injection_rate = injection_rate;
+  run.traffic.total_packets = 3000;
+  run.traffic_seed = 7;
   // 600K-cycle guard: saturated cells (mode 0 at high p) report truncated
   // latencies, which is enough to show the collapse without a 10x runtime.
-  while ((!gen.exhausted() || !net.drained()) && net.now() < 600'000) {
-    batch.clear();
-    gen.tick(net.now(), batch);
-    for (auto& pk : batch) net.ni(pk.src).enqueue_packet(std::move(pk));
-    net.step();
-  }
-  const NetworkMetrics& m = net.metrics();
+  run.max_cycles = 600'000;
+  const bench::ForcedModeResult r = bench::run_forced_mode(run);
+  const NetworkMetrics& m = r.metrics;
   Cell cell;
   cell.latency = m.packet_latency.mean();
   cell.fault_retx = m.retx_flits_e2e + m.retx_flits_hop;
   cell.dups = m.dup_flits;
   cell.energy_per_flit_pj =
       m.flits_delivered
-          ? net.power().total_dynamic_energy_pj() / static_cast<double>(m.flits_delivered)
+          ? r.dynamic_energy_pj / static_cast<double>(m.flits_delivered)
           : 0.0;
   return cell;
 }

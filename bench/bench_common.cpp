@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "noc/ni.h"
 
 namespace rlftnoc::bench {
 
@@ -160,6 +161,33 @@ CampaignResults load_or_run_campaign(const BenchArgs& args) {
     write_results(out, res);
   }
   return res;
+}
+
+ForcedModeResult run_forced_mode(const ForcedModeRun& run) {
+  Network net(run.noc, 1);
+  for (NodeId r = 0; r < run.noc.num_nodes(); ++r) {
+    net.router(r).set_mode(run.mode);
+    for (const Port pt : kAllPorts) {
+      if (pt != Port::kLocal && net.out_channel(r, pt) != nullptr)
+        net.set_link_error_prob(r, pt, LinkErrorProb{run.p_error, 1e-12});
+    }
+  }
+  SyntheticTraffic gen(MeshTopology(run.noc), run.traffic, run.traffic_seed);
+  ForcedModeResult out;
+  std::vector<Packet> batch;
+  while ((!gen.exhausted() || !net.drained()) && net.now() < run.max_cycles) {
+    if (net.now() == run.warmup) net.metrics().reset();
+    batch.clear();
+    gen.tick(net.now(), batch);
+    out.offered += batch.size();
+    for (auto& pk : batch) {
+      if (!net.ni(pk.src).enqueue_packet(std::move(pk))) ++out.rejected;
+    }
+    net.step();
+  }
+  out.metrics = net.metrics();
+  out.dynamic_energy_pj = net.power().total_dynamic_energy_pj();
+  return out;
 }
 
 }  // namespace rlftnoc::bench

@@ -3,12 +3,16 @@
 // Every bench reads the wall clock through time_seconds(), the one
 // wall-clock lint exemption under bench/, and the pinned benches
 // (bench_scaling, bench_faults, bench_workload) take their only knob,
-// --out=PATH, through out_path_arg().
+// --out=PATH, through out_path_arg(). The forced-mode benches (E8
+// bench_ablation_modes, E10 bench_latency_throughput) drive a bare Network
+// through run_forced_mode(), which counts the packets a full NI queue
+// refused.
 //
-// Figures 6-10 are different views of one campaign (8 PARSEC-like
-// benchmarks x 4 policies). bench_paper_figures runs it once and caches the
-// raw results as `campaign_results.tsv` in the working directory; later runs
-// with the same options reuse the cache. Flags:
+// Figures 6-10 (kPaperFigures, sim/campaign.h) are different views of one
+// campaign (8 PARSEC-like benchmarks x 4 policies). bench_paper_figures runs
+// it once and caches the raw results as `campaign_results.tsv` in the
+// working directory; later runs with the same options reuse the cache.
+// Flags:
 //   --fresh        ignore and overwrite the cache
 //   --scale=N      packet-budget percentage (default 100 = full budgets)
 //   --full         paper-scale pretrain/warm-up phases + 100% budgets
@@ -26,8 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "noc/network.h"
 #include "sim/campaign.h"
 #include "sim/results_io.h"
+#include "traffic/traffic.h"
 
 namespace rlftnoc::bench {
 
@@ -69,5 +75,28 @@ std::uint64_t campaign_options_hash(const BenchArgs& args);
 
 /// Loads the cached campaign or runs it (and caches).
 CampaignResults load_or_run_campaign(const BenchArgs& args);
+
+/// One run on a bare Network with no controller: every router held in
+/// `mode`, every live link at error probability `p_error`.
+struct ForcedModeRun {
+  NocConfig noc;
+  OpMode mode = OpMode::kMode0;
+  double p_error = 0.0;
+  SyntheticTraffic::Options traffic;
+  std::uint64_t traffic_seed = 0;
+  Cycle warmup = 0;      ///< metrics reset when the clock reaches this cycle
+  Cycle max_cycles = 0;  ///< stop here even if traffic or network is not done
+};
+
+struct ForcedModeResult {
+  NetworkMetrics metrics;          ///< since the warm-up reset
+  double dynamic_energy_pj = 0.0;  ///< whole run
+  std::uint64_t offered = 0;       ///< packets the traffic generated
+  std::uint64_t rejected = 0;      ///< of those, refused by a full NI queue
+};
+
+/// Steps the network until the traffic is exhausted and the network has
+/// drained, or until `max_cycles`.
+ForcedModeResult run_forced_mode(const ForcedModeRun& run);
 
 }  // namespace rlftnoc::bench

@@ -5,41 +5,31 @@
 #include <cstdio>
 #include <vector>
 
-#include "noc/network.h"
-#include "noc/ni.h"
-#include "traffic/traffic.h"
+#include "bench_common.h"
 
 using namespace rlftnoc;
 
 namespace {
 
-double run_point(TrafficPattern pattern, double rate, OpMode mode, double p_err) {
-  NocConfig cfg;
-  Network net(cfg, 1);
-  for (NodeId r = 0; r < cfg.num_nodes(); ++r) {
-    net.router(r).set_mode(mode);
-    for (const Port pt : kAllPorts) {
-      if (pt != Port::kLocal && net.out_channel(r, pt) != nullptr)
-        net.set_link_error_prob(r, pt, LinkErrorProb{p_err, 1e-12});
-    }
+/// Prints one point's average latency over a 25K-cycle window after a 5K
+/// warm-up, or `sat` if the NIs refused a packet or delivered none.
+void print_point(TrafficPattern pattern, double rate, OpMode mode,
+                 double p_err) {
+  bench::ForcedModeRun run;
+  run.mode = mode;
+  run.p_error = p_err;
+  run.traffic.pattern = pattern;
+  run.traffic.injection_rate = rate;
+  run.traffic.total_packets = 0;  // open loop; measure over a fixed window
+  run.traffic_seed = 3;
+  run.warmup = 5000;
+  run.max_cycles = 5000 + 25000;
+  const bench::ForcedModeResult r = bench::run_forced_mode(run);
+  if (r.rejected > 0 || r.metrics.packet_latency.count() == 0) {
+    std::printf("%10s", "sat");
+  } else {
+    std::printf("%10.1f", r.metrics.packet_latency.mean());
   }
-  SyntheticTraffic::Options o;
-  o.pattern = pattern;
-  o.injection_rate = rate;
-  o.total_packets = 0;  // open loop; measure over a fixed window
-  SyntheticTraffic gen(MeshTopology(cfg), o, 3);
-  std::vector<Packet> batch;
-  constexpr Cycle kWarm = 5000;
-  constexpr Cycle kMeasure = 25000;
-  for (Cycle t = 0; t < kWarm + kMeasure; ++t) {
-    if (t == kWarm) net.metrics().reset();
-    batch.clear();
-    gen.tick(net.now(), batch);
-    for (auto& pk : batch) net.ni(pk.src).enqueue_packet(std::move(pk));
-    net.step();
-  }
-  return net.metrics().packet_latency.count() ? net.metrics().packet_latency.mean()
-                                              : -1.0;
 }
 
 }  // namespace
@@ -52,29 +42,15 @@ int main() {
        {TrafficPattern::kUniform, TrafficPattern::kTranspose,
         TrafficPattern::kHotspot}) {
     std::printf("%-14s", spelling(pat));
-    for (const double load : loads) {
-      const double lat = run_point(pat, load, OpMode::kMode0, 0.0);
-      if (lat < 0.0) {
-        std::printf("%10s", "sat");
-      } else {
-        std::printf("%10.1f", lat);
-      }
-    }
+    for (const double load : loads) print_point(pat, load, OpMode::kMode0, 0.0);
     std::printf("   (load: 0.02..0.28 flits/node/cyc)\n");
   }
 
   std::printf("\nuniform traffic per mode (p_err = 0.01):\n");
   for (int m = 0; m < 4; ++m) {
     std::printf("mode%-10d", m);
-    for (const double load : loads) {
-      const double lat = run_point(TrafficPattern::kUniform, load,
-                                   static_cast<OpMode>(m), 0.01);
-      if (lat < 0.0 || lat > 2000.0) {
-        std::printf("%10s", "sat");
-      } else {
-        std::printf("%10.1f", lat);
-      }
-    }
+    for (const double load : loads)
+      print_point(TrafficPattern::kUniform, load, static_cast<OpMode>(m), 0.01);
     std::printf("\n");
   }
   std::printf("\nexpected shape: flat latency until the knee; mode 3 saturates"

@@ -1,14 +1,12 @@
 // E1-E6 — Table II, then Figs. 6-10 as views of one cached campaign
 // (8 PARSEC-like benchmarks x CRC, ARQ+ECC, DT, RL), each normalized to the
-// CRC baseline next to the paper's value. Fig. 6 counts fault-caused
-// re-sends only (end-to-end plus NACK-triggered link resends); mode-2
-// duplicates are deliberate traffic, listed apart. Fig. 7's speed-ups are
-// compressed because our traces replay open-loop (EXPERIMENTS.md deviation
-// 1a). The exit status is non-zero if a Table II headline parameter drifts.
-#include <array>
-#include <cmath>
+// CRC baseline next to the paper's value (kPaperFigures, sim/campaign.h).
+// Mode-2 duplicates, which Fig. 6 leaves out, are listed apart. Fig. 7's
+// speed-ups are compressed because our traces replay open-loop
+// (EXPERIMENTS.md deviation 1a). The exit status is non-zero if a Table II headline parameter drifts.
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <string>
 
 #include "bench_common.h"
@@ -89,26 +87,6 @@ int print_table2() {
 // Figs. 6-10
 // ---------------------------------------------------------------------------
 
-double fault_retransmissions(const SimResult& r) {
-  return static_cast<double>(r.retx_flits_e2e + r.retx_flits_hop);
-}
-
-/// Geometric mean of metric(policy column) / metric(CRC column) over all
-/// benchmarks — the "average normalized bar" of a figure.
-double normalized_geomean(const CampaignResults& campaign, const MetricFn& metric,
-                          std::size_t policy_column) {
-  double log_sum = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t b = 0; b < campaign.benchmarks.size(); ++b) {
-    const double base = metric(campaign.at(b, 0));
-    const double val = metric(campaign.at(b, policy_column));
-    if (base <= 0.0 || val <= 0.0) continue;
-    log_sum += std::log(val / base);
-    ++counted;
-  }
-  return counted ? std::exp(log_sum / static_cast<double>(counted)) : 0.0;
-}
-
 /// A "benchmark" header plus one row per benchmark; `cell` prints the
 /// (benchmark, policy) entry.
 template <typename Cell>
@@ -168,63 +146,52 @@ void print_dynamic_powers(const CampaignResults& c) {
   std::printf("\n");
 }
 
-enum class Direction {
-  kLowerIsBetter,
-  kHigherIsBetter,
-  /// The metric is a time; the figure plots its inverse, the speed-up.
-  kSpeedup,
-};
-
-struct Figure {
-  int number;
+/// How this bench shows one of kPaperFigures.
+struct FigureView {
+  const PaperFigure& figure;
   const char* banner;
   /// Title of the normalized per-benchmark table (none for the speed-up
   /// figure, whose absolute columns are already ratios).
   const char* table_title;
-  double (*metric)(const SimResult&);
-  Direction direction;
-  std::array<double, 3> paper;  ///< ARQ+ECC, DT, RL
-  const char* summary;          ///< "paper-vs-measured" label suffix
+  const char* summary;  ///< "paper-vs-measured" label suffix
   void (*print_absolute)(const CampaignResults&);
 };
 
-const Figure kFigures[] = {
-    {6, "retransmission traffic caused by faults", "fault-caused retransmitted flits",
-     fault_retransmissions, Direction::kLowerIsBetter, {0.67, 0.60, 0.52},
-     "retx (norm. to CRC)", print_dup_flits},
-    {7, "execution-time speed-up over CRC", nullptr, metric_exec_speedup_inverse,
-     Direction::kSpeedup, {1.15, 1.15, 1.25}, "speed-up vs CRC", print_speedups},
-    {8, "average end-to-end packet latency", "avg end-to-end latency", metric_latency,
-     Direction::kLowerIsBetter, {0.70, 0.50, 0.45}, "latency (norm. to CRC)",
-     print_latencies},
-    {9, "energy efficiency (delivered flits per energy)", "energy efficiency",
-     metric_energy_efficiency, Direction::kHigherIsBetter, {1.25, 1.49, 1.64},
-     "efficiency (norm. to CRC)", print_efficiencies},
-    {10, "dynamic power consumption", "dynamic power", metric_dynamic_power,
-     Direction::kLowerIsBetter, {0.75, 0.65, 0.54}, "dyn power (norm. to CRC)",
-     print_dynamic_powers},
+const FigureView kViews[] = {
+    {kPaperFigures[0], "retransmission traffic caused by faults",
+     "fault-caused retransmitted flits", "retx (norm. to CRC)", print_dup_flits},
+    {kPaperFigures[1], "execution-time speed-up over CRC", nullptr,
+     "speed-up vs CRC", print_speedups},
+    {kPaperFigures[2], "average end-to-end packet latency",
+     "avg end-to-end latency", "latency (norm. to CRC)", print_latencies},
+    {kPaperFigures[3], "energy efficiency (delivered flits per energy)",
+     "energy efficiency", "efficiency (norm. to CRC)", print_efficiencies},
+    {kPaperFigures[4], "dynamic power consumption", "dynamic power",
+     "dyn power (norm. to CRC)", print_dynamic_powers},
 };
+static_assert(std::size(kViews) == std::size(kPaperFigures));
 
-double paper_value(const Figure& f, PolicyKind p) {
+double paper_value(const PaperFigure& f, PolicyKind p) {
   if (p == PolicyKind::kStaticArqEcc) return f.paper[0];
   if (p == PolicyKind::kRl) return f.paper[2];
   return f.paper[1];
 }
 
-void print_figure(const CampaignResults& campaign, const Figure& f) {
-  std::printf("== Fig. %d: %s ==\n", f.number, f.banner);
-  if (f.table_title != nullptr) {
-    print_normalized_table(std::cout, campaign, f.table_title, f.metric,
-                           f.direction == Direction::kHigherIsBetter);
+void print_figure(const CampaignResults& campaign, const FigureView& v) {
+  const PaperFigure& f = v.figure;
+  std::printf("== Fig. %d: %s ==\n", f.number, v.banner);
+  if (v.table_title != nullptr) {
+    print_normalized_table(std::cout, campaign, v.table_title, f.metric,
+                           f.higher_is_better());
   }
-  f.print_absolute(campaign);
+  v.print_absolute(campaign);
   for (std::size_t p = 1; p < campaign.policies.size(); ++p) {
     const double g = normalized_geomean(campaign, f.metric, p);
     const std::string label = "Fig" + std::to_string(f.number) + " " +
-                              policy_name(campaign.policies[p]) + " " + f.summary;
+                              policy_name(campaign.policies[p]) + " " + v.summary;
     std::printf("paper-vs-measured  %-34s paper=%6.2f  measured=%6.2f\n",
                 label.c_str(), paper_value(f, campaign.policies[p]),
-                f.direction == Direction::kSpeedup ? 1.0 / g : g);
+                f.direction == FigureDirection::kSpeedup ? 1.0 / g : g);
   }
 }
 
@@ -234,6 +201,6 @@ int main(int argc, char** argv) {
   const BenchArgs args = parse_args(argc, argv);
   const int drifted = print_table2();
   const CampaignResults campaign = load_or_run_campaign(args);
-  for (const Figure& f : kFigures) print_figure(campaign, f);
+  for (const FigureView& v : kViews) print_figure(campaign, v);
   return drifted == 0 ? 0 : 1;
 }

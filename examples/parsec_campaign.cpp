@@ -42,20 +42,11 @@ int main(int argc, char** argv) {
 
   const CampaignResults res = run_campaign(base, benchmarks, policies, scale);
 
-  print_normalized_table(std::cout, res, "Fig. 6: fault retransmissions",
-                         [](const SimResult& r) {
-                           return static_cast<double>(r.retx_flits_e2e +
-                                                      r.retx_flits_hop);
-                         },
-                         false);
-  print_normalized_table(std::cout, res, "Fig. 7: execution time (lower = faster)",
-                         metric_exec_speedup_inverse, false);
-  print_normalized_table(std::cout, res, "Fig. 8: avg end-to-end latency",
-                         metric_latency, false);
-  print_normalized_table(std::cout, res, "Fig. 9: energy efficiency",
-                         metric_energy_efficiency, true);
-  print_normalized_table(std::cout, res, "Fig. 10: dynamic power",
-                         metric_dynamic_power, false);
+  for (const PaperFigure& f : kPaperFigures) {
+    print_normalized_table(std::cout, res,
+                           "Fig. " + std::to_string(f.number) + ": " + f.title,
+                           f.metric, f.higher_is_better());
+  }
 
   std::printf("\nper-run detail:\n");
   for (std::size_t b = 0; b < res.benchmarks.size(); ++b) {

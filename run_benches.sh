@@ -9,6 +9,8 @@
 # tools/bench_summary.py gates the rest against the committed baselines.
 # To refresh a baseline, copy the fresh file over it (README,
 # "Performance").
+# E11, the spatial mode-residency map, is a traced rlftnoc_run read back by
+# rlftnoc_report --telemetry (README, "Reproducing the paper's figures").
 set -e
 cd "$(dirname "$0")"
 echo "===== build/bench/bench_paper_figures ====="
@@ -17,8 +19,7 @@ for b in \
   build/bench/bench_overheads \
   build/bench/bench_ablation_modes \
   build/bench/bench_ablation_rl \
-  build/bench/bench_latency_throughput \
-  build/bench/bench_mode_map; do
+  build/bench/bench_latency_throughput; do
   echo "===== $b ====="
   "$b"
 done

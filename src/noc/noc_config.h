@@ -9,9 +9,10 @@
 
 namespace rlftnoc {
 
-/// Upper bound on NocConfig::vcs_per_port: kNumPorts (5) x 12 = 60 input VCs
-/// fit one 64-bit occupancy word in the router's bitmask datapath, and the
-/// router sizes its inline per-port VC arrays by it.
+/// Upper bound on NocConfig::vcs_per_port. It exists for the router's
+/// bitmask datapath: kNumPorts (5) x 12 = 60 input VCs fit the one 64-bit
+/// word of each occupancy/state mask (router.h). VC storage itself is sized
+/// by the configured vcs_per_port.
 inline constexpr int kMaxVcsPerPort = 12;
 
 /// Upper bound on mesh_width x mesh_height. The topology's next-hop table

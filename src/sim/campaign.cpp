@@ -153,6 +153,19 @@ CampaignResults run_campaign(const SimOptions& base,
   return out;
 }
 
+double normalized_geomean(const CampaignResults& campaign,
+                          const MetricFn& metric, std::size_t column) {
+  double log_sum = 0.0;
+  std::size_t counted = 0;
+  for (std::size_t b = 0; b < campaign.benchmarks.size(); ++b) {
+    const double base = metric(campaign.at(b, 0));
+    if (base <= 0.0) continue;
+    log_sum += std::log(std::max(metric(campaign.at(b, column)) / base, 1e-12));
+    ++counted;
+  }
+  return counted ? std::exp(log_sum / static_cast<double>(counted)) : 0.0;
+}
+
 void print_normalized_table(std::ostream& out, const CampaignResults& campaign,
                             const std::string& title, const MetricFn& metric,
                             bool higher_is_better) {
@@ -163,7 +176,6 @@ void print_normalized_table(std::ostream& out, const CampaignResults& campaign,
     out << std::right << std::setw(10) << policy_name(p);
   out << '\n';
 
-  std::vector<double> geo(campaign.policies.size(), 0.0);
   std::size_t counted = 0;
   for (std::size_t b = 0; b < campaign.benchmarks.size(); ++b) {
     const double base = metric(campaign.at(b, 0));
@@ -171,23 +183,21 @@ void print_normalized_table(std::ostream& out, const CampaignResults& campaign,
     ++counted;
     out << std::left << std::setw(14) << campaign.benchmarks[b];
     for (std::size_t p = 0; p < campaign.policies.size(); ++p) {
-      const double norm = metric(campaign.at(b, p)) / base;
-      geo[p] += std::log(std::max(norm, 1e-12));
       out << std::right << std::setw(10) << std::fixed << std::setprecision(3)
-          << norm;
+          << metric(campaign.at(b, p)) / base;
     }
     out << '\n';
   }
   out << std::left << std::setw(14) << "geomean";
   for (std::size_t p = 0; p < campaign.policies.size(); ++p) {
-    const double g = counted ? std::exp(geo[p] / static_cast<double>(counted)) : 0.0;
-    out << std::right << std::setw(10) << std::fixed << std::setprecision(3) << g;
+    out << std::right << std::setw(10) << std::fixed << std::setprecision(3)
+        << normalized_geomean(campaign, metric, p);
   }
   out << '\n';
   // Improvement summary for the last (proposed) column vs the baseline.
   if (counted > 0 && campaign.policies.size() > 1) {
     const double g_last =
-        std::exp(geo.back() / static_cast<double>(counted));
+        normalized_geomean(campaign, metric, campaign.policies.size() - 1);
     const double delta = higher_is_better ? (g_last - 1.0) * 100.0
                                           : (1.0 - g_last) * 100.0;
     out << "-- " << policy_name(campaign.policies.back())
@@ -197,8 +207,8 @@ void print_normalized_table(std::ostream& out, const CampaignResults& campaign,
   }
 }
 
-double metric_retransmissions(const SimResult& r) {
-  return static_cast<double>(r.retransmitted_flits);
+double metric_fault_retransmissions(const SimResult& r) {
+  return static_cast<double>(r.retx_flits_e2e + r.retx_flits_hop);
 }
 double metric_exec_speedup_inverse(const SimResult& r) {
   return static_cast<double>(r.execution_cycles);

@@ -2,6 +2,7 @@
 // and renders the normalized tables behind Figs. 6-10.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -95,19 +96,62 @@ CampaignResults run_campaign(const SimOptions& base,
 std::string campaign_record_path(const std::string& base_path,
                                  const std::string& benchmark, PolicyKind pol);
 
+/// Geometric mean over benchmarks of metric(policy column) / metric(first
+/// column): the "average normalized bar" of a figure (the paper normalizes
+/// everything to the CRC baseline). A row whose baseline is <= 0 is skipped
+/// and a zero value counts as 1e-12; 0.0 when no row counts.
+double normalized_geomean(const CampaignResults& campaign,
+                          const MetricFn& metric, std::size_t column);
+
 /// Prints a per-benchmark table of `metric`, normalized to the first policy
-/// column (the paper normalizes everything to the CRC baseline), plus the
-/// geometric-mean row. `higher_is_better` flips the improvement arithmetic
-/// in the summary line.
+/// column, plus the normalized_geomean row; rows normalized_geomean skips
+/// are left out. `higher_is_better` flips the improvement arithmetic in the
+/// summary line.
 void print_normalized_table(std::ostream& out, const CampaignResults& campaign,
                             const std::string& title, const MetricFn& metric,
                             bool higher_is_better);
 
-/// Convenience metric extractors matching the paper's figures.
-double metric_retransmissions(const SimResult& r);
+/// Metric extractors matching the paper's figures.
+double metric_fault_retransmissions(const SimResult& r);  ///< e2e + hop re-sends
 double metric_exec_speedup_inverse(const SimResult& r);  ///< execution cycles
 double metric_latency(const SimResult& r);
 double metric_energy_efficiency(const SimResult& r);
 double metric_dynamic_power(const SimResult& r);
+
+enum class FigureDirection {
+  kLowerIsBetter,
+  kHigherIsBetter,
+  /// The metric is a time; the figure plots its inverse, the speed-up.
+  kSpeedup,
+};
+
+/// One of the paper's Figs. 6-10: what it plots and what the paper reports,
+/// each normalized to CRC. Fig. 6 counts fault-caused re-sends only
+/// (end-to-end plus NACK-triggered link resends); mode-2 duplicates are
+/// deliberate traffic.
+struct PaperFigure {
+  int number;
+  const char* title;
+  double (*metric)(const SimResult&);
+  FigureDirection direction;
+  std::array<double, 3> paper;  ///< ARQ+ECC, DT, RL
+
+  bool higher_is_better() const {
+    return direction == FigureDirection::kHigherIsBetter;
+  }
+};
+
+inline constexpr PaperFigure kPaperFigures[] = {
+    {6, "fault-caused retransmitted flits", metric_fault_retransmissions,
+     FigureDirection::kLowerIsBetter, {0.67, 0.60, 0.52}},
+    {7, "execution time", metric_exec_speedup_inverse,
+     FigureDirection::kSpeedup, {1.15, 1.15, 1.25}},
+    {8, "average end-to-end latency", metric_latency,
+     FigureDirection::kLowerIsBetter, {0.70, 0.50, 0.45}},
+    {9, "energy efficiency", metric_energy_efficiency,
+     FigureDirection::kHigherIsBetter, {1.25, 1.49, 1.64}},
+    {10, "dynamic power", metric_dynamic_power,
+     FigureDirection::kLowerIsBetter, {0.75, 0.65, 0.54}},
+};
 
 }  // namespace rlftnoc

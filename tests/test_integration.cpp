@@ -1,6 +1,11 @@
 // Cross-module integration properties that no single unit test covers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iomanip>
+#include <sstream>
+#include <string>
+
 #include "noc/network.h"
 #include "noc/ni.h"
 #include "sim/campaign.h"
@@ -124,14 +129,53 @@ TEST(Integration, CampaignRunsAndNormalizes) {
   EXPECT_NE(out.find("CRC"), std::string::npos);
 }
 
+TEST(Integration, NormalizedTableGeomeanIsNormalizedGeomean) {
+  // Latency grid: one row with a zero baseline (left out everywhere), one
+  // zero cell (clamped to 1e-12, not skipped).
+  CampaignResults res;
+  res.benchmarks = {"alpha", "zerobase", "beta"};
+  res.policies = {PolicyKind::kStaticCrc, PolicyKind::kStaticArqEcc,
+                  PolicyKind::kRl};
+  const double lat[3][3] = {{10.0, 5.0, 0.0}, {0.0, 7.0, 3.0}, {20.0, 10.0, 40.0}};
+  res.results.resize(3);
+  for (std::size_t b = 0; b < 3; ++b) {
+    res.results[b].resize(3);
+    for (std::size_t p = 0; p < 3; ++p) res.results[b][p].avg_packet_latency = lat[b][p];
+  }
+  EXPECT_DOUBLE_EQ(normalized_geomean(res, metric_latency, 0), 1.0);
+  EXPECT_DOUBLE_EQ(normalized_geomean(res, metric_latency, 1), 0.5);
+  EXPECT_NEAR(normalized_geomean(res, metric_latency, 2), std::sqrt(2e-12), 1e-15);
+
+  std::ostringstream os;
+  print_normalized_table(os, res, "latency", metric_latency, false);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("alpha"), std::string::npos);
+  EXPECT_NE(out.find("beta"), std::string::npos);
+  EXPECT_EQ(out.find("zerobase"), std::string::npos) << out;
+
+  const std::size_t row = out.find("\ngeomean");
+  ASSERT_NE(row, std::string::npos) << out;
+  std::istringstream cells(out.substr(row + 8, out.find('\n', row + 1) - row - 8));
+  for (std::size_t p = 0; p < res.policies.size(); ++p) {
+    std::string printed;
+    ASSERT_TRUE(cells >> printed) << out;
+    std::ostringstream want;
+    want << std::fixed << std::setprecision(3)
+         << normalized_geomean(res, metric_latency, p);
+    EXPECT_EQ(printed, want.str()) << "column " << p << "\n" << out;
+  }
+}
+
 TEST(Integration, MetricExtractors) {
   SimResult r;
-  r.retransmitted_flits = 10;
+  r.retx_flits_e2e = 4;
+  r.retx_flits_hop = 6;
+  r.dup_flits = 7;  // deliberate mode-2 copies: not a fault re-send
   r.execution_cycles = 20;
   r.avg_packet_latency = 30.0;
   r.energy_efficiency = 40.0;
   r.avg_dynamic_power_w = 50.0;
-  EXPECT_EQ(metric_retransmissions(r), 10.0);
+  EXPECT_EQ(metric_fault_retransmissions(r), 10.0);
   EXPECT_EQ(metric_exec_speedup_inverse(r), 20.0);
   EXPECT_EQ(metric_latency(r), 30.0);
   EXPECT_EQ(metric_energy_efficiency(r), 40.0);
