@@ -1,9 +1,9 @@
 // Shared harness for the benches.
 //
 // Every bench reads the wall clock through time_seconds(), the one
-// wall-clock lint exemption under bench/, and the pinned benches
-// (bench_scaling, bench_faults, bench_workload) take their only knob,
-// --out=PATH, through out_path_arg(). The forced-mode benches (E8
+// wall-clock lint exemption under bench/, and the pinned bench
+// (bench_scaling) takes its only knob, --out=PATH, through out_path_arg().
+// The forced-mode benches (E8
 // bench_ablation_modes, E10 bench_latency_throughput) drive a bare Network
 // through run_forced_mode(), which counts the packets a full NI queue
 // refused.

@@ -2,11 +2,10 @@
 # Runs every bench binary (bench_paper_figures prints Table II and Figs.
 # 6-10 from one cached campaign and takes this script's arguments, e.g.
 # --scale=1 --jobs=4), then the perf harness: bench_microperf,
-# bench_scaling, bench_faults, bench_workload and the perfbench
-# parsec_campaign workload. Fresh results go to build/bench-out/; the
-# committed BENCH_microperf.json, BENCH_scaling.json and BENCH_perfbench.json
-# are never written. bench_faults and bench_workload gate by exit code, and
-# tools/bench_summary.py gates the rest against the committed baselines.
+# bench_scaling and the perfbench parsec_campaign workload. Fresh results go
+# to build/bench-out/; the committed BENCH_microperf.json, BENCH_scaling.json
+# and BENCH_perfbench.json are never written. tools/bench_summary.py gates
+# them against the committed baselines.
 # To refresh a baseline, copy the fresh file over it (README,
 # "Performance").
 # E11, the spatial mode-residency map, is a traced rlftnoc_run read back by
@@ -31,10 +30,8 @@ echo "===== build/bench/bench_microperf ====="
 build/bench/bench_microperf \
   --benchmark_out="$out/BENCH_microperf.json" --benchmark_out_format=json
 
-for b in bench_scaling bench_faults bench_workload; do
-  echo "===== build/bench/$b ====="
-  "build/bench/$b" --out="$out/BENCH_${b#bench_}.json"
-done
+echo "===== build/bench/bench_scaling ====="
+build/bench/bench_scaling --out="$out/BENCH_scaling.json"
 
 echo "===== perfbench parsec_campaign ====="
 python3 perfbench/run.py --workload parsec_campaign --seed 11 --seconds 25 \

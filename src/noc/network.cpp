@@ -507,95 +507,71 @@ void Network::for_each_shard(bool pooled, F&& f) {
 }
 
 void Network::merge_effects(Cycle now) {
-  // Canonical single merge for the fused cycle. The pre-fusion stepper
-  // merged after the receive phase and again after the execute phase; the
-  // equivalent emission order with one merge is, per effect kind,
-  //
-  //   [shard 0 rx][shard 1 rx]...[shard S rx][shard 0 ex]...[shard S ex]
-  //
-  // using the receive/execute split marks each shard task recorded
-  // (StepEffects::mark_receive_end). The kinds write disjoint global
-  // structures, so only the intra-kind order matters. Per kind:
-  //  * trace — router streams before NI streams within each phase half,
-  //    because the serial stepper runs all routers before all NIs,
+  // Canonical single merge for the fused cycle. Shards are contiguous
+  // ascending node ranges, so concatenating per-shard streams in shard order
+  // reproduces the serial emission order of each kind. The kinds write
+  // disjoint global structures, so only the intra-kind order matters:
+  //  * trace — the serial stepper runs all routers before all NIs within a
+  //    phase, and routers stage in both phases while NIs stage only in
+  //    receive, so the order is [router rx][NI][router ex], the router
+  //    stream cut at the mark each shard task recorded
+  //    (StepEffects::mark_receive_end),
   //  * e2e events — `e2e_seq_` is assigned here, so the tie-break stream is
   //    the canonical order for any shard count,
   //  * latency samples / path credits — replayed through the global
   //    accumulators in delivery order (FP addition order preserved); the
   //    NI already walked each credit's path, so this is adds only,
   //  * counters — plain sums (order-free, merged in one pass).
-  // Kinds with nothing staged anywhere skip their shard sweep entirely —
-  // the common near-quiescent case pays a few emptiness checks only.
-  bool any_e2e = false, any_path = false, any_lat = false;
-  bool any_rt = false, any_nt = false;
+  // Every kind but the router trace is staged in receive only, so one pass
+  // per kind suffices (see StepEffects::router_trace_split). Kinds with
+  // nothing staged anywhere skip their shard sweep entirely — the common
+  // near-quiescent case pays a few emptiness checks only.
+  bool any_e2e = false, any_path = false, any_lat = false, any_trace = false;
   for (const StepEffects& fx : fx_) {
     any_e2e |= !fx.e2e.empty();
     any_path |= !fx.path_credits.empty();
     any_lat |= !fx.latency_samples.empty();
-    any_rt |= !fx.router_trace.empty();
-    any_nt |= !fx.ni_trace.empty();
+    any_trace |= !fx.router_trace.empty() || !fx.ni_trace.empty();
   }
 
-  if (any_rt || any_nt) {
+  if (any_trace) {
     for (StepEffects& fx : fx_)
-      fx.router_trace.drain_range_into(tracer_, 0, fx.split.router_trace);
-    for (StepEffects& fx : fx_)
-      fx.ni_trace.drain_range_into(tracer_, 0, fx.split.ni_trace);
-    for (StepEffects& fx : fx_) {
-      staged_effects_merged_ += fx.router_trace.size();
-      fx.router_trace.drain_range_into(tracer_, fx.split.router_trace,
-                                       fx.router_trace.size());
-      fx.router_trace.clear();
-    }
+      fx.router_trace.drain_range_into(tracer_, 0, fx.router_trace_split);
     for (StepEffects& fx : fx_) {
       staged_effects_merged_ += fx.ni_trace.size();
-      fx.ni_trace.drain_range_into(tracer_, fx.split.ni_trace,
-                                   fx.ni_trace.size());
-      fx.ni_trace.clear();
+      fx.ni_trace.drain_into(tracer_);
+    }
+    for (StepEffects& fx : fx_) {
+      staged_effects_merged_ += fx.router_trace.size();
+      fx.router_trace.drain_range_into(tracer_, fx.router_trace_split,
+                                       fx.router_trace.size());
+      fx.router_trace.clear();
     }
   }
 
   if (any_e2e) {
     for (const StepEffects& fx : fx_)
-      for (std::size_t k = 0; k < fx.split.e2e; ++k)
-        e2e_events_.push(E2eEvent{fx.e2e[k].at, fx.e2e[k].src, fx.e2e[k].id,
-                                  fx.e2e[k].ok, e2e_seq_++});
-    for (const StepEffects& fx : fx_)
-      for (std::size_t k = fx.split.e2e; k < fx.e2e.size(); ++k)
-        e2e_events_.push(E2eEvent{fx.e2e[k].at, fx.e2e[k].src, fx.e2e[k].id,
-                                  fx.e2e[k].ok, e2e_seq_++});
+      for (const StepEffects::StagedE2e& e : fx.e2e)
+        e2e_events_.push(E2eEvent{e.at, e.src, e.id, e.ok, e2e_seq_++});
   }
   if (any_path) {
-    const auto credit = [this](const StepEffects& fx, std::size_t k) {
-      const StepEffects::StagedPathCredit& c = fx.path_credits[k];
-      for (std::uint32_t j = c.first; j < c.last; ++j)
-        latency_window_[static_cast<std::size_t>(fx.path_nodes[j])].add(
-            c.latency);
-    };
     for (const StepEffects& fx : fx_)
-      for (std::size_t k = 0; k < fx.split.path_credits; ++k) credit(fx, k);
-    for (const StepEffects& fx : fx_)
-      for (std::size_t k = fx.split.path_credits; k < fx.path_credits.size();
-           ++k)
-        credit(fx, k);
+      for (const StepEffects::StagedPathCredit& c : fx.path_credits)
+        for (std::uint32_t j = c.first; j < c.last; ++j)
+          latency_window_[static_cast<std::size_t>(fx.path_nodes[j])].add(
+              c.latency);
   }
   if (any_lat) {
     for (const StepEffects& fx : fx_)
-      for (std::size_t k = 0; k < fx.split.latency_samples; ++k) {
-        metrics_.packet_latency.add(fx.latency_samples[k]);
-        metrics_.latency_hist.add(fx.latency_samples[k]);
-      }
-    for (const StepEffects& fx : fx_)
-      for (std::size_t k = fx.split.latency_samples;
-           k < fx.latency_samples.size(); ++k) {
-        metrics_.packet_latency.add(fx.latency_samples[k]);
-        metrics_.latency_hist.add(fx.latency_samples[k]);
+      for (const double sample : fx.latency_samples) {
+        metrics_.packet_latency.add(sample);
+        metrics_.latency_hist.add(sample);
       }
     metrics_.last_delivery_cycle = now;
   }
   // Final pass runs unconditionally: clear_posts() must reset every shard's
-  // split marks even on a trace-only merge, or a later merge could replay a
-  // stale [0, split) range of an emptied vector.
+  // router-trace mark even on a merge that staged no trace, or a later merge
+  // could replay a stale [0, mark) range of an emptied stage.
   for (StepEffects& fx : fx_) {
     staged_effects_merged_ += fx.e2e.size() + fx.path_credits.size();
     metrics_.packets_injected += fx.packets_injected;

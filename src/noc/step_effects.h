@@ -61,31 +61,23 @@ struct alignas(64) StepEffects {
   /// the serial stepper exactly.
   std::vector<double> latency_samples;
 
-  /// Receive/execute split marks for the fused single merge. The stepper
-  /// used to merge after each phase; it now merges once per cycle, and the
-  /// canonical order requires every kind's receive-phase entries (all
-  /// shards) to be replayed before any execute-phase entries. Each shard
-  /// task records its staging sizes at the end of its receive half; the
-  /// merge replays [0, split) then [split, end) per kind, shard-ascending,
-  /// reproducing the two-merge emission order exactly.
-  struct PhaseSplit {
-    std::size_t e2e = 0;
-    std::size_t path_credits = 0;
-    std::size_t latency_samples = 0;
-    std::size_t router_trace = 0;
-    std::size_t ni_trace = 0;
-  };
-  PhaseSplit split;
+  /// Receive/execute split mark for the fused single merge. The stepper
+  /// merges once per cycle, and the canonical order requires every shard's
+  /// receive-phase entries of a kind to be replayed before any shard's
+  /// execute-phase entries. Only `router_trace` is staged in both phases
+  /// (NACKs in receive; hop retransmissions, mode-2 duplicates and injected
+  /// link faults in execute), so it is the one kind with a mark: each shard
+  /// task records its size at the end of its receive half. Every other
+  /// staged kind — `e2e`, `path_credits`/`path_nodes`, `latency_samples`
+  /// and `ni_trace` — is appended only by NetworkInterface::finalize_packet,
+  /// which runs only from NI receive, so its whole stream is receive-phase.
+  /// A later execute-phase append to one of them would reorder it against
+  /// serial; ParallelStep.*AcrossShardCounts catch that.
+  std::size_t router_trace_split = 0;
 
   /// Marks the receive/execute boundary (called by the shard task after its
   /// last receive, before any execute).
-  void mark_receive_end() noexcept {
-    split.e2e = e2e.size();
-    split.path_credits = path_credits.size();
-    split.latency_samples = latency_samples.size();
-    split.router_trace = router_trace.size();
-    split.ni_trace = ni_trace.size();
-  }
+  void mark_receive_end() noexcept { router_trace_split = router_trace.size(); }
 
   // NetworkMetrics counter deltas (names mirror the NetworkMetrics fields).
   std::uint64_t packets_injected = 0;
@@ -124,7 +116,7 @@ struct alignas(64) StepEffects {
     path_credits.clear();
     path_nodes.clear();
     latency_samples.clear();
-    split = PhaseSplit{};
+    router_trace_split = 0;
     packets_injected = 0;
     packets_delivered = 0;
     flits_delivered = 0;

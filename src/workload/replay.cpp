@@ -10,29 +10,18 @@ namespace rlftnoc {
 
 WorkloadReplayTraffic::WorkloadReplayTraffic(Workload wl, int num_nodes,
                                              std::uint64_t seed)
-    : WorkloadReplayTraffic(std::move(wl), num_nodes, seed, Options{}) {}
-
-WorkloadReplayTraffic::WorkloadReplayTraffic(Workload wl, int num_nodes,
-                                             std::uint64_t seed, Options opt)
     : wl_(std::move(wl)),
-      opt_(opt),
       rng_(seed, "workload-payload"),
       name_(wl_.name.empty() ? std::string("workload") : wl_.name) {
   WorkloadDependents graph = validate_workload(wl_, num_nodes);
   const std::size_t n = wl_.transfers.size();
-  pending_deps_.assign(n, 0);
+  dep_begin_ = std::move(graph.dep_begin);
+  dependents_ = std::move(graph.dependents);
+  pending_deps_.resize(n);
   resolved_.assign(n, 0);
   emit_order_.reserve(n);
-  if (opt_.gate_on_deps) {
-    dep_begin_ = std::move(graph.dep_begin);
-    dependents_ = std::move(graph.dependents);
-    for (std::size_t i = 0; i < n; ++i) {
-      pending_deps_[i] = static_cast<std::uint32_t>(wl_.deps(i).size());
-    }
-  } else {
-    dep_begin_.assign(n + 1, 0);  // open loop: nothing waits on anything
-  }
   for (std::size_t i = 0; i < n; ++i) {
+    pending_deps_[i] = static_cast<std::uint32_t>(wl_.deps(i).size());
     if (pending_deps_[i] == 0) {
       armed_.push(Armed{wl_.transfers[i].earliest_cycle,
                         static_cast<std::uint32_t>(i)});

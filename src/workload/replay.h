@@ -38,19 +38,10 @@ namespace rlftnoc {
 class WorkloadReplayTraffic final : public TrafficGenerator,
                                     public PacketResolutionListener {
  public:
-  struct Options {
-    /// When false the dependency graph is ignored and every transfer is
-    /// armed at its earliest_cycle — the open-loop baseline bench_workload
-    /// compares against. Validation still runs either way.
-    bool gate_on_deps = true;
-  };
-
   /// Validates `wl` against `num_nodes` (throws WorkloadError — see
   /// validate_workload) and prepares the replay schedule. `seed` feeds the
   /// payload RNG only; injection timing is fully determined by the workload.
   WorkloadReplayTraffic(Workload wl, int num_nodes, std::uint64_t seed);
-  WorkloadReplayTraffic(Workload wl, int num_nodes, std::uint64_t seed,
-                        Options opt);
 
   void tick(Cycle now, std::vector<Packet>& out) override;
   bool exhausted() const override {
@@ -72,7 +63,7 @@ class WorkloadReplayTraffic final : public TrafficGenerator,
     return abandoned_count_;
   }
   /// Transfers currently ineligible because at least one dependency has not
-  /// resolved yet (gauge; 0 in open-loop mode).
+  /// resolved yet (gauge).
   std::uint64_t deps_blocked() const noexcept { return blocked_count_; }
 
   const Workload& workload() const noexcept { return wl_; }
@@ -94,7 +85,6 @@ class WorkloadReplayTraffic final : public TrafficGenerator,
   void resolve(std::uint32_t idx, Cycle rel_release, bool delivered);
 
   Workload wl_;
-  Options opt_;
   Rng rng_;
   std::string name_;
 
@@ -103,8 +93,7 @@ class WorkloadReplayTraffic final : public TrafficGenerator,
 
   std::vector<std::uint32_t> pending_deps_;  ///< unresolved dep count
   /// Transfers waiting on transfer i: dependents_[dep_begin_[i] ..
-  /// dep_begin_[i + 1]), ascending (validate_workload's flat graph; all
-  /// empty in open-loop mode).
+  /// dep_begin_[i + 1]), ascending (validate_workload's flat graph).
   std::vector<std::uint32_t> dep_begin_;
   std::vector<std::uint32_t> dependents_;
   std::vector<std::uint8_t> resolved_;

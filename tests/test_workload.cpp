@@ -338,19 +338,6 @@ TEST(WorkloadReplay, AbandonedDependencyReleasesDependents) {
   ASSERT_EQ(out.size(), 2u);  // released instead of deadlocking
 }
 
-TEST(WorkloadReplay, OpenLoopModeIgnoresDeps) {
-  Workload wl;
-  set_transfers(wl, {transfer(1, 0, 1, 1, 0), transfer(2, 1, 2, 1, 0, {1})});
-  WorkloadReplayTraffic::Options ro;
-  ro.gate_on_deps = false;
-  WorkloadReplayTraffic gen(wl, 4, /*seed=*/3, ro);
-  EXPECT_EQ(gen.deps_blocked(), 0u);
-  std::vector<Packet> out;
-  gen.tick(0, out);
-  EXPECT_EQ(out.size(), 2u);
-  EXPECT_TRUE(gen.exhausted());
-}
-
 // Same workload, same completion feed -> same release order. Pinned on an
 // rpc workload with fanout 3 plus one transfer that joins several chains,
 // under a scripted feed that resolves packets out of emission order and
