@@ -9,6 +9,7 @@
 #include "coding/crc.h"
 #include "coding/secded.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fault/injector.h"
 #include "noc/network.h"
 #include "noc/ni.h"
@@ -184,6 +185,19 @@ void BM_RouterStep16x16(benchmark::State& state) {
   state.counters["sim_cycles"] = static_cast<double>(cycles);
 }
 BENCHMARK(BM_RouterStep16x16)->Unit(benchmark::kMillisecond);
+
+// Round trip of one PhasePool phase with no work: publish, one no-op task
+// per executor (the caller and `helpers` workers), and the join. This is the
+// fixed cost each of Network::step's two dispatches pays on top of its
+// tiles' work. Wall time, since the caller's CPU time hides the wait.
+void BM_PhaseDispatch(benchmark::State& state) {
+  const auto helpers = static_cast<unsigned>(state.range(0));
+  PhasePool pool(helpers);
+  for (auto _ : state) {
+    pool.run(helpers + 1, [](std::size_t i) { benchmark::DoNotOptimize(i); });
+  }
+}
+BENCHMARK(BM_PhaseDispatch)->Arg(1)->Arg(3)->UseRealTime();
 
 }  // namespace
 }  // namespace rlftnoc

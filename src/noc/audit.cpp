@@ -530,27 +530,18 @@ void NetworkAuditor::audit_parallel_staging(
     }
   }
 
-  // Cross-cycle lookahead soundness: a shard whose wake stamp lies in the
-  // future is one the stepper will skip wholesale. That elision is only the
-  // same bit-exact skip the visit lists perform if every node of the
-  // shard genuinely has no work — so audit exactly that predicate here,
-  // between steps, where the network state is settled.
-  if (net.wake_.size() != net.shards_.size()) {
-    std::ostringstream os;
-    os << net.wake_.size() << " wake stamps for " << net.shards_.size()
-       << " shards";
-    fail(kInvalidNode, os.str());
-    return;
-  }
-  for (std::size_t s = 0; s < net.shards_.size(); ++s) {
-    if (net.wake_[s] <= net.now()) continue;  // awake: its scan will decide
-    for (NodeId node = net.shards_[s].lo; node < net.shards_[s].hi; ++node) {
+  // Cross-cycle lookahead soundness: a wake stamp in the future means the
+  // stepper will skip the whole cycle. That elision is only the same
+  // bit-exact skip the visit lists perform if no node has work — so audit
+  // exactly that predicate here, between steps, where the network state is
+  // settled.
+  if (net.wake_ > net.now()) {
+    for (NodeId node = 0; node < n; ++node) {
       if (net.router_has_work(node) || net.ni_has_work(node)) {
         std::ostringstream os;
-        os << "shard " << s << " sleeps until "
-           << (net.wake_[s] == Network::kWakeNever
-                   ? std::string("never")
-                   : std::to_string(net.wake_[s]))
+        os << "network sleeps until "
+           << (net.wake_ == Network::kWakeNever ? std::string("never")
+                                                : std::to_string(net.wake_))
            << " but node " << node << " has pending work at cycle "
            << net.now();
         fail(node, os.str());

@@ -44,7 +44,8 @@
 //     occupancy byte and the byte equals the lane's non-emptiness; absent
 //     and dead lanes are unbound with a 0 byte; every router's and NI's
 //     bound endpoints equal the live channels of its ports, so a killed
-//     link is null on both sides.
+//     link is null on both sides. A network that sleeps (its wake stamp
+//     lies in the future) has no node with work.
 //  7. Bitmask datapath consistency: every packed word the router's execute
 //     stages iterate (input-VC occupancy / state masks, per-output active
 //     words, credit-available and free-VC masks, the ARQ port words, the

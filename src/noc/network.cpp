@@ -157,34 +157,6 @@ void Network::build_shards(std::size_t shards) {
   }
   RLFTNOC_CHECK(lo == n, "shard partition covers %d of %d nodes", lo, n);
   fx_ = std::vector<StepEffects>(shards_.size());
-
-  // Lookahead bookkeeping follows the partition: node->shard map, per-shard
-  // wake stamps (everyone awake now), busy scratch, and the halo sets (the
-  // shards owning structural neighbours of each shard's nodes, self
-  // included — halos only ever need to grow less precise as links die, so
-  // computing them once per partition is conservative and exact).
-  node_shard_.assign(static_cast<std::size_t>(n), 0);
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node)
-      node_shard_[static_cast<std::size_t>(node)] =
-          static_cast<std::uint32_t>(s);
-  wake_.assign(shards_.size(), now_);
-  shard_busy_.assign(shards_.size(), 0);
-  halo_.assign(shards_.size(), {});
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::vector<std::uint32_t>& h = halo_[s];
-    h.push_back(static_cast<std::uint32_t>(s));
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-      for (const Port p : kMeshPorts) {
-        const NodeId nb = topo_.neighbor(node, p);
-        if (nb == kInvalidNode) continue;
-        h.push_back(node_shard_[static_cast<std::size_t>(nb)]);
-      }
-    }
-    std::sort(h.begin(), h.end());
-    h.erase(std::unique(h.begin(), h.end()), h.end());
-  }
-
   bind_effect_sinks();
 }
 
@@ -470,7 +442,7 @@ void Network::finish_fault_application(std::vector<LostFlit>& lost) {
 
   // Teardown touched routers, NIs and lanes well outside the fault site
   // (worm chains, orphan abandonment, credit returns): refresh every hot
-  // byte and wake every shard so the next flag scan sees it all.
+  // byte and wake the network so the next flag scan sees it all.
   refresh_all_node_hot();
   wake_all();
 }
@@ -499,7 +471,6 @@ template <typename F>
 void Network::for_each_shard(bool pooled, F&& f) {
   ++phase_dispatches_;
   if (pooled && pool_ != nullptr && shards_.size() > 1) {
-    ++pooled_phase_dispatches_;
     pool_->run(shards_.size(), f);
   } else {
     for (std::size_t s = 0; s < shards_.size(); ++s) f(s);
@@ -592,9 +563,9 @@ void Network::step() {
 
   // Hard faults strike at the top of their cycle, in the serial window
   // before any phase runs — identical for every sim_threads value. This
-  // check runs even when every shard sleeps, so a --kill-link landing
+  // check runs even when the network sleeps, so a --kill-link landing
   // inside a lookahead-skipped window still fires at its exact cycle (the
-  // teardown then wakes everyone).
+  // teardown then wakes the network).
   if (next_fault_ < pending_faults_.size() &&
       pending_faults_[next_fault_].at_cycle <= now_) {
     apply_due_hard_faults();
@@ -604,10 +575,10 @@ void Network::step() {
   // End-to-end responses drain serially before the phases: delivery may
   // refill an NI (reinject queue), which the visit lists must observe. This
   // path keeps the direct metric/trace sinks — it never runs inside a
-  // parallel phase. Delivery also wakes the source NI's shard: the e2e heap
-  // is exactly the "earliest maturity" bound a fully-drained shard is
-  // waiting on, so the wake is what lets shards sleep through ACK gaps
-  // without missing the delivery cycle.
+  // parallel phase. Delivery also wakes the network: the e2e heap is
+  // exactly the "earliest maturity" bound a fully-drained network is
+  // waiting on, so the wake is what lets it sleep through ACK gaps without
+  // missing the delivery cycle.
   while (!e2e_events_.empty() && e2e_events_.top().at <= t) {
     const E2eEvent ev = e2e_events_.top();
     e2e_events_.pop();
@@ -621,30 +592,20 @@ void Network::step() {
     }
   }
 
-  // Cross-cycle quiescence lookahead: a shard whose every node was flagged
-  // idle has no internal work and no occupied lane anywhere a visit would
-  // look (non-empty lanes — mature or not — keep their reader busy, so
-  // "all idle" implies "all feeding lanes empty"). Nothing can change such
-  // a shard's state except an external event, and every such event lowers
-  // the shard's wake stamp in serial context: packet enqueue
-  // (NI::enqueue_packet -> wake_node), e2e delivery (the drain above),
-  // hard-fault teardown (wake_all), and cross-shard pushes from awake
-  // neighbours (the halo wake below). Until one fires, skipping the shard's
-  // visits wholesale is the same bit-exact elision the visit lists
-  // perform — the skip counters are credited identically — so results are
-  // unchanged for any sim_threads value.
-  bool any_awake = false;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (wake_[s] <= t) {
-      any_awake = true;
-    } else {
-      const auto len = static_cast<std::uint64_t>(shards_[s].hi - shards_[s].lo);
-      router_steps_skipped_ += len;
-      ni_steps_skipped_ += len;
-      ++lookahead_shard_sleeps_;
-    }
-  }
-  if (!any_awake) {
+  // Cross-cycle quiescence lookahead: a cycle in which no node was busy
+  // leaves no internal work and no occupied lane anywhere a visit would look
+  // (non-empty lanes — mature or not — keep their reader busy, so "all idle"
+  // implies "all lanes empty"). Nothing can change that state except an
+  // external event, and every such event lowers the wake stamp in serial
+  // context: packet enqueue (NI::enqueue_packet -> wake_node), e2e delivery
+  // (the drain above) and hard-fault teardown (wake_all). Until one fires,
+  // skipping the cycle wholesale is the same bit-exact elision the visit
+  // lists perform — the skip counters are credited identically — so results
+  // are unchanged for any sim_threads value.
+  const std::size_t n = routers_.size();
+  if (wake_ > t) {
+    router_steps_skipped_ += n;
+    ni_steps_skipped_ += n;
     ++lookahead_cycles_slept_;
     ++now_;
     if (timed)
@@ -653,8 +614,8 @@ void Network::step() {
     return;
   }
 
-  // Fused dispatch A — per awake shard: one scan over the shard's
-  // nodes that builds its visit lists, then the receive phase over them
+  // Fused dispatch A — per shard: one scan over the shard's nodes that
+  // builds its visit lists, then the receive phase over them
   // (routers before NIs, ascending). Fusing is sound because the scan reads
   // only state the receive phase leaves untouched across shards: receive
   // pops are single-consumer on the popping node's own lanes, ACK responses
@@ -681,7 +642,6 @@ void Network::step() {
   // Pooling for A is decided before the lists exist, from the previous
   // cycle's (deterministic, thread-count-invariant) busy count — a pure
   // scheduling choice that cannot affect staging.
-  const std::size_t n = routers_.size();
   const bool pooled_a = n >= kMinNodesForPooledFlags ||
                         prev_busy_ >= kMinBusyVisitsForPool;
   SteadyClock::time_point t1{};
@@ -693,11 +653,6 @@ void Network::step() {
 
   for_each_shard(pooled_a, [&](std::size_t s) {
     StepEffects& fx = fx_[s];
-    if (wake_[s] > t) {  // sleeping shard: empty lists, no visits
-      fx.busy_routers = 0;
-      fx.busy_nis = 0;
-      return;
-    }
     const NodeId lo = shards_[s].lo;
     const NodeId hi = shards_[s].hi;
     NodeId* const vr = visit_router_.data() + lo;
@@ -719,19 +674,16 @@ void Network::step() {
     fx.mark_receive_end();
   });
 
-  // Skip counters: every node of an awake shard not on a list. (Sleeping
-  // shards were credited whole above.)
-  std::uint64_t busy = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const StepEffects& fx = fx_[s];
-    if (wake_[s] <= t) {
-      const auto len = static_cast<std::uint64_t>(shards_[s].hi - shards_[s].lo);
-      router_steps_skipped_ += len - fx.busy_routers;
-      ni_steps_skipped_ += len - fx.busy_nis;
-    }
-    shard_busy_[s] = fx.busy_routers + fx.busy_nis;
-    busy += shard_busy_[s];
+  // Skip counters: every node not on a list.
+  std::uint64_t busy_routers = 0;
+  std::uint64_t busy_nis = 0;
+  for (const StepEffects& fx : fx_) {
+    busy_routers += fx.busy_routers;
+    busy_nis += fx.busy_nis;
   }
+  router_steps_skipped_ += n - busy_routers;
+  ni_steps_skipped_ += n - busy_nis;
+  const std::uint64_t busy = busy_routers + busy_nis;
   prev_busy_ = busy;
 
   SteadyClock::time_point t2{};
@@ -741,15 +693,14 @@ void Network::step() {
         std::chrono::duration<double>(t2 - t1).count();
   }
 
-  // Dispatch B — the execute phase over the same visit lists (empty for a
-  // sleeping shard). Each visited router and NI republishes its hot bit
-  // right after its own execute, while it is still in cache: a node's
-  // visits are the only thing that can change its router's quiescence or
-  // its NI's injection idleness mid-run (other nodes' visits only push onto
-  // its lanes), and serial mutators refresh explicitly. Whether it runs
-  // pooled or inline depends only on the deterministic busy count, never on
-  // timing. Nothing busy means nothing to execute and nothing staged — skip
-  // the dispatch.
+  // Dispatch B — the execute phase over the same visit lists. Each visited
+  // router and NI republishes its hot bit right after its own execute, while
+  // it is still in cache: a node's visits are the only thing that can change
+  // its router's quiescence or its NI's injection idleness mid-run (other
+  // nodes' visits only push onto its lanes), and serial mutators refresh
+  // explicitly. Whether it runs pooled or inline depends only on the
+  // deterministic busy count, never on timing. Nothing busy means nothing to
+  // execute and nothing staged — skip the dispatch.
   if (busy > 0) {
     const bool pooled = busy >= kMinBusyVisitsForPool;
     for_each_shard(pooled, [&](std::size_t s) {
@@ -794,23 +745,10 @@ void Network::step() {
     merge_effects(t);
   }
 
-  // Sleep/wake bookkeeping. An awake shard with zero busy visits goes to
-  // sleep (its wake stamp can hold nothing earlier: stamps <= t were
-  // consumed this cycle, and future stamps would mean it was not awake).
-  // Then every shard that executed busy nodes wakes its halo — the shards
-  // owning structural neighbours of its nodes, itself included — for t+1,
-  // covering all cross-shard pushes of this cycle: flit, credit and ACK
-  // pushes in execute all target structural neighbours.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (wake_[s] <= t && shard_busy_[s] == 0) wake_[s] = kWakeNever;
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (wake_[s] <= t && shard_busy_[s] != 0) {
-      for (const std::uint32_t h : halo_[s]) {
-        if (wake_[h] > t + 1) wake_[h] = t + 1;
-      }
-    }
-  }
+  // A cycle with no busy node sleeps the network until an external event
+  // wakes it; otherwise the next cycle steps, covering every push of this
+  // one (flits, credits and ACKs, all pushed in execute).
+  wake_ = busy == 0 ? kWakeNever : t + 1;
 
   ++now_;
   if (timed)

@@ -236,12 +236,8 @@ class Network {
     return pool_ != nullptr ? pool_->helpers() : 0;
   }
 
-  /// Parallel stepping diagnostics: cycles stepped through the pooled
-  /// (multi-threaded) path vs inline, and total staged effects merged.
-  /// Deterministic — staging happens identically on both paths.
-  std::uint64_t pooled_phase_dispatches() const noexcept {
-    return pooled_phase_dispatches_;
-  }
+  /// Total staged effects merged. Deterministic — staging happens
+  /// identically on the pooled and inline paths.
   std::uint64_t staged_effects_merged() const noexcept {
     return staged_effects_merged_;
   }
@@ -249,41 +245,35 @@ class Network {
   /// Fused-stepper diagnostics. phase_dispatches / merges_run /
   /// lookahead_cycles_slept are thread-count-invariant (functions of the
   /// simulated traffic alone — see DESIGN.md §5) and exported as net.*
-  /// telemetry; lookahead_shard_sleeps depends on the shard partition and
-  /// is deliberately NOT exported (matching pooled_phase_dispatches).
-  /// Per cycle the fused stepper issues at most 2 phase dispatches
-  /// (receive+flags, execute) and 1 merge; fully-slept cycles issue none.
+  /// telemetry. Per cycle the fused stepper issues at most 2 phase
+  /// dispatches (receive+flags, execute) and 1 merge; slept cycles issue
+  /// none.
   std::uint64_t phase_dispatches() const noexcept { return phase_dispatches_; }
   std::uint64_t merges_run() const noexcept { return merges_run_; }
-  /// Cycles in which every shard slept (whole-mesh quiescence lookahead).
+  /// Cycles the network slept whole (quiescence lookahead).
   std::uint64_t lookahead_cycles_slept() const noexcept {
     return lookahead_cycles_slept_;
   }
-  /// Shard-cycles slept (each sleeping shard counts once per cycle).
-  std::uint64_t lookahead_shard_sleeps() const noexcept {
-    return lookahead_shard_sleeps_;
-  }
 
-  /// Wakes the shard owning `node` for the current cycle. Serial context
-  /// only — called whenever state a sleeping shard would otherwise never
-  /// re-inspect is mutated from outside the node's own phase visits
-  /// (packet enqueue, e2e response delivery, test-level pokes).
+  /// Refreshes `node`'s hot byte and wakes the network for the current
+  /// cycle. Serial context only — called whenever state a sleeping network
+  /// would otherwise never re-inspect is mutated from outside the node's own
+  /// phase visits (packet enqueue, e2e response delivery, test-level pokes).
   void wake_node(NodeId node) noexcept {
     if (!valid_node(node)) return;
-    const std::size_t s = node_shard_[static_cast<std::size_t>(node)];
-    if (wake_[s] > now_) wake_[s] = now_;
+    wake_all();
     refresh_node_hot(node);
   }
-  /// Wakes every shard for the current cycle (hard-fault teardown, rebinds).
+  /// Wakes the network for the current cycle (hard-fault teardown).
   void wake_all() noexcept {
-    for (Cycle& w : wake_) w = now_ < w ? now_ : w;
+    if (wake_ > now_) wake_ = now_;
   }
 
   /// Optional per-phase wall-time breakdown (bench_scaling's v2 schema).
   /// Costs two clock reads per dispatch when enabled; off by default and
   /// never a simulation input.
   struct PhaseTimings {
-    double serial_seconds = 0.0;   ///< faults + e2e drain + wake bookkeeping
+    double serial_seconds = 0.0;   ///< faults + e2e drain + sleep test
     double receive_seconds = 0.0;  ///< fused flags+receive dispatch
     double execute_seconds = 0.0;  ///< execute dispatch (incl. hot bits)
     double merge_seconds = 0.0;    ///< single canonical merge
@@ -417,13 +407,12 @@ class Network {
   std::vector<Shard> shards_;        ///< contiguous, ascending, cover [0, n)
   std::vector<StepEffects> fx_;      ///< one staging buffer per shard
   std::unique_ptr<PhasePool> pool_;  ///< null when sim_threads_ <= 1
-  std::uint64_t pooled_phase_dispatches_ = 0;
   std::uint64_t staged_effects_merged_ = 0;
   std::uint64_t phase_dispatches_ = 0;
   std::uint64_t merges_run_ = 0;
 
   // -- SoA hot state + cross-cycle quiescence lookahead (see step()) --
-  /// Sentinel wake stamp for a shard with no scheduled wake-up.
+  /// Sentinel wake stamp for a network with no scheduled wake-up.
   static constexpr Cycle kWakeNever = ~Cycle{0};
   /// Per-node packed hot byte: router quiescent, NI injection idle (see
   /// noc/node_hot.h).
@@ -436,20 +425,10 @@ class Network {
   /// run by the same shard task. Distinct bytes are distinct memory
   /// locations, so no atomics are needed (DESIGN.md §5).
   std::vector<LaneBytes> lanes_;
-  /// node_shard_[node]: owning shard index (rebuilt with the partition).
-  std::vector<std::uint32_t> node_shard_;
-  /// wake_[s] <= now_ means shard s must be visited this cycle; kWakeNever
-  /// means it sleeps until an external event lowers the stamp.
-  std::vector<Cycle> wake_;
-  /// halo_[s]: shards owning structural neighbours of s's nodes (incl. s).
-  /// A shard that executed any busy node wakes its halo for the next cycle,
-  /// which covers every cross-shard push (flits, credits and ACKs, all
-  /// pushed in execute to structural neighbours).
-  std::vector<std::vector<std::uint32_t>> halo_;
-  /// Per-shard busy_visits of the current cycle (scratch for halo wakes).
-  std::vector<std::uint32_t> shard_busy_;
+  /// wake_ <= now_ means the network must be stepped this cycle;
+  /// kWakeNever means it sleeps until an external event lowers the stamp.
+  Cycle wake_ = 0;
   std::uint64_t lookahead_cycles_slept_ = 0;
-  std::uint64_t lookahead_shard_sleeps_ = 0;
   /// Previous cycle's total busy visits — decides whether dispatch A runs
   /// pooled before this cycle's flags exist. Deterministic (derived only
   /// from simulation state), so the pooling choice is too.

@@ -63,8 +63,9 @@ bool NetworkInterface::enqueue_packet(Packet pkt) {
   }
   ++counters_.packets_enqueued;
   queue_.push_back(std::move(pkt));
-  // Serial context (workloads enqueue between cycles): a sleeping shard must
-  // learn its NI has work again, or lookahead would skip the injection.
+  // Serial context (workloads enqueue between cycles): a sleeping network
+  // must learn this NI has work again, or lookahead would skip the
+  // injection.
   net_->wake_node(id_);
   return true;
 }

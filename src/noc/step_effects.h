@@ -88,7 +88,7 @@ struct alignas(64) StepEffects {
   std::uint64_t crc_packet_failures = 0;
 
   /// Lengths of this shard's visit lists this cycle: busy routers and busy
-  /// NIs (Network::step). Zero for a sleeping shard.
+  /// NIs (Network::step).
   std::uint32_t busy_routers = 0;
   std::uint32_t busy_nis = 0;
 

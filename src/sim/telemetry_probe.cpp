@@ -71,15 +71,12 @@ void SimTelemetryProbe::register_families() {
   // appear here: exports are byte-identical across sim_threads values.
   // Exported (invariant — functions of the simulated traffic alone):
   //   staged_effects_merged, router/ni_steps_skipped, phase_dispatches
-  //   (dispatch A runs iff any shard is awake, B iff any node is busy —
+  //   (dispatch A runs iff the network is awake, B iff any node is busy —
   //   both are properties of network state, not of the shard partition),
   //   merges_run (runs iff anything was staged), lookahead_cycles_slept
   //   (a cycle sleeps iff no node was busy at t-1 and no event fired at t).
-  // Deliberately EXCLUDED (partition- or pool-dependent):
-  //   pooled_phase_dispatches (depends on whether a pool exists),
-  //   lookahead_shard_sleeps (scales with the shard count, which follows
-  //   sim_threads), PhasePool::dispatches/inline_runs (scheduling cost,
-  //   not simulation output).
+  // Deliberately EXCLUDED (pool-dependent): PhasePool::dispatches and
+  //   inline_runs (scheduling cost, not simulation output).
   m_g_staged_fx_ = counter(S::kGlobal, "net.staged_effects_merged");
   m_g_router_skips_ = counter(S::kGlobal, "net.router_steps_skipped");
   m_g_ni_skips_ = counter(S::kGlobal, "net.ni_steps_skipped");

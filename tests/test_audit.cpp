@@ -307,6 +307,32 @@ TEST(Audit, StaleLaneByteTripsParallelStaging) {
   EXPECT_EQ(v->port, Port::kWest);
 }
 
+TEST(Audit, SleepingNetworkWithPendingWorkTripsParallelStaging) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+  net.ni(0).enqueue_packet(make_packet(1, 0, 15, cfg.flits_per_packet, 0,
+                                       net.payload_rng()));
+  for (Cycle c = 0; c < 2000; ++c) {
+    if (net.drained() && net.lookahead_cycles_slept() > 0) break;
+    net.step();
+  }
+  ASSERT_TRUE(net.drained());
+  ASSERT_GT(net.lookahead_cycles_slept(), 0u);
+  NetworkAuditor auditor;
+  ASSERT_TRUE(auditor.run(net).empty());
+
+  // A flit byte raised on router 5's (empty) west input lane behind the
+  // stepper's back: the network would sleep through work it must visit.
+  RouterTestPeer::lane_bytes(net.router(5))[lane_byte::kInFlits +
+                                            port_index(Port::kWest)] = 1;
+
+  const std::vector<AuditViolation> violations = auditor.run(net);
+  const AuditViolation* v =
+      find_violation(violations, "parallel-staging", "sleeps until");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->node, 5);
+}
+
 TEST(Audit, StrandedPathNodesTripParallelStaging) {
   const NocConfig cfg = tiny_mesh();
   Network net(cfg, /*seed=*/5);

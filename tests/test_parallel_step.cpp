@@ -191,11 +191,10 @@ void expect_networks_identical(const Network& a, const Network& b) {
   EXPECT_EQ(a.router_steps_skipped(), b.router_steps_skipped());
   EXPECT_EQ(a.ni_steps_skipped(), b.ni_steps_skipped());
   EXPECT_EQ(a.staged_effects_merged(), b.staged_effects_merged());
-  // Fused-stepper counters: dispatch A runs iff any shard is awake, B iff
+  // Fused-stepper counters: dispatch A runs iff the network is awake, B iff
   // any node is busy, the merge iff anything was staged, and a cycle sleeps
   // iff no node was busy at t-1 and no event fired at t — all properties of
-  // network state, so all thread-count-invariant. (lookahead_shard_sleeps
-  // deliberately NOT compared: it scales with the shard count.)
+  // network state, so all thread-count-invariant.
   EXPECT_EQ(a.phase_dispatches(), b.phase_dispatches());
   EXPECT_EQ(a.merges_run(), b.merges_run());
   EXPECT_EQ(a.lookahead_cycles_slept(), b.lookahead_cycles_slept());
@@ -310,15 +309,15 @@ std::unique_ptr<Network> run_lookahead_engineered(unsigned sim_threads,
   };
 
   // Burst 1 drains within ~a few hundred cycles; the remainder of the
-  // [0, kKillCycle) window is fully idle, so every shard sleeps through it.
+  // [0, kKillCycle) window is fully idle, so the network sleeps through it.
   burst(60);
   while (net->now() < kKillCycle && !(net->drained() && net->now() > 500))
     net->step();
   const Cycle drained_at = net->now();
   // Step up to (but not into) the kill cycle, then across it, recording the
   // exact cycle the link died. The fault must fire at kKillCycle even
-  // though every shard was asleep — the serial fault window runs
-  // unconditionally, before the awake-set decision.
+  // though the network was asleep — the serial fault window runs
+  // unconditionally, before the sleep decision.
   while (net->now() < kKillCycle) net->step();
   const bool alive_before = net->out_channel(f.node, f.port) != nullptr;
   net->step();  // processes cycle kKillCycle
@@ -357,8 +356,8 @@ TEST(ParallelStep, LookaheadSleepsIdleWindowsAndInWindowKillFiresExactly) {
 }
 
 TEST(ParallelStep, TorusRunBitIdenticalAcrossShardCounts) {
-  // Wrap links give every shard a halo that reaches the opposite mesh edge —
-  // the structural case where a wrong halo/wake rule would diverge first.
+  // Wrap links make every edge tile a neighbour of the opposite edge's — the
+  // structural case where cross-tile staging would diverge first.
   const auto run_torus = [](unsigned sim_threads) {
     NocConfig cfg = small_mesh();
     cfg.topology = TopologyKind::kTorus;
@@ -582,7 +581,7 @@ TEST(ParallelStep, MidRunKillUnbindsEndpointsAuditedAcrossThreads) {
 
 TEST(ParallelStep, AuditedFaultHeavySweepHoldsInvariant6WithSingleMerge) {
   // Invariant 6 (staging discipline: buffers drained between steps, sinks
-  // bound to owning shards, sleeping shards genuinely workless) must hold
+  // bound to owning shards, a sleeping network genuinely workless) must hold
   // every cycle even though the fused stepper merges at most once per cycle
   // — and the audited runs must still be bit-identical across thread
   // counts, with mid-run hard faults landing while audited.
@@ -701,10 +700,10 @@ TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelStep, VisitCountersBitIdenticalOnUnevenTilesWithMidRunKill) {
   // A lightly loaded 12x12 adaptive torus: at 3, 5 and 7 threads the 144
-  // nodes split into 12, 20 and 28 tiles, the last two uneven; most tiles
-  // sleep between packets and are woken by enqueues and halo pushes, and a
-  // link dies mid-run. Every thread count must elide exactly the serial
-  // run's visits and stage exactly its effects.
+  // nodes split into 12, 20 and 28 tiles, the last two uneven; the network
+  // sleeps whole in gaps between packets and is woken by enqueues and e2e
+  // deliveries, and a link dies mid-run. Every thread count must elide exactly the serial
+  // run's visits, sleep exactly its cycles and stage exactly its effects.
   const auto run = [](unsigned sim_threads) {
     SimOptions opt;
     opt.seed = 29;
@@ -737,12 +736,14 @@ TEST(ParallelStep, VisitCountersBitIdenticalOnUnevenTilesWithMidRunKill) {
   const Network& a = serial_sim->network();
   ASSERT_GT(a.router_steps_skipped(), 0u);
   ASSERT_GT(a.ni_steps_skipped(), 0u);
+  ASSERT_GT(a.lookahead_cycles_slept(), 0u);
   for (const unsigned t : {3u, 5u, 7u}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
     const auto [threaded, threaded_sim] = run(t);
     const Network& b = threaded_sim->network();
     EXPECT_EQ(b.shard_count(), expected_tiles(t, 144));
-    EXPECT_GT(b.lookahead_shard_sleeps(), 0u);
+    EXPECT_EQ(a.lookahead_cycles_slept(), b.lookahead_cycles_slept());
+    EXPECT_EQ(a.phase_dispatches(), b.phase_dispatches());
     EXPECT_EQ(a.router_steps_skipped(), b.router_steps_skipped());
     EXPECT_EQ(a.ni_steps_skipped(), b.ni_steps_skipped());
     EXPECT_EQ(a.staged_effects_merged(), b.staged_effects_merged());
