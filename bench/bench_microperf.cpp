@@ -4,6 +4,7 @@
 // gates the kernels in its GATED_KERNELS list against BENCH_microperf.json.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <optional>
 
 #include "coding/crc.h"
@@ -189,7 +190,7 @@ BENCHMARK(BM_RouterStep16x16)->Unit(benchmark::kMillisecond);
 // Round trip of one PhasePool phase with no work: publish, one no-op task
 // per executor (the caller and `helpers` workers), and the join. This is the
 // fixed cost each of Network::step's two dispatches pays on top of its
-// tiles' work. Wall time, since the caller's CPU time hides the wait.
+// bands' work. Wall time, since the caller's CPU time hides the wait.
 void BM_PhaseDispatch(benchmark::State& state) {
   const auto helpers = static_cast<unsigned>(state.range(0));
   PhasePool pool(helpers);
@@ -198,6 +199,27 @@ void BM_PhaseDispatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PhaseDispatch)->Arg(1)->Arg(3)->UseRealTime();
+
+// The same round trip after the caller has been busy for ~50 us on its own,
+// as in the stepper's serial window (merge, faults, e2e drain) between two
+// cycles' dispatches. Helpers that parked during the gap pay a wake-up here,
+// which back-to-back dispatches never show. Only the dispatch is timed.
+void BM_PhaseDispatchAfterGap(benchmark::State& state) {
+  using SteadyClock = std::chrono::steady_clock;  // rlftnoc-lint: allow(R2) benchmark timing is the product
+  constexpr auto kGap = std::chrono::microseconds(50);
+  const auto helpers = static_cast<unsigned>(state.range(0));
+  PhasePool pool(helpers);
+  for (auto _ : state) {
+    const SteadyClock::time_point gap_end = SteadyClock::now() + kGap;  // rlftnoc-lint: allow(R2) benchmark timing
+    while (SteadyClock::now() < gap_end) {  // rlftnoc-lint: allow(R2) benchmark timing
+    }
+    const SteadyClock::time_point t0 = SteadyClock::now();  // rlftnoc-lint: allow(R2) benchmark timing
+    pool.run(helpers + 1, [](std::size_t i) { benchmark::DoNotOptimize(i); });
+    state.SetIterationTime(
+        std::chrono::duration<double>(SteadyClock::now() - t0).count());  // rlftnoc-lint: allow(R2) benchmark timing
+  }
+}
+BENCHMARK(BM_PhaseDispatchAfterGap)->Arg(1)->Arg(3)->UseManualTime();
 
 }  // namespace
 }  // namespace rlftnoc

@@ -3,31 +3,56 @@
 //
 //   ./parsec_campaign [--scale=N] [--jobs=N] [bench1 bench2 ...]
 //
+// --scale is the packet budget in percent (>= 1); --jobs the runs in flight
+// (0: one per hardware thread). A malformed value exits 2 with a message.
+//
 // Default: three representative benchmarks (light / medium / heavy) at 25%
 // packet budget, so it finishes in a few minutes. See bench/ for the full
 // per-figure harnesses.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/campaign.h"
 
 using namespace rlftnoc;
 
+namespace {
+/// Parses all of `text` as a decimal count; false on an empty value, a sign,
+/// trailing junk or overflow.
+template <typename T>
+bool parse_count(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+}  // namespace
+
 int main(int argc, char** argv) {
   std::uint64_t scale = 25;
   unsigned jobs = 1;
   std::vector<std::string> benchmarks;
   for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--scale=", 0) == 0) {
-      scale = std::strtoull(a.c_str() + 8, nullptr, 10);
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<unsigned>(std::strtoul(a.c_str() + 7, nullptr, 10));
+    const std::string_view a = argv[i];
+    if (a.starts_with("--scale=")) {
+      if (!parse_count(a.substr(8), scale) || scale == 0) {
+        std::fprintf(stderr, "parsec_campaign: --scale wants a packet budget "
+                             "percentage >= 1, got '%s'\n", argv[i] + 8);
+        return 2;
+      }
+    } else if (a.starts_with("--jobs=")) {
+      if (!parse_count(a.substr(7), jobs)) {
+        std::fprintf(stderr, "parsec_campaign: --jobs wants a thread count "
+                             "(0: one per hardware thread), got '%s'\n",
+                     argv[i] + 7);
+        return 2;
+      }
     } else {
-      benchmarks.push_back(a);
+      benchmarks.emplace_back(a);
     }
   }
   if (benchmarks.empty()) benchmarks = {"blackscholes", "ferret", "canneal"};

@@ -1,6 +1,6 @@
 // Fixed/growable circular buffer — the zero-allocation replacement for the
-// hot-path std::deques (delay-line channels, input-VC FIFOs, ARQ resend
-// queues, NI packet queues).
+// hot-path std::deques (ARQ resend queues, NI packet queues, delay-line
+// spill rings).
 //
 // std::deque allocates a heap node roughly every few entries, which put an
 // allocator round-trip on the per-cycle datapath of every router. RingBuffer
@@ -9,7 +9,7 @@
 // stops once the buffer has seen its high-water mark, so a warmed-up
 // simulation allocates nothing per cycle). The first allocation holds
 // kFirstCapacity entries, so a user whose protocol bounds its occupancy
-// (the delay lines, see noc/channel.h) starts at that bound.
+// can start at that bound.
 //
 // Requirements on T: default-constructible and move-assignable (the backing
 // store is value-initialized up front and entries are moved in and out).

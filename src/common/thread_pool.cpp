@@ -3,10 +3,26 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace rlftnoc {
 
 namespace {
-constexpr int kSpinIterations = 2048;
+/// Probes between two deadline checks: a clock read costs about as much as
+/// a few pauses, so the deadline is checked every few microseconds.
+constexpr int kProbesPerClockRead = 64;
+
+/// Tells the core this thread is in a spin-wait (frees pipeline resources
+/// for a sibling hyperthread and avoids the memory-order flush on exit).
+inline void cpu_pause() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 
 /// Packs a block's claim cursor: next index low, end high.
 constexpr std::uint64_t cursor_word(std::uint64_t next, std::uint64_t end) {
@@ -14,13 +30,15 @@ constexpr std::uint64_t cursor_word(std::uint64_t next, std::uint64_t end) {
 }
 }  // namespace
 
-PhasePool::PhasePool(unsigned helpers)
+unsigned hardware_threads() noexcept {
+  static const unsigned hw = std::thread::hardware_concurrency();
+  return hw;
+}
+
+PhasePool::PhasePool(unsigned helpers, bool spin)
     : executors_(std::size_t{helpers} + 1),
       cursors_(std::make_unique<Cursor[]>(executors_)),
-      // Once per pool, not per dispatch: glibc answers
-      // hardware_concurrency() by opening and reading a sysfs file, a few
-      // microseconds per call.
-      spin_(std::thread::hardware_concurrency() > 1) {
+      spin_(spin) {
   // Workers start from the epoch as of construction, not as of their own
   // (possibly late) first instruction: a phase published before a worker
   // got scheduled must still be seen as new, or a pool whose first run()
@@ -75,20 +93,28 @@ void PhasePool::run_impl(std::size_t tasks, TaskFn fn, void* ctx) {
   drain_tasks(0);  // the caller is executor 0
 
   const auto want = static_cast<std::uint32_t>(tasks);
+  spin_until([&] { return done_.load(std::memory_order_acquire) == want; });
   for (;;) {
-    std::uint32_t d = done_.load(std::memory_order_acquire);
+    const std::uint32_t d = done_.load(std::memory_order_acquire);
     if (d == want) break;
-    if (spin_) {
-      for (int s = 0; s < kSpinIterations; ++s) {
-        d = done_.load(std::memory_order_acquire);
-        if (d == want) break;
-      }
-      if (d == want) break;
-    }
     done_.wait(d, std::memory_order_acquire);
   }
 
   rethrow_any_error();
+}
+
+template <typename Ready>
+bool PhasePool::spin_until(Ready&& ready) const {
+  if (!spin_) return false;
+  using SteadyClock = std::chrono::steady_clock;  // rlftnoc-lint: allow(R2) spin deadline is a scheduling bound, never a sim input
+  const SteadyClock::time_point deadline = SteadyClock::now() + kSpinBudget;  // rlftnoc-lint: allow(R2) spin deadline only
+  for (;;) {
+    for (int i = 0; i < kProbesPerClockRead; ++i) {
+      if (ready()) return true;
+      cpu_pause();
+    }
+    if (SteadyClock::now() >= deadline) return ready();  // rlftnoc-lint: allow(R2) spin deadline only
+  }
 }
 
 void PhasePool::rethrow_any_error() {
@@ -150,7 +176,12 @@ void PhasePool::worker_loop(std::uint32_t seen, std::size_t self) {
     // and if the bump lands after this check instead, epoch_ no longer
     // equals `seen`, so the wait below returns immediately.
     if (stop_.load(std::memory_order_acquire)) return;
-    epoch_.wait(seen, std::memory_order_acquire);
+    // A phase published within the spin budget is picked up without a
+    // futex round trip; after it, the worker parks until the next epoch.
+    if (!spin_until([&] {
+          return epoch_.load(std::memory_order_acquire) != seen;
+        }))
+      epoch_.wait(seen, std::memory_order_acquire);
     if (stop_.load(std::memory_order_acquire)) return;
     seen = epoch_.load(std::memory_order_acquire);
     drain_tasks(self);

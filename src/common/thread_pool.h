@@ -4,6 +4,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -15,12 +16,26 @@
 
 namespace rlftnoc {
 
+/// Hardware threads of the machine (0 when unknown), read once: glibc
+/// answers std::thread::hardware_concurrency() by reading a sysfs file, a
+/// few microseconds per call.
+unsigned hardware_threads() noexcept;
+
 /// Resolves a user-facing thread count: 0 means one per hardware thread,
 /// and the result is always at least 1.
 inline unsigned resolve_thread_count(unsigned requested) noexcept {
   if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned hw = hardware_threads();
   return hw != 0 ? hw : 1;
+}
+
+/// Whether pool executors may spin between phases: only when every
+/// executor in flight — `total_executors`, jobs x sim_threads in a campaign
+/// — has a hardware thread of its own. A spinning executor on a shared
+/// core would take time from the sibling it waits for.
+constexpr bool spin_fits(std::size_t total_executors,
+                         unsigned hardware_threads) noexcept {
+  return hardware_threads > 1 && total_executors <= hardware_threads;
 }
 
 /// Low-latency fork/join executor.
@@ -35,10 +50,14 @@ inline unsigned resolve_thread_count(unsigned requested) noexcept {
 /// same core — from phase to phase whenever the load is even, and a slow or
 /// late executor's block is still finished by the others.
 ///
-/// A phase with T tasks costs E cursor stores, one release epoch bump and W
-/// futex wakes (none when a worker is still spinning) — cheap enough for
-/// the network stepper's per-cycle phase barriers, and trivially adequate
-/// for the campaign runner's multi-second (benchmark, policy) jobs.
+/// A phase with T tasks costs E cursor stores and one release epoch bump.
+/// A spinning pool's helpers, and its caller waiting for the last task,
+/// poll with a pause instruction for up to kSpinBudget before they park on
+/// a futex, so a phase published within that budget of the previous one
+/// pays no wake-up at all — the network stepper's serial window between
+/// two cycles' phases is well inside it. A parked helper costs one futex
+/// wake. Either way it is trivially adequate for the campaign runner's
+/// multi-second (benchmark, policy) jobs.
 ///
 /// Contract: run() may only be called from one thread at a time; the
 /// callable must tolerate concurrent invocations for distinct indices.
@@ -47,10 +66,21 @@ inline unsigned resolve_thread_count(unsigned requested) noexcept {
 /// exception thrown by any task is rethrown, after the remaining tasks ran.
 class PhasePool {
  public:
+  /// How long a spinning executor polls before it parks. It covers the
+  /// network stepper's serial window between two dispatches (tens of
+  /// microseconds on a 32x32 mesh) with room to spare, and bounds what an
+  /// idle pool burns after its last phase.
+  static constexpr std::chrono::microseconds kSpinBudget{150};
+
   /// Spawns `helpers` worker threads (the caller is executor 0, helper k is
   /// executor k + 1). 0 helpers is valid: run() then executes everything
-  /// inline.
-  explicit PhasePool(unsigned helpers);
+  /// inline. `spin` lets executors poll before they park (see spin_fits).
+  PhasePool(unsigned helpers, bool spin);
+  /// A pool that is the only one in flight: it spins when its helpers + 1
+  /// executors fit the machine.
+  explicit PhasePool(unsigned helpers)
+      : PhasePool(helpers, spin_fits(std::size_t{helpers} + 1,
+                                     hardware_threads())) {}
   ~PhasePool();
 
   PhasePool(const PhasePool&) = delete;
@@ -85,6 +115,10 @@ class PhasePool {
   void run_impl(std::size_t tasks, TaskFn fn, void* ctx);
   /// Runs one task, capturing (not propagating) anything it throws.
   void run_task(TaskFn fn, void* ctx, std::size_t index);
+  /// Polls `ready` with a pause between probes for up to kSpinBudget;
+  /// returns whether it came true. Returns false at once unless spin_.
+  template <typename Ready>
+  bool spin_until(Ready&& ready) const;
   /// Claims and runs tasks as executor `self`: its own block first, then
   /// the others', until every block is exhausted.
   void drain_tasks(std::size_t self);
@@ -115,8 +149,8 @@ class PhasePool {
   std::atomic<std::size_t> tasks_{0};
   std::size_t executors_;  ///< helpers + 1; set before any worker starts
   std::unique_ptr<Cursor[]> cursors_;  ///< one per executor, by block
-  /// The caller spins before it sleeps on done_: only ever useful when
-  /// another core can make progress meanwhile.
+  /// Executors poll for up to kSpinBudget before they park: only ever
+  /// useful when every executor has a core of its own.
   bool spin_;
   // The two atomics threads block on are 32-bit so std::atomic::wait takes
   // libstdc++'s direct-futex path: the futex syscall operates on the atomic

@@ -11,14 +11,17 @@
 // holds an entry, mature or not, so the stepper finds the lanes with work by
 // reading bytes instead of walking lines.
 //
-// Sizing: a line's ring starts with kMaxFlitsInFlight slots, the bound a flit
-// lane can reach (below), and doubles only if a line ever needs more — a
-// burst of credits returned by hard-fault teardown, say.
+// Storage: a line keeps kMaxFlitsInFlight entries inline (the bound a flit
+// lane can reach, below), so the channel arrays hold every lane's entries
+// and a push or pop touches no heap block. Only a serial burst beyond that —
+// credits returned by hard-fault teardown, say — spills the newer entries
+// into a heap ring, which refills the inline slots as they drain.
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -41,6 +44,12 @@ template <typename T>
 class DelayLine {
  public:
   explicit DelayLine(Cycle latency = 1) noexcept : latency_(latency) {}
+  /// Destroys the entries still in flight. Writes no occupancy byte: the
+  /// consumer's byte array may already be gone.
+  ~DelayLine() { destroy_inline(); }
+
+  DelayLine(const DelayLine&) = delete;
+  DelayLine& operator=(const DelayLine&) = delete;
 
   Cycle latency() const noexcept { return latency_; }
 
@@ -50,7 +59,7 @@ class DelayLine {
   /// touches no byte.
   void bind_occupancy(std::uint8_t* byte) noexcept {
     occ_ = byte;
-    if (occ_ != nullptr) *occ_ = entries_.empty() ? 0 : 1;
+    if (occ_ != nullptr) *occ_ = size_ == 0 ? 0 : 1;
   }
   /// The bound occupancy byte; null when unbound (auditing).
   const std::uint8_t* occupancy_byte() const noexcept { return occ_; }
@@ -65,34 +74,53 @@ class DelayLine {
     const Cycle at = now + latency_ + extra;
     // FIFO delivery order requires monotone maturity stamps; a violation
     // means a producer bypassed the channel-occupancy protocol.
-    RLFTNOC_CHECK(entries_.empty() || entries_.back().deliver_at <= at,
+    RLFTNOC_CHECK(size_ == 0 || back_stamp() <= at,
                   "delay line stamp regressed: %llu after %llu",
                   static_cast<unsigned long long>(at),
-                  static_cast<unsigned long long>(entries_.back().deliver_at));
-    entries_.push_back(Entry{at, std::move(value)});
+                  static_cast<unsigned long long>(back_stamp()));
+    if (size_ < kInline) {
+      const std::uint32_t k = slot(size_);
+      at_[k] = at;
+      std::construct_at(&slots_[k].value, std::move(value));
+    } else {
+      spill(at, std::move(value));
+    }
+    ++size_;
     if (occ_ != nullptr) *occ_ = 1;
   }
 
   /// Pops the oldest entry if it has matured by `now`.
   std::optional<T> pop(Cycle now) {
-    if (entries_.empty() || entries_.front().deliver_at > now) return std::nullopt;
-    T out = std::move(entries_.front().value);
-    entries_.pop_front();
-    if (occ_ != nullptr && entries_.empty()) *occ_ = 0;
+    if (size_ == 0 || at_[head_] > now) return std::nullopt;
+    std::optional<T> out(std::move(slots_[head_].value));
+    std::destroy_at(&slots_[head_].value);
+    head_ = slot(1);
+    --size_;
+    if (size_ >= kInline) {
+      refill();
+    } else if (occ_ != nullptr && size_ == 0) {
+      *occ_ = 0;
+    }
     return out;
   }
 
-  bool empty() const noexcept { return entries_.empty(); }
-  std::size_t size() const noexcept { return entries_.size(); }
-  /// Allocated slots (0 until the first push).
-  std::size_t capacity() const noexcept { return entries_.capacity(); }
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
+  /// Slots the line can hold without allocating: the inline ones plus the
+  /// spill ring's (0 until a burst first overflows the inline slots).
+  std::size_t capacity() const noexcept {
+    return kInline + (spilled_ != nullptr ? spilled_->capacity() : 0);
+  }
 
   /// Discards everything in flight (hard-fault teardown of a dead link /
   /// router). Returns the number of entries dropped so the caller can keep
   /// conservation accounting honest.
   std::size_t clear() noexcept {
-    const std::size_t n = entries_.size();
-    entries_.clear();
+    const std::size_t n = size_;
+    destroy_inline();
+    if (spilled_ != nullptr) spilled_->clear();
+    head_ = 0;
+    size_ = 0;
     if (occ_ != nullptr) *occ_ = 0;
     return n;
   }
@@ -101,17 +129,66 @@ class DelayLine {
   /// the simulation itself must go through pop() to honour maturity).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    entries_.for_each([&fn](const Entry& e) { fn(e.value); });
+    for (std::uint32_t i = 0; i < inline_size(); ++i)
+      fn(slots_[slot(i)].value);
+    if (spilled_ != nullptr)
+      spilled_->for_each([&fn](const Spilled& e) { fn(e.value); });
   }
 
  private:
-  struct Entry {
-    Cycle deliver_at = 0;
+  static constexpr std::uint32_t kInline = kMaxFlitsInFlight;
+  static_assert((kInline & (kInline - 1)) == 0,
+                "DelayLine: the inline ring size must be a power of two");
+
+  /// Raw inline storage: constructing a line writes none of it, and only
+  /// the live entries are ever constructed.
+  union Slot {
+    Slot() noexcept {}
+    ~Slot() {}
+    T value;
+  };
+  /// An entry beyond the inline slots, in the heap ring.
+  struct Spilled {
+    Cycle at = 0;
     T value{};
   };
-  Cycle latency_;
+
+  /// The inline slot `i` places after the head.
+  std::uint32_t slot(std::uint32_t i) const noexcept {
+    return (head_ + i) & (kInline - 1);
+  }
+  std::uint32_t inline_size() const noexcept {
+    return size_ < kInline ? size_ : kInline;
+  }
+  void destroy_inline() noexcept {
+    for (std::uint32_t i = 0; i < inline_size(); ++i)
+      std::destroy_at(&slots_[slot(i)].value);
+  }
+  Cycle back_stamp() const noexcept {
+    return size_ <= kInline ? at_[slot(size_ - 1)] : spilled_->back().at;
+  }
+  /// The inline slots are full: queue behind them in the spill ring.
+  void spill(Cycle at, T value) {
+    if (spilled_ == nullptr) spilled_ = std::make_unique<RingBuffer<Spilled>>();
+    spilled_->push_back(Spilled{at, std::move(value)});
+  }
+  /// A pop freed the last inline slot: the spill ring's oldest entry, next
+  /// in FIFO order, moves into it.
+  void refill() {
+    Spilled& e = spilled_->front();
+    const std::uint32_t k = slot(kInline - 1);
+    at_[k] = e.at;
+    std::construct_at(&slots_[k].value, std::move(e.value));
+    spilled_->pop_front();
+  }
+
+  Cycle at_[kInline];  ///< maturity stamps of the inline slots (live ones set)
+  std::uint32_t head_ = 0;  ///< inline slot of the oldest entry
+  std::uint32_t size_ = 0;  ///< entries in flight, inline and spilled
   std::uint8_t* occ_ = nullptr;  ///< consumer's occupancy byte; null = unbound
-  RingBuffer<Entry, kMaxFlitsInFlight> entries_;
+  Cycle latency_;
+  std::unique_ptr<RingBuffer<Spilled>> spilled_;  ///< null until a burst spills
+  Slot slots_[kInline];
 };
 
 /// Credit returned upstream when a flit vacates an input VC buffer slot.
@@ -130,6 +207,9 @@ struct AckMsg {
 /// a router and its network interface): a flit lane plus the reverse credit
 /// and ACK lanes.
 struct ChannelPair {
+  /// User-provided so that value-initialising an array of channels does not
+  /// zero every lane's inline storage first.
+  ChannelPair() noexcept {}
   DelayLine<Flit> flits{1};
   DelayLine<Credit> credits{1};
   DelayLine<AckMsg> acks{1};

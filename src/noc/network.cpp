@@ -17,11 +17,18 @@ namespace {
 constexpr std::uint64_t kMinBusyVisitsForPool = 8;
 /// Minimum mesh size before the flags phase itself is worth pooling.
 constexpr std::size_t kMinNodesForPooledFlags = 256;
-/// Tiles per thread when stepping in parallel. More tiles than threads lets
-/// PhasePool's stealing even out the load (XY traffic concentrates in the
-/// middle of a mesh), at a small per-tile cost. Serial stepping keeps one
-/// tile. Purely a performance knob — results are identical for any tiling.
-constexpr std::size_t kTilesPerThread = 4;
+/// Stepped cycles between two recuts of the band boundaries. Purely a
+/// performance knob — results are identical for any partition.
+constexpr Cycle kRebalancePeriod = 64;
+
+/// Flits `r` has accepted and transmitted, over all ports, since it was
+/// built (the counters only grow).
+std::uint64_t flits_moved(const Router& r) noexcept {
+  const RouterCounters& c = r.counters();
+  std::uint64_t n = 0;
+  for (std::size_t p = 0; p < kNumPorts; ++p) n += c.flits_in[p] + c.flits_out[p];
+  return n;
+}
 }  // namespace
 
 Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
@@ -65,6 +72,8 @@ Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
   }
   visit_router_.assign(static_cast<std::size_t>(n), 0);
   visit_ni_.assign(static_cast<std::size_t>(n), 0);
+  band_work_.assign(static_cast<std::size_t>(n), 0);
+  flits_seen_.assign(static_cast<std::size_t>(n), 0);
 
   lanes_ = std::vector<LaneBytes>(static_cast<std::size_t>(n));
   bind_lane_bytes();
@@ -124,18 +133,18 @@ void Network::refresh_all_node_hot() noexcept {
     refresh_node_hot(node);
 }
 
-void Network::set_sim_threads(unsigned threads) {
+void Network::set_sim_threads(unsigned threads, unsigned runs_in_flight) {
   threads = resolve_thread_count(threads);
   sim_threads_ = threads;
+  // One band per executor: the caller runs a band too, and a thread beyond
+  // the node count would have no band.
   const std::size_t n = std::max<std::size_t>(routers_.size(), 1);
-  const std::size_t shards =
-      threads <= 1 ? 1 : std::min(n, kTilesPerThread * threads);
-  build_shards(shards);
-  // The caller runs tasks too, and a thread beyond the tile count would
-  // never claim one: min(threads, tiles) executors in all.
-  const std::size_t executors = std::min<std::size_t>(threads, shards);
-  if (executors > 1) {
-    pool_ = std::make_unique<PhasePool>(static_cast<unsigned>(executors - 1));
+  const std::size_t bands = std::min<std::size_t>(n, threads);
+  build_shards(bands);
+  if (bands > 1) {
+    const std::size_t in_flight = bands * resolve_thread_count(runs_in_flight);
+    pool_ = std::make_unique<PhasePool>(static_cast<unsigned>(bands - 1),
+                                        spin_fits(in_flight, hardware_threads()));
   } else {
     pool_.reset();
   }
@@ -158,17 +167,76 @@ void Network::build_shards(std::size_t shards) {
   RLFTNOC_CHECK(lo == n, "shard partition covers %d of %d nodes", lo, n);
   fx_ = std::vector<StepEffects>(shards_.size());
   bind_effect_sinks();
+  // Work counts restart with the partition; the first recut is a period
+  // away.
+  std::fill(band_work_.begin(), band_work_.end(), 0);
+  for (NodeId node = 0; node < n; ++node)
+    flits_seen_[static_cast<std::size_t>(node)] =
+        flits_moved(*routers_[static_cast<std::size_t>(node)]);
+  next_rebalance_ = now_ + kRebalancePeriod;
+}
+
+void Network::set_bands(const std::vector<NodeId>& cuts) {
+  RLFTNOC_CHECK(cuts.size() == shards_.size() + 1 && cuts.front() == 0 &&
+                    cuts.back() == static_cast<NodeId>(routers_.size()),
+                "set_bands: %zu cuts for %zu bands", cuts.size(), shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard old = shards_[s];
+    const Shard band{cuts[s], cuts[s + 1]};
+    RLFTNOC_CHECK(band.lo < band.hi, "set_bands: band %zu is empty", s);
+    shards_[s] = band;
+    // Only nodes that joined this band need their sinks re-pointed: the
+    // part of the new range below the old one and the part above it.
+    bind_effect_sinks(s, band.lo, std::min(band.hi, old.lo));
+    bind_effect_sinks(s, std::max(band.lo, old.hi), band.hi);
+  }
+}
+
+void Network::rebalance_bands() {
+  // Work per node since the last cut: its router and NI visits plus the
+  // flits its router moved. Both are simulated state, so the cut is a pure
+  // function of the run (never of timing) — though no result depends on it.
+  const std::size_t n = routers_.size();
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t moved = flits_moved(*routers_[i]);
+    band_work_[i] += moved - flits_seen_[i];
+    flits_seen_[i] = moved;
+    total += band_work_[i];
+  }
+  if (total == 0) return;  // nothing ran: keep the bands
+
+  // Cut at equal quantiles of the work: band b ends at the first node where
+  // the running sum reaches b/E of the total. Every band keeps one node at
+  // least.
+  const std::size_t bands = shards_.size();
+  std::vector<NodeId>& cuts = band_cuts_;
+  cuts.assign(bands + 1, static_cast<NodeId>(n));
+  cuts[0] = 0;
+  std::uint64_t sum = 0;
+  std::size_t b = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += band_work_[i];
+    band_work_[i] = 0;
+    while (b < bands && sum * bands >= total * b) cuts[b++] = static_cast<NodeId>(i + 1);
+  }
+  for (b = 1; b < bands; ++b) cuts[b] = std::max(cuts[b], cuts[b - 1] + 1);
+  for (b = bands - 1; b >= 1; --b) cuts[b] = std::min(cuts[b], cuts[b + 1] - 1);
+  set_bands(cuts);
 }
 
 void Network::bind_effect_sinks() {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    StepEffects* fx = &fx_[s];
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-      routers_[static_cast<std::size_t>(node)]->set_effect_sinks(
-          fx, tracer_ != nullptr ? &fx->router_trace : nullptr);
-      nis_[static_cast<std::size_t>(node)]->set_effect_sinks(
-          fx, tracer_ != nullptr ? &fx->ni_trace : nullptr);
-    }
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    bind_effect_sinks(s, shards_[s].lo, shards_[s].hi);
+}
+
+void Network::bind_effect_sinks(std::size_t shard, NodeId lo, NodeId hi) {
+  StepEffects* fx = &fx_[shard];
+  for (NodeId node = lo; node < hi; ++node) {
+    routers_[static_cast<std::size_t>(node)]->set_effect_sinks(
+        fx, tracer_ != nullptr ? &fx->router_trace : nullptr);
+    nis_[static_cast<std::size_t>(node)]->set_effect_sinks(
+        fx, tracer_ != nullptr ? &fx->ni_trace : nullptr);
   }
 }
 
@@ -644,6 +712,13 @@ void Network::step() {
   // scheduling choice that cannot affect staging.
   const bool pooled_a = n >= kMinNodesForPooledFlags ||
                         prev_busy_ >= kMinBusyVisitsForPool;
+  // Band boundaries follow the work (rebalance_bands): recut them here, in
+  // serial context with every staging buffer drained.
+  const bool banded = shards_.size() > 1;
+  if (banded && t >= next_rebalance_) {
+    rebalance_bands();
+    next_rebalance_ = t + kRebalancePeriod;
+  }
   SteadyClock::time_point t1{};
   if (timed) {
     t1 = SteadyClock::now();  // rlftnoc-lint: allow(R2) wall-clock measured only, never fed back
@@ -667,6 +742,10 @@ void Network::step() {
     }
     fx.busy_routers = nr;
     fx.busy_nis = nn;
+    if (banded) {
+      for (std::uint32_t k = 0; k < nr; ++k) ++band_work_[static_cast<std::size_t>(vr[k])];
+      for (std::uint32_t k = 0; k < nn; ++k) ++band_work_[static_cast<std::size_t>(vn[k])];
+    }
     for (std::uint32_t k = 0; k < nr; ++k)
       routers_[static_cast<std::size_t>(vr[k])]->receive(t);
     for (std::uint32_t k = 0; k < nn; ++k)

@@ -217,19 +217,22 @@ class Network {
   }
 
   /// Configures deterministic intra-run parallelism for step(): the mesh is
-  /// partitioned into min(nodes, 4 x threads) contiguous tiles ("shards"),
-  /// claimed owner-first by min(threads, tiles) executors (each takes its
-  /// own contiguous block of tiles, then steals), and each phase
-  /// runs data-parallel across them, with cross-shard effects staged and
-  /// merged in canonical node order — results are bit-identical for any
-  /// value. `threads` <= 1 steps serially on the calling thread with one
-  /// tile (still through the same staged path); 0 means one thread per
-  /// hardware thread.
-  /// Composes with campaign-level `jobs`: total worker threads is the
-  /// product, so budget jobs x sim_threads against the machine.
-  void set_sim_threads(unsigned threads);
+  /// partitioned into min(nodes, threads) contiguous node bands ("shards"),
+  /// one per executor (the caller and threads - 1 helpers). The bands start
+  /// as an even split, and every 64 stepped cycles their boundaries are
+  /// recut at equal quantiles of each node's simulated work (visits plus
+  /// flits moved). Each phase runs data-parallel across the bands, with
+  /// cross-band effects staged and merged in canonical node order — results
+  /// are bit-identical for any value and any cut. `threads` <= 1 steps
+  /// serially on the calling thread with one band (still through the same
+  /// staged path); 0 means one thread per hardware thread.
+  /// Composes with campaign-level `jobs`: `runs_in_flight` is how many runs
+  /// step at once (0: one per hardware thread). The pool's executors spin
+  /// between phases only while bands x runs_in_flight fit the machine's
+  /// hardware threads (spin_fits).
+  void set_sim_threads(unsigned threads, unsigned runs_in_flight = 1);
   unsigned sim_threads() const noexcept { return sim_threads_; }
-  /// Shards the mesh is currently partitioned into (1 when serial).
+  /// Bands the mesh is currently partitioned into (1 when serial).
   std::size_t shard_count() const noexcept { return shards_.size(); }
   /// Helper threads of the phase pool (0 when serial): executors - 1.
   unsigned helper_threads() const noexcept {
@@ -284,6 +287,8 @@ class Network {
  private:
   /// The invariant auditor walks every channel delay line (see noc/audit.h).
   friend class NetworkAuditor;
+  /// Tests cut the bands at will (tests/network_test_peer.h).
+  friend struct NetworkTestPeer;
 
   struct E2eEvent {
     Cycle at;
@@ -314,11 +319,21 @@ class Network {
     NodeId hi = 0;
   };
 
-  /// (Re)partitions the mesh into `shards` contiguous node ranges and binds
-  /// every router/NI to its shard's StepEffects + trace stage.
+  /// (Re)partitions the mesh into `shards` even contiguous node ranges,
+  /// binds every router/NI to its shard's StepEffects + trace stage and
+  /// restarts the work counts.
   void build_shards(std::size_t shards);
+  /// Moves the band boundaries: band s becomes [cuts[s], cuts[s+1]). Needs
+  /// shard_count() + 1 ascending cuts from 0 to the node count, every band
+  /// non-empty. Serial context, between steps (staging buffers drained).
+  void set_bands(const std::vector<NodeId>& cuts);
+  /// Recuts the bands at equal quantiles of the work counted since the
+  /// last cut (band_work_ plus flit deltas); keeps them if nothing ran.
+  void rebalance_bands();
   /// Re-binds the per-node trace sinks (after set_tracer / build_shards).
   void bind_effect_sinks();
+  /// Binds nodes [lo, hi) to shard `shard`'s staging buffer and trace stage.
+  void bind_effect_sinks(std::size_t shard, NodeId lo, NodeId hi);
 
   /// Runs f(shard_index) for every shard — pooled when `pooled`, else
   /// inline in ascending shard order. The choice cannot affect results:
@@ -393,10 +408,10 @@ class Network {
   EventTracer* tracer_ = nullptr;
   PacketResolutionListener* resolution_listener_ = nullptr;
 
-  /// Per-cycle visit lists, n-sized and allocated once: a tile [lo, hi)
+  /// Per-cycle visit lists, n-sized and allocated once: a band [lo, hi)
   /// writes its busy routers, ascending, to visit_router_[lo, lo + nr) and
   /// its busy NIs to visit_ni_[lo, lo + nn) (counts in its StepEffects), and
-  /// receive and execute walk only those. No tile touches another's slice.
+  /// receive and execute walk only those. No band touches another's slice.
   std::vector<NodeId> visit_router_;
   std::vector<NodeId> visit_ni_;
   std::uint64_t router_steps_skipped_ = 0;
@@ -410,6 +425,13 @@ class Network {
   std::uint64_t staged_effects_merged_ = 0;
   std::uint64_t phase_dispatches_ = 0;
   std::uint64_t merges_run_ = 0;
+  /// Per node: router + NI visits since the last cut (counted by the band
+  /// that owns the node, so never shared), plus flit deltas at the cut.
+  std::vector<std::uint64_t> band_work_;
+  /// Per node: flits_moved() of its router at the last cut.
+  std::vector<std::uint64_t> flits_seen_;
+  std::vector<NodeId> band_cuts_;  ///< rebalance_bands scratch
+  Cycle next_rebalance_ = 0;       ///< first stepped cycle of the next recut
 
   // -- SoA hot state + cross-cycle quiescence lookahead (see step()) --
   /// Sentinel wake stamp for a network with no scheduled wake-up.

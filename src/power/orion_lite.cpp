@@ -31,17 +31,8 @@ const char* power_event_name(PowerEvent e) noexcept {
 PowerModel::PowerModel(int num_routers, PowerParams params) : params_(params) {
   if (num_routers <= 0) throw std::invalid_argument("PowerModel: no routers");
   window_counts_.assign(static_cast<std::size_t>(num_routers), EventCounts{});
-  total_counts_.assign(static_cast<std::size_t>(num_routers), EventCounts{});
+  folded_counts_.assign(static_cast<std::size_t>(num_routers), EventCounts{});
   leak_energy_pj_.assign(static_cast<std::size_t>(num_routers), 0.0);
-}
-
-void PowerModel::record(int router, PowerEvent e, std::uint64_t n) {
-  const auto r = static_cast<std::size_t>(router);
-  const auto i = static_cast<std::size_t>(e);
-  RLFTNOC_CHECK(r < window_counts_.size() && i < kNumPowerEvents,
-                "PowerModel::record: router %d event %zu out of range", router, i);
-  window_counts_[r][i] += n;
-  total_counts_[r][i] += n;
 }
 
 double PowerModel::leakage_watts(double temp_c) const noexcept {
@@ -66,6 +57,12 @@ double PowerModel::counts_to_pj(const EventCounts& c) const noexcept {
   return pj;
 }
 
+PowerModel::EventCounts PowerModel::total_counts(std::size_t router) const noexcept {
+  EventCounts c = folded_counts_[router];
+  for (std::size_t i = 0; i < kNumPowerEvents; ++i) c[i] += window_counts_[router][i];
+  return c;
+}
+
 double PowerModel::window_dynamic_energy_pj(int router) const {
   const auto r = static_cast<std::size_t>(router);
   RLFTNOC_CHECK(r < window_counts_.size(), "PowerModel: router %d out of range", router);
@@ -82,18 +79,21 @@ void PowerModel::reset_window(int router) {
   const auto r = static_cast<std::size_t>(router);
   RLFTNOC_CHECK(r < window_counts_.size(),
                 "PowerModel::reset_window: router %d out of range", router);
+  for (std::size_t i = 0; i < kNumPowerEvents; ++i)
+    folded_counts_[r][i] += window_counts_[r][i];
   window_counts_[r] = EventCounts{};
 }
 
 double PowerModel::total_dynamic_energy_pj(int router) const {
   const auto r = static_cast<std::size_t>(router);
-  RLFTNOC_CHECK(r < total_counts_.size(), "PowerModel: router %d out of range", router);
-  return counts_to_pj(total_counts_[r]);
+  RLFTNOC_CHECK(r < folded_counts_.size(), "PowerModel: router %d out of range", router);
+  return counts_to_pj(total_counts(r));
 }
 
 double PowerModel::total_dynamic_energy_pj() const {
   double pj = 0.0;
-  for (const auto& c : total_counts_) pj += counts_to_pj(c);
+  for (std::size_t r = 0; r < folded_counts_.size(); ++r)
+    pj += counts_to_pj(total_counts(r));
   return pj;
 }
 
@@ -111,14 +111,16 @@ double PowerModel::total_leakage_energy_pj() const {
 }
 
 std::uint64_t PowerModel::total_event_count(PowerEvent e) const {
+  const auto i = static_cast<std::size_t>(e);
   std::uint64_t n = 0;
-  for (const auto& c : total_counts_) n += c[static_cast<std::size_t>(e)];
+  for (std::size_t r = 0; r < folded_counts_.size(); ++r)
+    n += folded_counts_[r][i] + window_counts_[r][i];
   return n;
 }
 
 void PowerModel::reset_totals() {
   for (auto& c : window_counts_) c = EventCounts{};
-  for (auto& c : total_counts_) c = EventCounts{};
+  for (auto& c : folded_counts_) c = EventCounts{};
   for (auto& e : leak_energy_pj_) e = 0.0;
 }
 

@@ -16,6 +16,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/check.h"
+
 namespace rlftnoc {
 
 /// Micro-architectural events that cost dynamic energy.
@@ -74,6 +76,9 @@ struct PowerParams {
 ///  * *totals* over the whole measurement phase (drive Figs. 9-10), and
 ///  * a *window* that the control layer resets each RL time-step to compute
 ///    the instantaneous power used in the reward and fed to HotSpot.
+/// An event increments only its router's window row; reset_window folds the
+/// row into the router's totals, and a total reads folded + window. Counts
+/// are exact integers, so every energy is the same double either way.
 class PowerModel {
  public:
   PowerModel(int num_routers, PowerParams params = {});
@@ -82,7 +87,14 @@ class PowerModel {
   int num_routers() const noexcept { return static_cast<int>(window_counts_.size()); }
 
   /// Records `n` occurrences of `e` at `router`.
-  void record(int router, PowerEvent e, std::uint64_t n = 1);
+  void record(int router, PowerEvent e, std::uint64_t n = 1) {
+    const auto r = static_cast<std::size_t>(router);
+    const auto i = static_cast<std::size_t>(e);
+    RLFTNOC_CHECK(r < window_counts_.size() && i < kNumPowerEvents,
+                  "PowerModel::record: router %d event %zu out of range", router,
+                  i);
+    window_counts_[r][i] += n;
+  }
 
   /// Integrates leakage for `router` over `cycles` at temperature `temp_c`.
   void integrate_leakage(int router, double temp_c, std::uint64_t cycles);
@@ -95,7 +107,7 @@ class PowerModel {
   double window_dynamic_energy_pj(int router) const;
   /// Average dynamic power (W) over a window of `cycles` cycles.
   double window_dynamic_power_w(int router, std::uint64_t cycles) const;
-  /// Resets the window counters of `router`.
+  /// Folds the window counters of `router` into its totals and resets them.
   void reset_window(int router);
 
   /// --- totals over the measurement phase ---
@@ -115,10 +127,13 @@ class PowerModel {
   PowerParams params_;
   using EventCounts = std::array<std::uint64_t, kNumPowerEvents>;
   std::vector<EventCounts> window_counts_;
-  std::vector<EventCounts> total_counts_;
+  /// Per router: the counts of every window reset since reset_totals.
+  std::vector<EventCounts> folded_counts_;
   std::vector<double> leak_energy_pj_;
 
   double counts_to_pj(const EventCounts& c) const noexcept;
+  /// Per-event counts of `router` since reset_totals (folded + window).
+  EventCounts total_counts(std::size_t router) const noexcept;
 };
 
 }  // namespace rlftnoc

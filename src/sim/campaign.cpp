@@ -102,6 +102,12 @@ CampaignResults run_campaign(const SimOptions& base,
   out.results.resize(benchmarks.size());
   for (auto& row : out.results) row.resize(policies.size());
 
+  // The caller is one of the `jobs` executors; more than one per cell
+  // would only idle.
+  const std::size_t cells = benchmarks.size() * policies.size();
+  const std::size_t executors =
+      std::min<std::size_t>(resolve_thread_count(base.jobs), cells);
+
   std::mutex progress_mu;
   // Cell c is (benchmark c / P, policy c % P). Which executor runs a cell,
   // and when, does not matter: each run writes only its own pre-sized slot.
@@ -114,6 +120,9 @@ CampaignResults run_campaign(const SimOptions& base,
     // Every run gets its own seed so results do not depend on how the jobs
     // are scheduled across threads (and policies never share RNG streams).
     opt.seed = campaign_run_seed(base.seed, bench, policies[p]);
+    // Runs in flight at once, which decides whether a run's stepper may
+    // spin (Network::set_sim_threads); never a simulation input.
+    opt.jobs = static_cast<unsigned>(executors);
     // The warm-up consumes the benchmark's own packet budget; scale it with
     // the budget so a reduced campaign still leaves the bulk of the trace
     // for the measured phase. Pre-training is pure cycle count, but a
@@ -143,12 +152,9 @@ CampaignResults run_campaign(const SimOptions& base,
     out.results[b][p] = std::move(res);
   };
 
-  // The caller is one of the `jobs` executors; more than one per cell
-  // would only idle.
-  const std::size_t cells = benchmarks.size() * policies.size();
-  const std::size_t executors =
-      std::min<std::size_t>(resolve_thread_count(base.jobs), cells);
-  PhasePool pool(static_cast<unsigned>(executors > 0 ? executors - 1 : 0));
+  PhasePool pool(static_cast<unsigned>(executors > 0 ? executors - 1 : 0),
+                 spin_fits(executors * resolve_thread_count(base.sim_threads),
+                           hardware_threads()));
   pool.run(cells, run_one);
   return out;
 }

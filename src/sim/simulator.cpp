@@ -40,7 +40,9 @@ Simulator::Simulator(SimOptions opt, std::unique_ptr<ControlPolicy> policy)
     : opt_(std::move(opt)) {
   opt_.noc.validate();
   net_ = std::make_unique<Network>(opt_.noc, opt_.seed, opt_.varius, opt_.power);
-  net_->set_sim_threads(opt_.sim_threads);
+  // A campaign steps `jobs` runs at once; the stepper's executors spin
+  // between phases only when all of them fit the machine.
+  net_->set_sim_threads(opt_.sim_threads, opt_.jobs);
   // Telemetry must attach before the controller: its constructor already
   // runs a control step, and we want those initial mode decisions traced.
   if (opt_.telemetry.enabled) {

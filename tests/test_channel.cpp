@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -121,6 +122,49 @@ TEST(DelayLine, UnboundLineBehavesAsBefore) {
   EXPECT_EQ(*d.pop(2), 2);
   EXPECT_TRUE(d.empty());
   EXPECT_EQ(d.clear(), 0u);
+}
+
+TEST(DelayLine, SerialBurstSpillsPastTheInlineSlotsInFifoOrder) {
+  // Hard-fault teardown can return a burst of credits from serial context,
+  // more than the inline slots hold. The overflow spills to the heap and
+  // drains back through the inline slots: FIFO order, maturity and the
+  // occupancy byte behave exactly as for a short line.
+  std::uint8_t byte = 0;
+  DelayLine<Credit> d(1);
+  d.bind_occupancy(&byte);
+  EXPECT_EQ(d.capacity(), kMaxFlitsInFlight);
+  constexpr int kBurst = 20;
+  for (int i = 0; i < kBurst; ++i) d.push(static_cast<Cycle>(i / 4), Credit{i});
+  EXPECT_EQ(d.size(), static_cast<std::size_t>(kBurst));
+  EXPECT_GT(d.capacity(), kMaxFlitsInFlight);
+  EXPECT_EQ(byte, 1);
+
+  int seen = 0;
+  d.for_each([&seen](const Credit& c) { EXPECT_EQ(c.vc, seen++); });
+  EXPECT_EQ(seen, kBurst);
+
+  // Entry i matures at i / 4 + 1: each cycle releases exactly its four.
+  int next = 0;
+  for (Cycle now = 0; now <= kBurst / 4 + 1; ++now) {
+    while (const auto c = d.pop(now)) {
+      EXPECT_EQ(c->vc, next);
+      EXPECT_LE(static_cast<Cycle>(next / 4 + 1), now);
+      ++next;
+      EXPECT_EQ(byte, d.empty() ? 0 : 1);
+    }
+    EXPECT_EQ(next, std::min<int>(kBurst, static_cast<int>(now) * 4));
+  }
+  EXPECT_EQ(next, kBurst);
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(byte, 0);
+
+  // A spilled line keeps working as a short one, and clear() empties both
+  // parts.
+  for (int i = 0; i < 6; ++i) d.push(100, Credit{i});
+  EXPECT_EQ(d.clear(), 6u);
+  EXPECT_EQ(byte, 0);
+  d.push(200, Credit{42});
+  EXPECT_EQ(d.pop(201)->vc, 42);
 }
 
 TEST(ChannelPair, DefaultLatencies) {

@@ -20,6 +20,7 @@
 #include "common/config.h"
 #include "common/rng.h"
 #include "noc/audit.h"
+#include "network_test_peer.h"
 #include "noc/network.h"
 #include "router_test_peer.h"
 #include "sim/options_io.h"
@@ -40,15 +41,14 @@ NocConfig small_mesh() {
 // Shard partition structure
 // ---------------------------------------------------------------------------
 
-/// The tile rule: serial stepping keeps one tile; t > 1 threads get
-/// min(nodes, 4t) tiles, claimed by min(t, tiles) executors (the caller
-/// plus helpers).
-std::size_t expected_tiles(unsigned t, std::size_t nodes) {
-  return t <= 1 ? 1 : std::min<std::size_t>(nodes, 4 * std::size_t{t});
+/// The band rule: one contiguous band per executor, min(nodes, t) bands in
+/// all (serial stepping keeps one), and one executor per band — the caller
+/// plus bands - 1 helpers.
+std::size_t expected_bands(unsigned t, std::size_t nodes) {
+  return t <= 1 ? 1 : std::min<std::size_t>(nodes, t);
 }
 unsigned expected_helpers(unsigned t, std::size_t nodes) {
-  return static_cast<unsigned>(
-      std::min<std::size_t>(t, expected_tiles(t, nodes)) - 1);
+  return static_cast<unsigned>(expected_bands(t, nodes) - 1);
 }
 
 TEST(ParallelStep, ShardPartitionFollowsThreadCount) {
@@ -57,18 +57,20 @@ TEST(ParallelStep, ShardPartitionFollowsThreadCount) {
   EXPECT_EQ(net.shard_count(), 1u);
   EXPECT_EQ(net.helper_threads(), 0u);
 
-  // Four tiles per thread: 2 threads -> 8 tiles, 3 -> 12 uneven tiles
-  // (16 nodes), 4 -> one tile per node.
+  // One band per thread: 2 threads -> 2 bands, 3 -> 3 uneven bands (16
+  // nodes, an even split to start with), 4 -> 4.
   for (const unsigned t : {2u, 3u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(t));
     net.set_sim_threads(t);
     EXPECT_EQ(net.sim_threads(), t);
-    EXPECT_EQ(net.shard_count(), 4 * std::size_t{t});
+    EXPECT_EQ(net.shard_count(), std::size_t{t});
     EXPECT_EQ(net.helper_threads(), t - 1);
   }
+  net.set_sim_threads(3);
+  EXPECT_EQ(NetworkTestPeer::bands(net), (std::vector<NodeId>{0, 6, 11, 16}));
 
-  // More threads than nodes: one tile per node at most, and no helper
-  // beyond the tile count (a helper without a tile never runs a task).
+  // More threads than nodes: one band per node at most, and no helper
+  // beyond the band count (a helper without a band never runs a task).
   net.set_sim_threads(64);
   EXPECT_EQ(net.shard_count(), 16u);
   EXPECT_EQ(net.helper_threads(), 15u);
@@ -76,7 +78,7 @@ TEST(ParallelStep, ShardPartitionFollowsThreadCount) {
   // 0 = one per hardware thread, never less than one shard.
   net.set_sim_threads(0);
   EXPECT_GE(net.sim_threads(), 1u);
-  EXPECT_EQ(net.shard_count(), expected_tiles(net.sim_threads(), 16));
+  EXPECT_EQ(net.shard_count(), expected_bands(net.sim_threads(), 16));
   EXPECT_EQ(net.helper_threads(), expected_helpers(net.sim_threads(), 16));
 
   net.set_sim_threads(1);
@@ -356,8 +358,8 @@ TEST(ParallelStep, LookaheadSleepsIdleWindowsAndInWindowKillFiresExactly) {
 }
 
 TEST(ParallelStep, TorusRunBitIdenticalAcrossShardCounts) {
-  // Wrap links make every edge tile a neighbour of the opposite edge's — the
-  // structural case where cross-tile staging would diverge first.
+  // Wrap links make every edge band a neighbour of the opposite edge's — the
+  // structural case where cross-band staging would diverge first.
   const auto run_torus = [](unsigned sim_threads) {
     NocConfig cfg = small_mesh();
     cfg.topology = TopologyKind::kTorus;
@@ -685,12 +687,11 @@ TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(serial.packets_delivered, 0u);
   EXPECT_GT(serial.retransmitted_flits, 0u);
 
-  // 3 and 5 threads leave the tiles (or the executors' share of them)
-  // uneven.
+  // 3 and 5 threads leave the bands uneven.
   for (const unsigned t : {2u, 3u, 4u, 5u, 8u}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
     Simulator sim(sim_base(t));
-    EXPECT_EQ(sim.network().shard_count(), expected_tiles(t, 16));
+    EXPECT_EQ(sim.network().shard_count(), expected_bands(t, 16));
     EXPECT_EQ(sim.network().helper_threads(), expected_helpers(t, 16));
     SyntheticTraffic gen(MeshTopology(small_mesh()), sim_traffic(), 13);
     const SimResult threaded = sim.run(gen);
@@ -700,7 +701,8 @@ TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelStep, VisitCountersBitIdenticalOnUnevenTilesWithMidRunKill) {
   // A lightly loaded 12x12 adaptive torus: at 3, 5 and 7 threads the 144
-  // nodes split into 12, 20 and 28 tiles, the last two uneven; the network
+  // nodes split into 3, 5 and 7 bands, the last two uneven and all of them
+  // recut by work as the run goes; the network
   // sleeps whole in gaps between packets and is woken by enqueues and e2e
   // deliveries, and a link dies mid-run. Every thread count must elide exactly the serial
   // run's visits, sleep exactly its cycles and stage exactly its effects.
@@ -741,7 +743,7 @@ TEST(ParallelStep, VisitCountersBitIdenticalOnUnevenTilesWithMidRunKill) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
     const auto [threaded, threaded_sim] = run(t);
     const Network& b = threaded_sim->network();
-    EXPECT_EQ(b.shard_count(), expected_tiles(t, 144));
+    EXPECT_EQ(b.shard_count(), expected_bands(t, 144));
     EXPECT_EQ(a.lookahead_cycles_slept(), b.lookahead_cycles_slept());
     EXPECT_EQ(a.phase_dispatches(), b.phase_dispatches());
     EXPECT_EQ(a.router_steps_skipped(), b.router_steps_skipped());
@@ -796,6 +798,128 @@ TEST(ParallelStep, TelemetryExportBytesIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(std::filesystem::exists(dirt / name)) << name;
       EXPECT_EQ(read_file(dir1 / name), read_file(dirt / name))
           << name << " differs between sim_threads=1 and sim_threads=" << t;
+    }
+  }
+}
+
+/// Delegates to `inner`, and each time the simulator polls it — at least
+/// once per stepped cycle, the drain included — cuts the network's bands at
+/// fresh random points. Serial runs have one band and are left alone.
+class RecuttingTraffic final : public TrafficGenerator {
+ public:
+  RecuttingTraffic(TrafficGenerator& inner, Network& net, std::uint64_t seed)
+      : inner_(inner), net_(net), rng_(seed, "band-cuts") {}
+
+  void tick(Cycle now, std::vector<Packet>& out) override {
+    recut();
+    inner_.tick(now, out);
+  }
+  bool exhausted() const override {
+    recut();
+    return inner_.exhausted();
+  }
+  const std::string& name() const override { return inner_.name(); }
+  std::uint64_t recuts() const noexcept { return recuts_; }
+
+ private:
+  void recut() const {
+    const std::size_t bands = net_.shard_count();
+    if (bands < 2) return;
+    const auto n = static_cast<std::uint64_t>(net_.config().num_nodes());
+    std::vector<NodeId> cuts{0, static_cast<NodeId>(n)};
+    while (cuts.size() < bands + 1) {
+      const auto c = static_cast<NodeId>(1 + rng_.next_below(n - 1));
+      if (std::find(cuts.begin(), cuts.end(), c) == cuts.end()) cuts.push_back(c);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    NetworkTestPeer::set_bands(net_, cuts);
+    ++recuts_;
+  }
+
+  TrafficGenerator& inner_;
+  Network& net_;
+  mutable Rng rng_;
+  mutable std::uint64_t recuts_ = 0;
+};
+
+TEST(ParallelStep, RebalancedBandsBitIdentical) {
+  // Where the band boundaries fall is a scheduling choice: a traced 12x12
+  // adaptive torus with a mid-run link kill, its bands recut at random
+  // every cycle, must match the serial run in every result, every
+  // thread-count-invariant counter and every telemetry byte.
+  struct Run {
+    SimResult res;
+    std::uint64_t router_skips, ni_skips, dispatches, merges, slept, staged;
+    std::uint64_t recuts;
+  };
+  const auto run = [](unsigned sim_threads, const std::filesystem::path& dir) {
+    SimOptions opt;
+    opt.seed = 41;
+    opt.noc.mesh_width = 12;
+    opt.noc.mesh_height = 12;
+    opt.noc.topology = TopologyKind::kTorus;
+    opt.noc.routing = RoutingAlgorithm::kAdaptive;
+    opt.policy = PolicyKind::kStaticArqEcc;
+    opt.sim_threads = sim_threads;
+    opt.pretrain_cycles = 0;
+    opt.warmup_cycles = 300;
+    opt.error_scale = 4.0;
+    opt.telemetry.enabled = true;
+    opt.telemetry.out_dir = dir.string();
+    opt.telemetry.metrics_interval = 200;
+    HardFault kill;
+    kill.kind = HardFault::Kind::kLink;
+    kill.node = 65;
+    kill.port = Port::kEast;
+    kill.at_cycle = 700;
+    opt.hard_faults = {kill};
+    SyntheticTraffic::Options traffic;
+    traffic.total_packets = 1200;
+    traffic.injection_rate = 0.01;
+    Simulator sim(opt);
+    SyntheticTraffic gen(MeshTopology(opt.noc), traffic, opt.seed);
+    RecuttingTraffic recut(gen, sim.network(), 1000 + sim_threads);
+    Run r{};
+    r.res = sim.run(recut);
+    const Network& net = sim.network();
+    EXPECT_EQ(net.hard_faults_applied(), 1u);
+    r.router_skips = net.router_steps_skipped();
+    r.ni_skips = net.ni_steps_skipped();
+    r.dispatches = net.phase_dispatches();
+    r.merges = net.merges_run();
+    r.slept = net.lookahead_cycles_slept();
+    r.staged = net.staged_effects_merged();
+    r.recuts = recut.recuts();
+    return r;
+  };
+
+  const std::filesystem::path dir1 = fresh_dir("rlftnoc_recut1");
+  const Run serial = run(1, dir1);
+  ASSERT_TRUE(serial.res.drained);
+  ASSERT_GT(serial.res.packets_delivered, 0u);
+  ASSERT_GT(serial.slept, 0u);
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir1))
+    names.push_back(entry.path().filename().string());
+  ASSERT_FALSE(names.empty());
+
+  for (const unsigned t : {2u, 3u, 4u}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(t));
+    const std::filesystem::path dirt = fresh_dir("rlftnoc_recut" + std::to_string(t));
+    const Run threaded = run(t, dirt);
+    // Recut on every poll: more often than there were cycles.
+    EXPECT_GT(threaded.recuts, serial.res.total_cycles);
+    EXPECT_EQ(serial.res, threaded.res);
+    EXPECT_EQ(serial.router_skips, threaded.router_skips);
+    EXPECT_EQ(serial.ni_skips, threaded.ni_skips);
+    EXPECT_EQ(serial.dispatches, threaded.dispatches);
+    EXPECT_EQ(serial.merges, threaded.merges);
+    EXPECT_EQ(serial.slept, threaded.slept);
+    EXPECT_EQ(serial.staged, threaded.staged);
+    for (const std::string& name : names) {
+      ASSERT_TRUE(std::filesystem::exists(dirt / name)) << name;
+      EXPECT_EQ(read_file(dir1 / name), read_file(dirt / name))
+          << name << " differs between serial and recut sim_threads=" << t;
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace rlftnoc {
@@ -35,6 +37,45 @@ TEST(Power, WindowResetKeepsTotals) {
   m.reset_window(0);
   EXPECT_DOUBLE_EQ(m.window_dynamic_energy_pj(0), 0.0);
   EXPECT_GT(m.total_dynamic_energy_pj(0), 0.0);
+}
+
+TEST(Power, TotalsEqualTheSumOfWindowsAcrossResetsExactly) {
+  // Events land in one window row; every reset_window folds it into the
+  // totals. Totals must count exactly the events of all windows, folded or
+  // still open, and price them as the same double a single running count
+  // would give.
+  PowerModel m(3);
+  std::array<std::array<std::uint64_t, kNumPowerEvents>, 3> want{};
+  const auto priced = [&m](const std::array<std::uint64_t, kNumPowerEvents>& c) {
+    double pj = 0.0;
+    for (std::size_t i = 0; i < kNumPowerEvents; ++i)
+      pj += static_cast<double>(c[i]) * m.params().energy_pj[i];
+    return pj;
+  };
+  std::uint64_t n = 1;
+  for (int window = 0; window < 5; ++window) {
+    for (int r = 0; r < 3; ++r) {
+      for (std::size_t e = 0; e < kNumPowerEvents; e += 1 + (window + r) % 3) {
+        n = n * 7 % 1000 + 1;
+        m.record(r, static_cast<PowerEvent>(e), n);
+        want[static_cast<std::size_t>(r)][e] += n;
+      }
+    }
+    // Window 2 leaves router 1 open across the next window.
+    for (int r = 0; r < 3; ++r)
+      if (window != 2 || r != 1) m.reset_window(r);
+    for (int r = 0; r < 3; ++r)
+      EXPECT_EQ(m.total_dynamic_energy_pj(r), priced(want[static_cast<std::size_t>(r)]))
+          << "router " << r << " after window " << window;
+    for (std::size_t e = 0; e < kNumPowerEvents; ++e)
+      EXPECT_EQ(m.total_event_count(static_cast<PowerEvent>(e)),
+                want[0][e] + want[1][e] + want[2][e]);
+    EXPECT_EQ(m.total_dynamic_energy_pj(),
+              priced(want[0]) + priced(want[1]) + priced(want[2]));
+  }
+  m.reset_totals();
+  EXPECT_EQ(m.total_dynamic_energy_pj(), 0.0);
+  EXPECT_EQ(m.total_event_count(PowerEvent::kBufferWrite), 0u);
 }
 
 TEST(Power, ResetTotalsClearsEverything) {

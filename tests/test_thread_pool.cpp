@@ -182,6 +182,33 @@ TEST(PhasePool, SlotOutputsAreOrderIndependent) {
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(slots[i], i * i + 1);
 }
 
+TEST(SpinFits, OnlyWhenEveryExecutorInFlightHasAHardwareThread) {
+  // One 4-thread run on a 4-thread machine spins; four such runs at once
+  // (jobs 4 x sim_threads 4) would take cores from each other, so none do.
+  EXPECT_TRUE(spin_fits(4, 4));
+  EXPECT_TRUE(spin_fits(2, 4));
+  EXPECT_FALSE(spin_fits(4 * 4, 4));
+  EXPECT_FALSE(spin_fits(5, 4));
+  // A single hardware thread (or an unknown count) never spins.
+  EXPECT_FALSE(spin_fits(1, 1));
+  EXPECT_FALSE(spin_fits(1, 0));
+}
+
+TEST(PhasePool, HelpersParkPastTheSpinBudgetAndWakeForTheNextPhase) {
+  // The caller idles past the spin budget between phases, so a spinning
+  // pool's helpers give up and park on the epoch; each next phase must
+  // wake them and still run every index. Helpers are told to spin either
+  // way, so the test covers the spin, the park and the wake on any host.
+  PhasePool pool(3, /*spin=*/true);
+  std::vector<std::uint64_t> slots(8, 0);
+  for (int phase = 0; phase < 6; ++phase) {
+    pool.run(slots.size(), [&slots](std::size_t i) { ++slots[i]; });
+    std::this_thread::sleep_for(PhasePool::kSpinBudget * 3);
+  }
+  for (const std::uint64_t v : slots) EXPECT_EQ(v, 6u);
+  EXPECT_EQ(pool.dispatches(), 6u);
+}
+
 TEST(PhasePool, ZeroTasksIsANoOp) {
   PhasePool pool(2);
   EXPECT_NO_THROW(pool.run(0, [](std::size_t) { FAIL() << "ran a task"; }));
