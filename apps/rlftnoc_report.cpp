@@ -1,14 +1,18 @@
-// rlftnoc_report — renders a cached campaign (campaign_results.tsv) as a
-// Markdown report: one table per figure of the paper, normalized to the CRC
-// baseline, plus the raw per-run data.
+// rlftnoc_report — renders a campaign's raw results (the results_out TSV of
+// `rlftnoc_run configs/paper_campaign.cfg`) as a Markdown report: Table II
+// (this build's parameters next to the paper's), one table per figure of
+// the paper, normalized to the CRC baseline, with the paper's values under
+// the measured geomean, plus the raw per-run data.
 //
 //   rlftnoc_report [campaign_results.tsv] [--telemetry DIR] > report.md
 //
 // With --telemetry, the report also renders every run's telemetry found in
 // DIR (written by --trace runs; see src/telemetry): one summary table per
 // *.metrics.tsv with an ASCII sparkline of each metric over time, and every
-// *.heatmap.*.tsv as a preformatted grid.
+// *.heatmap.*.tsv as a preformatted grid. An unknown flag or a second
+// results file exits 2, naming the argument.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +27,40 @@ using namespace rlftnoc;
 
 namespace {
 
+void table_ii_section() {
+  std::printf("\n## Table II — simulation parameters\n\n");
+  std::printf("| parameter | paper | this build | check |\n|---|---|---|---|\n");
+  int drifted = 0;
+  for (const TableIIRow& row : table_ii_rows(SimOptions{})) {
+    drifted += row.matches() ? 0 : 1;
+    std::printf("| %s | %s | %s | %s |\n", row.parameter, row.paper,
+                row.ours.c_str(),
+                !row.must_match ? "not checked"
+                : row.matches() ? "match"
+                                : "**MISMATCH**");
+  }
+  if (drifted == 0) {
+    std::printf("\n*(every checked parameter matches Table II)*\n");
+  } else {
+    std::printf("\n**%d checked parameter(s) drifted from Table II**\n", drifted);
+  }
+}
+
+/// The paper's bar for `p` in a figure table's own normalization (Fig. 7:
+/// execution time, the inverse of the plotted speed-up); NaN where the
+/// paper has no bar.
+double paper_bar(const PaperFigure& f, PolicyKind p) {
+  double v = std::nan("");
+  switch (p) {
+    case PolicyKind::kStaticCrc: v = 1.0; break;
+    case PolicyKind::kStaticArqEcc: v = f.paper[0]; break;
+    case PolicyKind::kDecisionTree: v = f.paper[1]; break;
+    case PolicyKind::kRl: v = f.paper[2]; break;
+    default: break;
+  }
+  return f.direction == FigureDirection::kSpeedup ? 1.0 / v : v;
+}
+
 void markdown_table(const CampaignResults& res, const PaperFigure& f) {
   std::printf("\n## Fig. %d — %s\n\n", f.number, f.title);
   std::printf("| benchmark |");
@@ -31,21 +69,46 @@ void markdown_table(const CampaignResults& res, const PaperFigure& f) {
   for (std::size_t i = 0; i < res.policies.size(); ++i) std::printf("---|");
   std::printf("\n");
 
+  // Cells normalized_geomean floors to 1e-12, per policy column.
+  std::vector<std::size_t> zero_cells(res.policies.size(), 0);
   for (std::size_t b = 0; b < res.benchmarks.size(); ++b) {
     const double base = f.metric(res.at(b, 0));
     if (base <= 0.0) continue;
     std::printf("| %s |", res.benchmarks[b].c_str());
-    for (std::size_t p = 0; p < res.policies.size(); ++p)
-      std::printf(" %.3f |", f.metric(res.at(b, p)) / base);
+    for (std::size_t p = 0; p < res.policies.size(); ++p) {
+      const double norm = f.metric(res.at(b, p)) / base;
+      if (norm < 1e-12) ++zero_cells[p];
+      std::printf(" %.3f |", norm);
+    }
     std::printf("\n");
   }
   std::printf("| **geomean** |");
   for (std::size_t p = 0; p < res.policies.size(); ++p)
     std::printf(" **%.3f** |", normalized_geomean(res, f.metric, p));
+  std::printf("\n| *paper* |");
+  const double paper_base = paper_bar(f, res.policies.front());
+  for (const PolicyKind p : res.policies) {
+    const double v = paper_bar(f, p) / paper_base;
+    if (std::isnan(v)) {
+      std::printf(" — |");
+    } else {
+      std::printf(" *%.3f* |", v);
+    }
+  }
   std::printf("\n");
-  std::printf("\n*(normalized to %s; %s is better)*\n",
+  std::printf("\n*(normalized to %s; %s is better. The geomean skips a row "
+              "whose %s value is 0 and counts a zero cell as 1e-12; zero "
+              "cells:",
               policy_name(res.policies.front()),
-              f.higher_is_better() ? "higher" : "lower");
+              f.higher_is_better() ? "higher" : "lower",
+              policy_name(res.policies.front()));
+  for (std::size_t p = 0; p < res.policies.size(); ++p) {
+    std::printf("%s %s %zu", p == 0 ? "" : ",", policy_name(res.policies[p]),
+                zero_cells[p]);
+  }
+  std::printf("%s)*\n", f.direction == FigureDirection::kSpeedup
+                             ? "; the paper row is 1 / the paper's speed-up"
+                             : "");
 }
 
 /// One metric's per-sample aggregate (mean over routers/ports per cycle).
@@ -168,6 +231,18 @@ int main(int argc, char** argv) {
       telemetry_dir = argv[++i];
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_dir = arg.substr(12);
+    } else if (arg.rfind('-', 0) == 0) {
+      std::fprintf(stderr,
+                   "rlftnoc_report: unknown flag '%s' (supported: --telemetry "
+                   "DIR)\n",
+                   arg.c_str());
+      return 2;
+    } else if (!path.empty()) {
+      std::fprintf(stderr,
+                   "rlftnoc_report: one results file only, got '%s' after "
+                   "'%s'\n",
+                   arg.c_str(), path.c_str());
+      return 2;
     } else {
       path = arg;
     }
@@ -178,15 +253,16 @@ int main(int argc, char** argv) {
   try {
     res = read_results_file(path);
   } catch (const std::exception& e) {
-    // Telemetry-only reports are fine without a campaign cache.
+    // Telemetry-only reports are fine without campaign results.
     if (!telemetry_dir.empty()) {
       std::printf("# rlftnoc telemetry report\n");
       render_telemetry_dir(telemetry_dir);
       return 0;
     }
     std::fprintf(stderr,
-                 "rlftnoc_report: %s\nrun bench_paper_figures first to produce "
-                 "the campaign cache\n",
+                 "rlftnoc_report: %s\nrun `rlftnoc_run "
+                 "configs/paper_campaign.cfg` first to produce the campaign "
+                 "results\n",
                  e.what());
     return 2;
   }
@@ -195,25 +271,28 @@ int main(int argc, char** argv) {
   std::printf("\n%zu benchmarks x %zu policies (source: %s)\n",
               res.benchmarks.size(), res.policies.size(), path.c_str());
 
+  table_ii_section();
   for (const PaperFigure& f : kPaperFigures) markdown_table(res, f);
 
   std::printf("\n## Raw per-run data\n\n");
   std::printf("| benchmark | policy | exec (cyc) | latency | fault retx | dup "
-              "| eff (flits/nJ) | dyn (W) | T avg/max | modes 0/1/2/3 |\n");
-  std::printf("|---|---|---|---|---|---|---|---|---|---|\n");
+              "| eff (flits/nJ) | dyn (uJ) | leak (uJ) | dyn (W) | T avg/max "
+              "| modes 0/1/2/3 |\n");
+  std::printf("|---|---|---|---|---|---|---|---|---|---|---|---|\n");
   for (std::size_t b = 0; b < res.benchmarks.size(); ++b) {
     for (std::size_t p = 0; p < res.policies.size(); ++p) {
       const SimResult& r = res.at(b, p);
-      std::printf("| %s | %s | %llu | %.1f | %llu | %llu | %.2f | %.3f | "
-                  "%.0f/%.0f | %.2f/%.2f/%.2f/%.2f |\n",
+      std::printf("| %s | %s | %llu | %.1f | %llu | %llu | %.2f | %.2f | %.2f "
+                  "| %.3f | %.0f/%.0f | %.2f/%.2f/%.2f/%.2f |\n",
                   r.workload.c_str(), r.policy.c_str(),
                   static_cast<unsigned long long>(r.execution_cycles),
                   r.avg_packet_latency,
                   static_cast<unsigned long long>(r.retx_flits_e2e + r.retx_flits_hop),
                   static_cast<unsigned long long>(r.dup_flits),
-                  r.energy_efficiency, r.avg_dynamic_power_w, r.avg_temperature_c,
-                  r.max_temperature_c, r.mode_fraction[0], r.mode_fraction[1],
-                  r.mode_fraction[2], r.mode_fraction[3]);
+                  r.energy_efficiency, r.dynamic_energy_pj * 1e-6,
+                  r.leakage_energy_pj * 1e-6, r.avg_dynamic_power_w,
+                  r.avg_temperature_c, r.max_temperature_c, r.mode_fraction[0],
+                  r.mode_fraction[1], r.mode_fraction[2], r.mode_fraction[3]);
     }
   }
 

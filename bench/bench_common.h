@@ -8,21 +8,9 @@
 // through run_forced_mode(), which counts the packets a full NI queue
 // refused.
 //
-// Figures 6-10 (kPaperFigures, sim/campaign.h) are different views of one
-// campaign (8 PARSEC-like benchmarks x 4 policies). bench_paper_figures runs
-// it once and caches the raw results as `campaign_results.tsv` in the
-// working directory; later runs with the same options reuse the cache.
-// Flags:
-//   --fresh        ignore and overwrite the cache
-//   --scale=N      packet-budget percentage (default 100 = full budgets)
-//   --full         paper-scale pretrain/warm-up phases + 100% budgets
-//   --seed=N       experiment seed (default 11)
-//   --jobs=N       parallel (benchmark, policy) runs; 0 = all hardware
-//                  threads, 1 = serial (default). Results are identical
-//                  for any value (per-run seed derivation).
-//   --cache=PATH   cache location (default ./campaign_results.tsv)
-// A numeric flag whose value is not a plain decimal integer in range exits
-// 2, naming the flag and the value.
+// Table II and Figs. 6-10 are not a bench: `rlftnoc_run
+// configs/paper_campaign.cfg` runs the campaign and `rlftnoc_report` renders
+// them (README, "Reproducing the paper's figures").
 #pragma once
 
 #include <cstdio>
@@ -31,8 +19,6 @@
 #include <vector>
 
 #include "noc/network.h"
-#include "sim/campaign.h"
-#include "sim/results_io.h"
 #include "traffic/traffic.h"
 
 namespace rlftnoc::bench {
@@ -45,36 +31,6 @@ double time_seconds(const std::function<void()>& fn);
 /// other argument prints "unknown flag '<arg>' (supported: --out=PATH)"
 /// and exits 2.
 std::string out_path_arg(int argc, char** argv, const std::string& def);
-
-struct BenchArgs {
-  bool fresh = false;
-  std::uint64_t scale_pct = 100;
-  bool full = false;
-  std::uint64_t seed = 11;
-  unsigned jobs = 1;
-  std::string cache = "campaign_results.tsv";
-};
-
-BenchArgs parse_args(int argc, char** argv);
-
-/// The four policies of the paper's evaluation, CRC first (the baseline
-/// every figure normalizes to).
-const std::vector<PolicyKind>& paper_policies();
-
-/// All eight benchmark names.
-std::vector<std::string> paper_benchmarks();
-
-/// Hash of every option that determines campaign *results* (seed, scale,
-/// phase lengths, benchmark and policy lists). `jobs` is excluded on
-/// purpose: results are bit-identical for any job count, so a cache written
-/// at --jobs=4 is valid for a serial rerun. The cache file records this
-/// hash in a leading `# campaign-options-hash <hex>` comment and a reload
-/// only reuses the file when the hash matches — editing options can no
-/// longer silently serve stale cached results.
-std::uint64_t campaign_options_hash(const BenchArgs& args);
-
-/// Loads the cached campaign or runs it (and caches).
-CampaignResults load_or_run_campaign(const BenchArgs& args);
 
 /// One run on a bare Network with no controller: every router held in
 /// `mode`, every live link at error probability `p_error`.

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <set>
 
+#include "common/bitvec.h"
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -222,5 +223,45 @@ double metric_exec_speedup_inverse(const SimResult& r) {
 double metric_latency(const SimResult& r) { return r.avg_packet_latency; }
 double metric_energy_efficiency(const SimResult& r) { return r.energy_efficiency; }
 double metric_dynamic_power(const SimResult& r) { return r.avg_dynamic_power_w; }
+
+std::vector<TableIIRow> table_ii_rows(const SimOptions& opt) {
+  using std::to_string;
+  // "1.000000" -> "1.0": the paper prints one decimal.
+  const auto one_decimal = [](double v) { return to_string(v).substr(0, 3); };
+  return {
+      {"# of cores", "64 out-of-order",
+       to_string(opt.noc.num_nodes()) + " (traffic endpoints)", false},
+      {"technology", "32 nm", "32 nm (ORION-lite coefficients)", false},
+      {"voltage", "1.0 V", one_decimal(opt.controller.voltage) + " V", true},
+      {"frequency", "2.0 GHz", one_decimal(opt.power.clock_hz / 1e9) + " GHz",
+       true},
+      {"topology", "8x8 2D mesh",
+       to_string(opt.noc.mesh_width) + "x" + to_string(opt.noc.mesh_height) +
+           " 2D mesh",
+       true},
+      {"routing", "X-Y", "X-Y (dimension ordered)", false},
+      {"router pipeline", "4-stage", "RC/VA/SA+ST + link (see DESIGN.md)",
+       false},
+      {"VCs per port", "4", to_string(opt.noc.vcs_per_port), true},
+      {"flit size", "128 bits", to_string(BitVec128::kBits) + " bits", true},
+      {"packet size", "4 flits", to_string(opt.noc.flits_per_packet) + " flits",
+       true},
+      {"RL time-step", "1000 cycles",
+       to_string(opt.controller.step_cycles) + " cycles", true},
+      {"RL alpha", "0.1", one_decimal(opt.rl.alpha), true},
+      {"RL epsilon", "0.1", one_decimal(opt.rl.epsilon), true},
+      {"pre-training", "1M cycles",
+       to_string(opt.pretrain_cycles) + " cycles (pretrain_cycles=1000000: 1M)",
+       false},
+      {"warm-up", "300K cycles",
+       to_string(opt.warmup_cycles) + " cycles (warmup_cycles=300000: 300K)",
+       false},
+      {"temperature band", "50-100 C",
+       "ambient " + to_string(static_cast<int>(opt.thermal.ambient_c)) +
+           " C, throttle " +
+           to_string(static_cast<int>(opt.thermal.max_temp_c)) + " C",
+       false},
+  };
+}
 
 }  // namespace rlftnoc

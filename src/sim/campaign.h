@@ -154,4 +154,20 @@ inline constexpr PaperFigure kPaperFigures[] = {
      FigureDirection::kLowerIsBetter, {0.75, 0.65, 0.54}},
 };
 
+/// One row of the paper's Table II (simulation parameters): the paper's
+/// value next to this build's. A must-match row's two strings must be equal;
+/// the other rows differ by design (DESIGN.md, EXPERIMENTS.md).
+struct TableIIRow {
+  const char* parameter;
+  const char* paper;
+  std::string ours;
+  bool must_match;
+
+  bool matches() const { return !must_match || ours == paper; }
+};
+
+/// Table II with this build's values read from `opt` (a default SimOptions
+/// is the campaign configuration).
+std::vector<TableIIRow> table_ii_rows(const SimOptions& opt);
+
 }  // namespace rlftnoc

@@ -11,8 +11,8 @@
 //                      computed over this phase.
 //
 // Defaults here are scaled down ~4x from the paper so the whole 8-benchmark
-// x 4-policy campaign stays laptop-scale; pass `--full` to benches (or set
-// SimOptions accordingly) for paper-scale runs.
+// x 4-policy campaign stays laptop-scale; set pretrain_cycles=1000000 and
+// warmup_cycles=300000 for paper-scale runs.
 #pragma once
 
 #include <array>
@@ -118,12 +118,6 @@ struct SimOptions {
   /// Shared Q-table across the per-router agents (default; see RlPolicy).
   /// false = paper-literal independent per-router tables.
   bool rl_shared_table = true;
-
-  /// Applies paper-scale phase lengths.
-  void use_paper_scale() {
-    pretrain_cycles = 1'000'000;
-    warmup_cycles = 300'000;
-  }
 };
 
 /// Metrics of one measured run (one bar of one figure).

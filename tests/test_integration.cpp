@@ -182,6 +182,26 @@ TEST(Integration, MetricExtractors) {
   EXPECT_EQ(metric_dynamic_power(r), 50.0);
 }
 
+// The campaign runs on default SimOptions, so a default that drifts from
+// the paper's Table II silently changes every figure.
+TEST(TableII, MustMatchDefaultsEqualThePaper) {
+  const std::vector<TableIIRow> rows = table_ii_rows(SimOptions{});
+  int checked = 0;
+  for (const TableIIRow& row : rows) {
+    if (!row.must_match) continue;
+    ++checked;
+    EXPECT_EQ(row.ours, row.paper) << row.parameter;
+  }
+  EXPECT_EQ(checked, 9);
+
+  SimOptions drifted;
+  drifted.noc.vcs_per_port = 2;
+  int mismatches = 0;
+  for (const TableIIRow& row : table_ii_rows(drifted))
+    mismatches += row.matches() ? 0 : 1;
+  EXPECT_EQ(mismatches, 1);
+}
+
 TEST(Integration, ArqEccBeatsCrcUnderHighErrors) {
   // The paper's core premise at the protocol level.
   auto run = [](OpMode mode) {

@@ -179,12 +179,5 @@ TEST(Simulator, ParsecWorkloadRuns) {
   EXPECT_GT(r.packets_delivered, 1000u);
 }
 
-TEST(Simulator, PaperScaleSetterAdjustsPhases) {
-  SimOptions opt;
-  opt.use_paper_scale();
-  EXPECT_EQ(opt.pretrain_cycles, 1'000'000u);
-  EXPECT_EQ(opt.warmup_cycles, 300'000u);
-}
-
 }  // namespace
 }  // namespace rlftnoc
